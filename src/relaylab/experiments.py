@@ -374,12 +374,16 @@ def run_grouping_sweep(spec: ExperimentSpec) -> SweepResult:
 
 
 def run_antenna_sweep(spec: ExperimentSpec) -> SweepResult:
-    """Per-protocol maximum throughput as antennas per relay grow."""
-    rows = []
-    for protocol in PROTOCOLS:
-        for n_r in spec.grid:
-            cfg = replace(spec.channel, N_R=n_r)
-            rows.extend(_cmax(spec, protocol, cfg, spec.snr_db))
+    """Per-protocol maximum throughput as antennas per relay grow.
+
+    Points run N_R-major, so each fading stream is sampled once and serves
+    every protocol; rows are still emitted protocol-major."""
+    points = {}
+    for n_r in spec.grid:
+        cfg = replace(spec.channel, N_R=n_r)
+        for protocol in PROTOCOLS:
+            points[protocol, n_r] = _cmax(spec, protocol, cfg, spec.snr_db)
+    rows = [r for p in PROTOCOLS for n_r in spec.grid for r in points[p, n_r]]
     return SweepResult(spec, rows)
 
 

@@ -3,7 +3,10 @@
 All estimators share one fading sequence per (cfg, slots, seed): the sampled
 gain arrays are cached and each protocol reduces them to its own per-slot
 sufficient statistics, so protocol comparisons are paired (common random
-numbers) and repeated power points reuse the same draws.
+numbers) and repeated power points reuse the same draws. The cache holds one
+stream at a time, relay-major with shape (L, slots), so every reduction over
+relays is a sweep over contiguous rows; sums over relays keep numpy's
+pairwise order, so the statistics match a slot-major reduction bit for bit.
 
 Slots are sampled in fixed-size blocks addressed by absolute slot index; the
 worker count only changes how blocks are dispatched, never any value, so
@@ -11,9 +14,9 @@ results are bit-identical at any parallelism level.
 """
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -84,21 +87,21 @@ def _check_powers(ps, pr):
         raise ValueError(f"powers must be > 0, got ps={ps!r}, pr={pr!r}")
 
 
-@lru_cache(maxsize=2)
-def _gain_arrays(cfg: ChannelConfig, slots: int, seed: int, workers: int):
-    """Sampled (sr_gain, rd_norm) arrays of shape (slots, L), read-only."""
-    sr = np.empty((slots, cfg.L))
-    rd = np.empty((slots, cfg.L))
+def _sample(cfg: ChannelConfig, sim: SimConfig):
+    """Sampled (sr_gain, rd_norm) arrays of shape (L, slots), read-only."""
+    slots = sim.slots
+    sr = np.empty((cfg.L, slots))
+    rd = np.empty((cfg.L, slots))
 
     def fill(start):
         n = min(_BLOCK, slots - start)
-        sr[start:start + n], rd[start:start + n] = sample_gains(
-            cfg, seed, start, n
-        )
+        block_sr, block_rd = sample_gains(cfg, sim.seed, start, n)
+        sr[:, start:start + n] = block_sr.T
+        rd[:, start:start + n] = block_rd.T
 
     starts = range(0, slots, _BLOCK)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if sim.workers > 1:
+        with ThreadPoolExecutor(max_workers=sim.workers) as pool:
             list(pool.map(fill, starts))
     else:
         for s in starts:
@@ -108,54 +111,117 @@ def _gain_arrays(cfg: ChannelConfig, slots: int, seed: int, workers: int):
     return sr, rd
 
 
-@lru_cache(maxsize=2)
-def _adb_arrays(cfg, slots, seed, workers):
-    sr, rd = _gain_arrays(cfg, slots, seed, workers)
-    m = cfg.M
-    out = (
-        sr[:, :m].min(axis=1),
-        rd[:, :m].sum(axis=1) ** 2,
-        sr[:, m:].min(axis=1),
-        rd[:, m:].sum(axis=1) ** 2,
+class _GainCache:
+    """Single-entry cache: the relay-major gains of one fading stream and,
+    beside them, each protocol's power-independent statistics. Moving to
+    another stream evicts all of them together."""
+
+    def __init__(self):
+        self._lock = threading.RLock()
+        self.clear()
+
+    def clear(self):
+        with self._lock:
+            self._key = None
+            self._gains = None
+            self._stats = {}
+
+    def gains(self, cfg: ChannelConfig, sim: SimConfig):
+        """(sr_gain, rd_norm) of shape (L, slots) for this stream."""
+        # Exactly what sample_gains reads: M, the noise powers and the
+        # worker count never change a draw.
+        key = (cfg.L, cfg.N_R, cfg.sigma_g2, cfg.sigma_h2, sim.slots, sim.seed)
+        with self._lock:
+            if key != self._key:
+                self.clear()
+                self._gains = _sample(cfg, sim)
+                self._key = key
+            return self._gains
+
+    def stats(self, build, cfg: ChannelConfig, sim: SimConfig, *args):
+        """build(sr_gain, rd_norm, *args) for this stream, computed once per
+        args and returned read-only."""
+        with self._lock:
+            sr, rd = self.gains(cfg, sim)
+            hit = self._stats.get(build)
+            if hit is None or hit[0] != args:
+                out = build(sr, rd, *args)
+                for a in out:
+                    a.setflags(write=False)
+                hit = self._stats[build] = (args, out)
+            return hit[1]
+
+
+_cache = _GainCache()
+
+
+def _relay_sum(rows):
+    """Sum of relay rows (axis 0) in the order numpy's pairwise summation
+    adds the same values along a contiguous axis, so it equals the
+    slot-major ``.sum(axis=1)`` bit for bit: left to right below 8 terms,
+    eight strided accumulators up to 128, halves split at a multiple of 8
+    above. A left-to-right sum differs from 8 terms on."""
+    n = rows.shape[0]
+    if n < 8:
+        out = rows[0].copy()
+        for row in rows[1:]:
+            out += row
+        return out
+    if n <= 128:
+        acc = rows[:8].copy()
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            acc += rows[i:i + 8]
+        out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
+            (acc[4] + acc[5]) + (acc[6] + acc[7])
+        )
+        for row in rows[tail:]:
+            out += row
+        return out
+    half = n // 2
+    half -= half % 8
+    return _relay_sum(rows[:half]) + _relay_sum(rows[half:])
+
+
+def _top2(rows):
+    """Per-slot largest and second-largest values over the relay rows, and
+    the row of the largest; ties go to the lowest index, as argmax gives."""
+    first = rows[0].copy()
+    second = np.full_like(first, -np.inf)
+    best = np.zeros(first.shape, dtype=np.intp)
+    low = np.empty_like(first)
+    for i in range(1, rows.shape[0]):
+        row = rows[i]
+        np.minimum(first, row, out=low)
+        np.maximum(second, low, out=second)
+        best[row > first] = i
+        np.maximum(first, row, out=first)
+    return first, second, best
+
+
+def _adb_stats(sr, rd, m):
+    return (
+        sr[:m].min(axis=0),
+        _relay_sum(rd[:m]) ** 2,
+        sr[m:].min(axis=0),
+        _relay_sum(rd[m:]) ** 2,
     )
-    for a in out:
-        a.setflags(write=False)
-    return out
 
 
-@lru_cache(maxsize=2)
-def _df_arrays(cfg, slots, seed, workers):
-    sr, rd = _gain_arrays(cfg, slots, seed, workers)
-    out = (sr.min(axis=1), rd.sum(axis=1) ** 2)
-    for a in out:
-        a.setflags(write=False)
-    return out
+def _crs_stats(sr, rd):
+    return sr, rd**2
 
 
-@lru_cache(maxsize=2)
-def _sfd_arrays(cfg, slots, seed, workers):
+def _df_stats(sr, rd):
+    return sr.min(axis=0), _relay_sum(rd) ** 2
+
+
+def _sfd_stats(sr, rd):
     """Power-independent selection statistics: best/second-best source-side
     gains, best/second-best destination-side squared norms, collision mask."""
-    sr, rd = _gain_arrays(cfg, slots, seed, workers)
-    rows = np.arange(slots)
-    r1 = sr.argmax(axis=1)
-    t1 = rd.argmax(axis=1)
-    masked = sr.copy()
-    masked[rows, r1] = -np.inf
-    r2 = masked.argmax(axis=1)
-    masked = rd.copy()
-    masked[rows, t1] = -np.inf
-    t2 = masked.argmax(axis=1)
-    out = (
-        sr[rows, r1],
-        sr[rows, r2],
-        rd[rows, t1] ** 2,
-        rd[rows, t2] ** 2,
-        r1 == t1,
-    )
-    for a in out:
-        a.setflags(write=False)
-    return out
+    sr1, sr2, r1 = _top2(sr)
+    rd1, rd2, t1 = _top2(rd)
+    return sr1, sr2, rd1**2, rd2**2, r1 == t1
 
 
 def _rate(x):
@@ -257,7 +323,7 @@ def sim_adb(cfg: ChannelConfig, sim: SimConfig, ps, pr) -> ThroughputEstimate:
     averaged over slots, then 0.5*min(mean11, mean22) + 0.5*min(mean21,
     mean12)."""
     _check_powers(ps, pr)
-    min1, beam1, min2, beam2 = _adb_arrays(cfg, sim.slots, sim.seed, sim.workers)
+    min1, beam1, min2, beam2 = _cache.stats(_adb_stats, cfg, sim, cfg.M)
     a = ps / cfg.noise_r
     b = pr / cfg.noise_d
     e11 = _mean_se(_rate(a * min1))
@@ -279,7 +345,7 @@ def adb_component_estimates(cfg: ChannelConfig, sim: SimConfig, ps, pr):
     """Sample means and standard errors of the four component rates, keyed
     "c11", "c22" (group one) and "c21", "c12" (group two)."""
     _check_powers(ps, pr)
-    min1, beam1, min2, beam2 = _adb_arrays(cfg, sim.slots, sim.seed, sim.workers)
+    min1, beam1, min2, beam2 = _cache.stats(_adb_stats, cfg, sim, cfg.M)
     a = ps / cfg.noise_r
     b = pr / cfg.noise_d
     return {
@@ -293,16 +359,25 @@ def adb_component_estimates(cfg: ChannelConfig, sim: SimConfig, ps, pr):
 def sim_crs(cfg: ChannelConfig, sim: SimConfig, ps, pr) -> ThroughputEstimate:
     """Estimate best-relay-selection throughput."""
     _check_powers(ps, pr)
-    sr, rd = _gain_arrays(cfg, sim.slots, sim.seed, sim.workers)
-    vals = crs_slot_rate(sr, rd, ps / cfg.noise_r, pr / cfg.noise_d)
-    mean, se = _mean_se(np.atleast_1d(vals))
+    sr, rd2 = _cache.stats(_crs_stats, cfg, sim)
+    a = ps / cfg.noise_r
+    b = pr / cfg.noise_d
+    best = np.full(sim.slots, -np.inf)
+    link = np.empty(sim.slots)
+    other = np.empty(sim.slots)
+    for sr_row, rd2_row in zip(sr, rd2):
+        np.multiply(a, sr_row, out=link)
+        np.multiply(b, rd2_row, out=other)
+        np.minimum(link, other, out=link)
+        np.maximum(best, link, out=best)
+    mean, se = _mean_se(0.5 * _rate(best))
     return ThroughputEstimate(mean, se, "monte-carlo", sim.slots)
 
 
 def sim_df(cfg: ChannelConfig, sim: SimConfig, ps, pr) -> ThroughputEstimate:
     """Estimate all-relay decode-and-forward throughput."""
     _check_powers(ps, pr)
-    min_all, beam_all = _df_arrays(cfg, sim.slots, sim.seed, sim.workers)
+    min_all, beam_all = _cache.stats(_df_stats, cfg, sim)
     gain = np.minimum(
         (ps / cfg.noise_r) * min_all, (pr / cfg.noise_d) * beam_all
     )
@@ -310,21 +385,33 @@ def sim_df(cfg: ChannelConfig, sim: SimConfig, ps, pr) -> ThroughputEstimate:
     return ThroughputEstimate(mean, se, "monte-carlo", sim.slots)
 
 
+def _sfd_links(stats, a, b):
+    """Per-slot SNRs of the receive and transmit links the selection rule
+    of select_sfd picks, from _sfd_stats at normalized powers a and b."""
+    sr1, sr2, rd1, rd2, collide = stats
+    g_sr1 = a * sr1
+    g_sr2 = a * sr2
+    g_rd1 = b * rd1
+    g_rd2 = b * rd2
+    # On collisions keep the stronger swap option, as in select_sfd.
+    demote_recv = collide & (np.minimum(g_sr2, g_rd1) >= np.minimum(g_sr1, g_rd2))
+    demote_trans = collide & ~demote_recv
+    return (
+        np.where(demote_recv, g_sr2, g_sr1),
+        np.where(demote_trans, g_rd2, g_rd1),
+    )
+
+
 def sim_sfd_mmrs(cfg: ChannelConfig, sim: SimConfig, ps, pr) -> ThroughputEstimate:
     """Estimate full-duplex-mimicking selection throughput: the smaller of
     the mean receive-link and mean transmit-link capacities, no half
     prefactor."""
     _check_powers(ps, pr)
-    sr1, sr2, rd1, rd2, collide = _sfd_arrays(cfg, sim.slots, sim.seed, sim.workers)
-    g_sr1 = (ps / cfg.noise_r) * sr1
-    g_sr2 = (ps / cfg.noise_r) * sr2
-    g_rd1 = (pr / cfg.noise_d) * rd1
-    g_rd2 = (pr / cfg.noise_d) * rd2
-    # On collisions keep the stronger swap option, as in select_sfd.
-    demote_recv = collide & (np.minimum(g_sr2, g_rd1) >= np.minimum(g_sr1, g_rd2))
-    demote_trans = collide & ~demote_recv
-    c_sr = _mean_se(_rate(np.where(demote_recv, g_sr2, g_sr1)))
-    c_rd = _mean_se(_rate(np.where(demote_trans, g_rd2, g_rd1)))
+    recv, trans = _sfd_links(
+        _cache.stats(_sfd_stats, cfg, sim), ps / cfg.noise_r, pr / cfg.noise_d
+    )
+    c_sr = _mean_se(_rate(recv))
+    c_rd = _mean_se(_rate(trans))
     value, se, ambiguous = _min_of_means(c_sr, c_rd)
     return ThroughputEstimate(
         value=value,

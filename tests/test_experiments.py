@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import _slot_major
+from relaylab import experiments, simulate
 from relaylab.channel import ChannelConfig
 from relaylab.experiments import (
     CSV_COLUMNS,
@@ -238,3 +240,57 @@ def test_load_spec_errors(tmp_path):
         load_spec(str(p2))
     with pytest.raises(ConfigError):
         load_spec(str(tmp_path / "missing.json"))
+
+
+def test_grouping_sweep_samples_each_stream_once(monkeypatch):
+    # every group split and power probe reads one cached stream: the gain
+    # cache is keyed only on what sample_gains reads, not on M
+    calls = []
+    sample_gains = simulate.sample_gains
+
+    def counting(*args):
+        calls.append(args[2:])
+        return sample_gains(*args)
+
+    monkeypatch.setattr(simulate, "sample_gains", counting)
+    simulate._cache.clear()
+    slots = 70_000
+    run_experiment(resolve_spec({
+        "experiment": "grouping-sweep",
+        "channel": {"L": 6, "M": 3, "N_R": 2},
+        "sim": {"slots": slots, "seed": 5},
+        "methods": ["monte-carlo"],
+    }))
+    assert len(calls) == -(-slots // 32_768)
+    assert sorted(calls) == [(0, 32_768), (32_768, 32_768), (65_536, 4_464)]
+
+
+def _mc_csv_bytes(tmp_path, name, raw):
+    raw = {**raw, "methods": ["monte-carlo"], "output_path": str(tmp_path / name)}
+    path, _ = emit(run_experiment(resolve_spec(raw)))
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("raw", [
+    # Group sizes from 1 to 19 cross numpy's 8-term pairwise threshold. A
+    # weak relay-destination side makes the beamforming sums bind at every
+    # power split, so the rows come from the summed statistics.
+    {
+        "experiment": "grouping-sweep",
+        "channel": {"L": 20, "M": 10, "N_R": 1, "sigma_h2": 1e-6},
+        "grid": [1, 8, 9, 10, 17, 19],
+        "sim": {"slots": 20_000, "seed": 8},
+    },
+    {
+        "experiment": "antenna-sweep",
+        "channel": {"L": 9, "M": 4, "N_R": 1, "sigma_h2": 1e-6},
+        "grid": [1, 2],
+        "sim": {"slots": 20_000, "seed": 9},
+    },
+], ids=["grouping-L20", "antenna-L9"])
+def test_relay_major_sweep_matches_slot_major_oracle(tmp_path, monkeypatch, raw):
+    fast = _mc_csv_bytes(tmp_path, "relay-major.csv", raw)
+    for protocol, fn in _slot_major.SIMULATORS.items():
+        monkeypatch.setitem(experiments._SIMULATORS, protocol, fn)
+    assert _mc_csv_bytes(tmp_path, "slot-major.csv", raw) == fast

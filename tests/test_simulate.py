@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import _slot_major
+from relaylab import simulate
 from relaylab.channel import ChannelConfig, NetworkState, sample_gains
 from relaylab.simulate import (
     SimConfig,
     ThroughputEstimate,
     _min_of_means,
+    _adb_stats,
+    _df_stats,
+    _relay_sum,
+    _sfd_links,
+    _sfd_stats,
     adb_component_estimates,
     adb_slot_rate,
     crs_slot_rate,
@@ -118,11 +125,71 @@ def test_estimators_deterministic():
 
 
 def test_worker_count_does_not_change_values():
-    for fn in (sim_adb, sim_crs, sim_df, sim_sfd_mmrs):
-        seq = fn(CFG, SimConfig(slots=70_000, seed=9), 3.0, 2.0)
-        par = fn(CFG, SimConfig(slots=70_000, seed=9, workers=4), 3.0, 2.0)
-        assert seq.value == par.value
-        assert seq.std_error == par.std_error
+    # workers is not part of the cache key, so the cache is cleared before
+    # each run to make the threaded fill actually run; 70k slots leave a
+    # partial last block
+    gains, estimates = [], []
+    for workers in (1, 4):
+        sim = SimConfig(slots=70_000, seed=9, workers=workers)
+        simulate._cache.clear()
+        gains.append([a.tobytes() for a in simulate._cache.gains(CFG, sim)])
+        estimates.append(
+            [fn(CFG, sim, 3.0, 2.0) for fn in (sim_adb, sim_crs, sim_df, sim_sfd_mmrs)]
+        )
+    assert gains[0] == gains[1]
+    assert estimates[0] == estimates[1]
+
+
+@pytest.mark.parametrize("n", [*range(1, 21), 64, 129, 300])
+def test_relay_sum_matches_slot_major_sum(n):
+    # numpy sums a contiguous axis pairwise: left to right below 8 terms,
+    # eight accumulators up to 128, split in halves above
+    rng = np.random.default_rng(n)
+    x = rng.exponential(size=(3_000, n)) * rng.exponential(1e3, size=(3_000, 1))
+    assert np.array_equal(_relay_sum(np.ascontiguousarray(x.T)), x.sum(axis=1))
+    m = n // 2
+    assert np.array_equal(_relay_sum(x.T[m:]), x[:, m:].sum(axis=1))
+
+
+def _same_bits(got, want):
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want)
+    )
+
+
+def test_relay_major_statistics_match_slot_major():
+    # group sizes 1 to 19 cross numpy's 8-term pairwise threshold
+    n = 5_000
+    sr, rd = sample_gains(ChannelConfig(L=20, M=10, N_R=2), 21, 0, n)
+    rows_sr, rows_rd = np.ascontiguousarray(sr.T), np.ascontiguousarray(rd.T)
+    for m in range(1, 20):
+        assert _same_bits(
+            _adb_stats(rows_sr, rows_rd, m), _slot_major.adb_stats(sr, rd, m)
+        )
+    assert _same_bits(_df_stats(rows_sr, rows_rd), _slot_major.df_stats(sr, rd))
+    for L in (2, 3, 20):
+        assert _same_bits(
+            _sfd_stats(rows_sr[:L], rows_rd[:L]),
+            _slot_major.sfd_stats(sr[:, :L], rd[:, :L]),
+        )
+
+
+@pytest.mark.parametrize("L", [2, 3, 5])
+def test_sfd_statistics_match_scalar_rule_with_ties(L):
+    # gains from a three-value set make argmax ties and receive/transmit
+    # collisions common; each slot's selected links must equal select_sfd's
+    rng = np.random.default_rng(L)
+    n = 2_000
+    sr = rng.integers(1, 4, size=(L, n)).astype(np.float64)
+    rd = np.sqrt(rng.integers(1, 4, size=(L, n)).astype(np.float64))
+    stats = _sfd_stats(sr, rd)
+    assert stats[4].mean() > 0.2
+    for ps, pr in ((1.0, 1.0), (2.0, 0.5), (100.0, 1.0), (0.01, 3.0)):
+        recv, trans = _sfd_links(stats, ps, pr)
+        for i in range(n):
+            r, t = select_sfd(NetworkState(sr[:, i], rd[:, i]), ps, pr)
+            assert recv[i] == ps * sr[r, i]
+            assert trans[i] == pr * rd[t, i] ** 2
 
 
 def test_estimators_match_manual_reduction():
