@@ -10,20 +10,15 @@ from .analytic import (
     AdbClosedForm,
     adb_closed,
     c11_closed,
-    c12_closed,
-    c21_closed,
     c22_closed,
 )
 from .channel import (
     ChannelConfig,
-    FadingStream,
-    NetworkState,
     erlang_cdf,
     min_erlang_cdf,
     nakagami_sum_cdf,
     nakagami_sum_pdf,
     sample_gains,
-    sample_state,
 )
 from .experiments import (
     CSV_COLUMNS,
@@ -45,7 +40,6 @@ from .power import (
     OptimizationError,
     PowerBudget,
     PowerPoint,
-    budget_pr,
     maximize_throughput,
     ratio_point,
 )
@@ -53,14 +47,7 @@ from .simulate import (
     SimConfig,
     ThroughputEstimate,
     adb_component_estimates,
-    adb_slot_rate,
-    crs_slot_rate,
-    df_slot_rate,
-    select_sfd,
-    sim_adb,
-    sim_crs,
-    sim_df,
-    sim_sfd_mmrs,
+    estimate,
 )
 from .specfun import (
     compositions,

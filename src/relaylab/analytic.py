@@ -29,9 +29,7 @@ from .specfun import (
 __all__ = [
     "AdbClosedForm",
     "c11_closed",
-    "c21_closed",
     "c22_closed",
-    "c12_closed",
     "adb_closed",
 ]
 
@@ -95,12 +93,6 @@ def c11_closed(ps: float, group_size: int, shape: int, sigma_g2: float) -> float
     return math.fsum(terms) / _LN2
 
 
-def c21_closed(ps: float, group_size: int, shape: int, sigma_g2: float) -> float:
-    """Broadcast term for the second relay group; same formula as
-    c11_closed with group_size = L - M."""
-    return c11_closed(ps, group_size, shape, sigma_g2)
-
-
 def c22_closed(pr: float, group_size: int, shape: int, sigma_h2: float) -> float:
     """Approximate E[log2(1 + pr * (sum of group_size channel norms)^2)].
 
@@ -117,12 +109,6 @@ def c22_closed(pr: float, group_size: int, shape: int, sigma_h2: float) -> float
     ) / _LN2
 
 
-def c12_closed(pr: float, group_size: int, shape: int, sigma_h2: float) -> float:
-    """Beamforming term for the second relay group; same formula as
-    c22_closed with group_size = L - M."""
-    return c22_closed(pr, group_size, shape, sigma_h2)
-
-
 def adb_closed(ps: float, pr: float, cfg: ChannelConfig) -> AdbClosedForm:
     """All four closed-form terms for cfg and their throughput combination.
 
@@ -132,9 +118,9 @@ def adb_closed(ps: float, pr: float, cfg: ChannelConfig) -> AdbClosedForm:
     a = ps / cfg.noise_r
     b = pr / cfg.noise_d
     c11 = c11_closed(a, cfg.M, cfg.N_R, cfg.sigma_g2)
-    c21 = c21_closed(a, cfg.L - cfg.M, cfg.N_R, cfg.sigma_g2)
+    c21 = c11_closed(a, cfg.L - cfg.M, cfg.N_R, cfg.sigma_g2)
     c22 = c22_closed(b, cfg.M, cfg.N_R, cfg.sigma_h2)
-    c12 = c12_closed(b, cfg.L - cfg.M, cfg.N_R, cfg.sigma_h2)
+    c12 = c22_closed(b, cfg.L - cfg.M, cfg.N_R, cfg.sigma_h2)
     first = "c11" if c11 <= c22 else "c22"
     second = "c21" if c21 <= c12 else "c12"
     value = 0.5 * min(c11, c22) + 0.5 * min(c21, c12)

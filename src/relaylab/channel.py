@@ -12,16 +12,13 @@ workers, and still reproduce the sequential stream bit for bit.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
 
 __all__ = [
     "ChannelConfig",
-    "NetworkState",
-    "FadingStream",
-    "sample_state",
     "sample_gains",
     "erlang_cdf",
     "min_erlang_cdf",
@@ -71,37 +68,6 @@ class ChannelConfig:
                 raise ValueError(f"{name} must be > 0, got {v!r}")
 
 
-@dataclass
-class NetworkState:
-    """One fading realization: per-relay source-side power gains ``sr_gain``
-    (squared norms) and destination-side amplitudes ``rd_norm`` (norms)."""
-
-    sr_gain: np.ndarray
-    rd_norm: np.ndarray
-
-    def __post_init__(self):
-        self.sr_gain = np.asarray(self.sr_gain, dtype=np.float64)
-        self.rd_norm = np.asarray(self.rd_norm, dtype=np.float64)
-        if self.sr_gain.shape != self.rd_norm.shape or self.sr_gain.ndim != 1:
-            raise ValueError("sr_gain and rd_norm must be 1-D of equal length")
-        if (self.sr_gain < 0).any() or (self.rd_norm < 0).any():
-            raise ValueError("gains must be non-negative")
-
-
-@dataclass
-class FadingStream:
-    """Position in the slot-indexed fading sequence for a given seed."""
-
-    seed: int
-    next_slot: int = 0
-
-    def __post_init__(self):
-        if int(self.seed) != self.seed or not 0 <= self.seed <= _U64_MAX:
-            raise ValueError(f"seed must be a 64-bit integer, got {self.seed!r}")
-        if self.next_slot < 0:
-            raise ValueError("next_slot must be >= 0")
-
-
 def _draws_per_slot(cfg: ChannelConfig) -> int:
     need = 2 * cfg.L * cfg.N_R
     return -(-need // _WORDS_PER_TICK) * _WORDS_PER_TICK
@@ -133,13 +99,6 @@ def sample_gains(cfg: ChannelConfig, seed: int, start_slot: int, count: int):
     rd2 = e[:, half:].reshape(count, cfg.L, cfg.N_R).sum(axis=2)
     rd2 *= 2.0 * cfg.sigma_h2
     return sr, np.sqrt(rd2)
-
-
-def sample_state(rng: FadingStream, cfg: ChannelConfig) -> NetworkState:
-    """Draw the next slot's NetworkState and advance the stream."""
-    sr, rd = sample_gains(cfg, rng.seed, rng.next_slot, 1)
-    rng.next_slot += 1
-    return NetworkState(sr_gain=sr[0], rd_norm=rd[0])
 
 
 def _check_scalar_args(x, shape, sigma2, name):

@@ -4,7 +4,6 @@ Exit codes: 0 success, 1 config validation error, 2 numerical failure.
 """
 
 import argparse
-import json
 import logging
 import sys
 from typing import Optional, Sequence
@@ -13,6 +12,7 @@ from .experiments import (
     EXPERIMENTS,
     ConfigError,
     emit,
+    read_config,
     resolve_spec,
     run_experiment,
 )
@@ -50,31 +50,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig leaves the level alone once the root logger has handlers.
+    logging.getLogger("relaylab").setLevel(
+        logging.INFO if args.verbose else logging.WARNING
     )
     try:
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            if not isinstance(raw, dict):
-                raise ConfigError("config root must be a JSON object")
-        else:
-            raw = {}
+        raw = read_config(args.config) if args.config else {}
         configured = raw.get("experiment", args.experiment)
         if configured != args.experiment:
             raise ConfigError(
                 f"config is for {configured!r}, command line asked for {args.experiment!r}"
             )
         raw["experiment"] = args.experiment
-        if args.seed is not None or args.slots is not None:
-            sim = dict(raw.get("sim", {}))
-            if args.seed is not None:
-                sim["seed"] = args.seed
-            if args.slots is not None:
-                sim["slots"] = args.slots
-            raw["sim"] = sim
+        overrides = {
+            k: v for k, v in (("seed", args.seed), ("slots", args.slots)) if v is not None
+        }
+        if overrides and isinstance(raw.get("sim", {}), dict):
+            raw["sim"] = {**raw.get("sim", {}), **overrides}
         if args.analytic_only:
             raw["methods"] = ["analytic"]
         elif args.mc_only:
@@ -82,7 +75,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.output:
             raw["output_path"] = args.output
         spec = resolve_spec(raw)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"relaylab: config error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -29,10 +30,7 @@ from .simulate import (
     SimConfig,
     ThroughputEstimate,
     adb_component_estimates,
-    sim_adb,
-    sim_crs,
-    sim_df,
-    sim_sfd_mmrs,
+    estimate,
 )
 
 __all__ = [
@@ -43,6 +41,7 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "resolve_spec",
+    "read_config",
     "load_spec",
     "run_experiment",
     "write_csv",
@@ -69,12 +68,9 @@ CSV_COLUMNS = (
 
 METHODS = ("analytic", "monte-carlo")
 
-_SIMULATORS = {
-    "adb": sim_adb,
-    "crs": sim_crs,
-    "df": sim_df,
-    "sfd-mmrs": sim_sfd_mmrs,
-}
+# protocol -> callable(cfg, sim, ps, pr), looked up as each sweep point
+# builds its evaluators.
+_SIMULATORS = {p: partial(estimate, p) for p in PROTOCOLS}
 
 
 class ConfigError(ValueError):
@@ -125,10 +121,18 @@ def _reject_unknown(raw: dict, allowed, where: str):
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
+def _section(raw: dict, name: str, allowed) -> dict:
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
+    _reject_unknown(section, allowed, name)
+    return section
+
+
 def _build(cls, raw: dict, where: str):
     try:
         return cls(**raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {where} section: {exc}") from exc
 
 
@@ -220,23 +224,19 @@ def resolve_spec(raw: dict) -> ExperimentSpec:
             f"experiment must be one of {', '.join(EXPERIMENTS)}; got {experiment!r}"
         )
 
-    channel_raw = dict(raw.get("channel", {}))
-    _reject_unknown(
-        channel_raw,
-        ("L", "M", "N_R", "sigma_g2", "sigma_h2", "noise_r", "noise_d"),
-        "channel",
+    channel_raw = _section(
+        raw, "channel", ("L", "M", "N_R", "sigma_g2", "sigma_h2", "noise_r", "noise_d")
     )
     channel_raw = {"L": 4, "M": 2, "N_R": 3, **channel_raw}
     channel = _build(ChannelConfig, channel_raw, "channel")
-
-    sim_raw = dict(raw.get("sim", {}))
-    _reject_unknown(sim_raw, ("slots", "seed", "workers"), "sim")
-    sim = _build(SimConfig, sim_raw, "sim")
+    sim = _build(SimConfig, _section(raw, "sim", ("slots", "seed", "workers")), "sim")
 
     methods = raw.get("methods", list(METHODS))
     if isinstance(methods, str):
         methods = [methods]
-    if not methods or not set(methods) <= set(METHODS):
+    if not isinstance(methods, (list, tuple)) or not methods or not all(
+        m in METHODS for m in methods
+    ):
         raise ConfigError(f"methods must be a non-empty subset of {METHODS}")
     methods = tuple(m for m in METHODS if m in methods)
 
@@ -249,6 +249,8 @@ def resolve_spec(raw: dict) -> ExperimentSpec:
     tolerance = raw.get("tolerance", 1e-3)
     if not isinstance(tolerance, (int, float)) or not 0 < tolerance < 1:
         raise ConfigError(f"tolerance must be in (0, 1), got {tolerance!r}")
+    if not isinstance(raw.get("grid", []), (list, tuple)):
+        raise ConfigError(f"grid must be a list, got {raw['grid']!r}")
     output_path = raw.get("output_path", f"{experiment}.csv")
     if not isinstance(output_path, str) or not output_path:
         raise ConfigError("output_path must be a non-empty string")
@@ -267,8 +269,8 @@ def resolve_spec(raw: dict) -> ExperimentSpec:
     return replace(spec, grid=_validate_grid(spec))
 
 
-def load_spec(path: str) -> ExperimentSpec:
-    """Read and resolve a JSON config file."""
+def read_config(path: str) -> dict:
+    """Read a JSON config file into its raw mapping."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -278,7 +280,12 @@ def load_spec(path: str) -> ExperimentSpec:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return resolve_spec(raw)
+    return raw
+
+
+def load_spec(path: str) -> ExperimentSpec:
+    """Read and resolve a JSON config file."""
+    return resolve_spec(read_config(path))
 
 
 def _analytic_evaluator(cfg: ChannelConfig) -> Callable:
@@ -289,12 +296,11 @@ def _analytic_evaluator(cfg: ChannelConfig) -> Callable:
     return evaluate
 
 
-def _mc_evaluator(protocol: str, cfg: ChannelConfig, sim: SimConfig) -> Callable:
-    simulator = _SIMULATORS[protocol]
-    return lambda ps, pr: simulator(cfg, sim, ps, pr)
-
-
 def _row(protocol, cfg, snr_db, ps, pr, est) -> SweepRow:
+    log.info(
+        "%s L=%d M=%d N_R=%d snr_db=%g %s %.6g",
+        protocol, cfg.L, cfg.M, cfg.N_R, snr_db, est.method, est.value,
+    )
     return SweepRow(
         protocol=protocol,
         L=cfg.L,
@@ -316,7 +322,7 @@ def _evaluators(spec, protocol, cfg):
     if "analytic" in spec.methods and protocol == "adb":
         out.append(("analytic", _analytic_evaluator(cfg)))
     if "monte-carlo" in spec.methods:
-        out.append(("monte-carlo", _mc_evaluator(protocol, cfg, spec.sim)))
+        out.append(("monte-carlo", partial(_SIMULATORS[protocol], cfg, spec.sim)))
     return out
 
 
@@ -345,65 +351,42 @@ def run_ratio_sweep(spec: ExperimentSpec) -> SweepResult:
     return SweepResult(spec, rows, {"peaks": peaks})
 
 
-def _cmax(spec, protocol, cfg, snr_db):
-    """Optimal-split rows for one protocol at one SNR, method-ordered."""
-    budget = PowerBudget(protocol, _snr_linear(snr_db), cfg.L)
-    rows = []
-    for method, evaluate in _evaluators(spec, protocol, cfg):
-        point, est = maximize_throughput(budget, evaluate, spec.tolerance)
-        rows.append(_row(protocol, cfg, snr_db, point.ps, point.pr, est))
-    return rows
+def _points(spec: ExperimentSpec) -> list:
+    """(protocol, cfg, snr_db) of every optimal-split sweep point, in row
+    order."""
+    base, exp = spec.channel, spec.experiment
+    if exp == "snr-sweep":
+        return [(p, base, snr_db) for p in PROTOCOLS for snr_db in spec.grid]
+    if exp == "antenna-sweep":
+        return [(p, replace(base, N_R=n), spec.snr_db) for p in PROTOCOLS for n in spec.grid]
+    if exp == "grouping-sweep":
+        return [("adb", replace(base, M=m), spec.snr_db) for m in spec.grid]
+    # relay-sweep: a fixed antenna total split over L relays, M = L/2
+    return [
+        ("adb", replace(base, L=L, M=L // 2, N_R=spec.total_antennas // L), spec.snr_db)
+        for L in spec.grid
+    ]
 
 
-def run_snr_sweep(spec: ExperimentSpec) -> SweepResult:
-    """Per-protocol maximum throughput across the SNR (dB) grid."""
-    rows = []
-    for protocol in PROTOCOLS:
-        for snr_db in spec.grid:
-            rows.extend(_cmax(spec, protocol, spec.channel, snr_db))
-    return SweepResult(spec, rows)
+def run_sweep(spec: ExperimentSpec) -> SweepResult:
+    """Per-point maximum throughput over the power split, for the snr,
+    grouping, antenna and relay sweeps.
 
-
-def run_grouping_sweep(spec: ExperimentSpec) -> SweepResult:
-    """Alternating-scheme maximum throughput for each group split M."""
-    rows = []
-    for m in spec.grid:
-        cfg = replace(spec.channel, M=m)
-        rows.extend(_cmax(spec, "adb", cfg, spec.snr_db))
-    return SweepResult(spec, rows)
-
-
-def run_antenna_sweep(spec: ExperimentSpec) -> SweepResult:
-    """Per-protocol maximum throughput as antennas per relay grow.
-
-    Points run N_R-major, so each fading stream is sampled once and serves
-    every protocol; rows are still emitted protocol-major."""
-    points = {}
-    for n_r in spec.grid:
-        cfg = replace(spec.channel, N_R=n_r)
-        for protocol in PROTOCOLS:
-            points[protocol, n_r] = _cmax(spec, protocol, cfg, spec.snr_db)
-    rows = [r for p in PROTOCOLS for n_r in spec.grid for r in points[p, n_r]]
-    return SweepResult(spec, rows)
-
-
-def run_relay_sweep(spec: ExperimentSpec) -> SweepResult:
-    """Alternating-scheme maximum throughput while splitting a fixed antenna
-    budget across more relays (N_R = total/L, M = L/2)."""
-    rows = []
-    base = spec.channel
-    for L in spec.grid:
-        cfg = ChannelConfig(
-            L=L,
-            M=L // 2,
-            N_R=spec.total_antennas // L,
-            sigma_g2=base.sigma_g2,
-            sigma_h2=base.sigma_h2,
-            noise_r=base.noise_r,
-            noise_d=base.noise_d,
-        )
-        rows.extend(_cmax(spec, "adb", cfg, spec.snr_db))
-    return SweepResult(spec, rows)
+    Points run grouped by ChannelConfig, in order of first appearance, so
+    each fading stream is sampled once and serves every protocol; rows are
+    emitted in point order, method-ordered within a point."""
+    points = _points(spec)
+    first = {}
+    for _, cfg, _ in points:
+        first.setdefault(cfg, len(first))
+    rows = [[] for _ in points]
+    for i in sorted(range(len(points)), key=lambda i: first[points[i][1]]):
+        protocol, cfg, snr_db = points[i]
+        budget = PowerBudget(protocol, _snr_linear(snr_db), cfg.L)
+        for method, evaluate in _evaluators(spec, protocol, cfg):
+            point, est = maximize_throughput(budget, evaluate, spec.tolerance)
+            rows[i].append(_row(protocol, cfg, snr_db, point.ps, point.pr, est))
+    return SweepResult(spec, [row for point_rows in rows for row in point_rows])
 
 
 def run_validate(spec: ExperimentSpec) -> SweepResult:
@@ -419,11 +402,7 @@ def run_validate(spec: ExperimentSpec) -> SweepResult:
     per_term: Dict[str, list] = {t: [] for t in ("c11", "c12", "c21", "c22")}
     gaps = []
     for g, s, p in spec.grid:
-        cfg = ChannelConfig(
-            L=2 * g, M=g, N_R=s,
-            sigma_g2=sigma_g2, sigma_h2=sigma_h2,
-            noise_r=base.noise_r, noise_d=base.noise_d,
-        )
+        cfg = replace(base, L=2 * g, M=g, N_R=s)
         mc = adb_component_estimates(cfg, spec.sim, p, p)
         exact = c11_closed(p / cfg.noise_r, g, s, sigma_g2)
         approx = c22_closed(p / cfg.noise_d, g, s, sigma_h2)
@@ -463,18 +442,12 @@ def run_validate(spec: ExperimentSpec) -> SweepResult:
     return SweepResult(spec, rows, summary)
 
 
-_RUNNERS = {
-    "ratio-sweep": run_ratio_sweep,
-    "snr-sweep": run_snr_sweep,
-    "grouping-sweep": run_grouping_sweep,
-    "antenna-sweep": run_antenna_sweep,
-    "relay-sweep": run_relay_sweep,
-    "validate": run_validate,
-}
-
-
 def run_experiment(spec: ExperimentSpec) -> SweepResult:
-    return _RUNNERS[spec.experiment](spec)
+    if spec.experiment == "ratio-sweep":
+        return run_ratio_sweep(spec)
+    if spec.experiment == "validate":
+        return run_validate(spec)
+    return run_sweep(spec)
 
 
 def _format_cell(value) -> str:

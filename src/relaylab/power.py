@@ -12,19 +12,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from .simulate import ThroughputEstimate
+from .simulate import PROTOCOLS, ThroughputEstimate
 
 __all__ = [
     "PROTOCOLS",
     "PowerBudget",
     "PowerPoint",
-    "budget_pr",
     "ratio_point",
     "maximize_throughput",
     "OptimizationError",
 ]
-
-PROTOCOLS = ("adb", "crs", "df", "sfd-mmrs")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -71,15 +68,6 @@ class PowerPoint:
             raise ValueError(
                 f"powers must be > 0, got ps={self.ps!r}, pr={self.pr!r}"
             )
-
-
-def budget_pr(budget: PowerBudget, ps: float) -> float:
-    """Relay power that exhausts the budget at source power ps."""
-    if not 0 < ps < budget.total:
-        raise ValueError(
-            f"ps must lie in (0, {budget.total}), got {ps!r}"
-        )
-    return (budget.total - ps) / budget.relay_weight
 
 
 def ratio_point(budget: PowerBudget, ratio: float) -> PowerPoint:

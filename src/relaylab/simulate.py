@@ -20,19 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, NetworkState, sample_gains
+from .channel import ChannelConfig, sample_gains
 
 __all__ = [
+    "PROTOCOLS",
     "SimConfig",
     "ThroughputEstimate",
-    "sim_adb",
-    "sim_crs",
-    "sim_sfd_mmrs",
-    "sim_df",
-    "select_sfd",
-    "adb_slot_rate",
-    "crs_slot_rate",
-    "df_slot_rate",
+    "estimate",
     "adb_component_estimates",
 ]
 
@@ -50,6 +44,10 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("slots", "seed", "workers"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.slots < 1:
             raise ValueError(f"slots must be >= 1, got {self.slots}")
         if not 0 <= self.seed < 2**64:
@@ -247,153 +245,63 @@ def _min_of_means(a, b):
     return value, se, ambiguous
 
 
-def _as_slots(sr_gain, rd_norm):
-    sr_gain = np.asarray(sr_gain, dtype=np.float64)
-    rd_norm = np.asarray(rd_norm, dtype=np.float64)
-    single = sr_gain.ndim == 1
-    return np.atleast_2d(sr_gain), np.atleast_2d(rd_norm), single
+def _adb_terms(stats, a, b):
+    """(mean, se) of the component rates c11, c22 (group one) and c21, c12
+    (group two) at normalized powers a and b."""
+    min1, beam1, min2, beam2 = stats
+    return (
+        _mean_se(_rate(a * min1)),
+        _mean_se(_rate(b * beam1)),
+        _mean_se(_rate(a * min2)),
+        _mean_se(_rate(b * beam2)),
+    )
 
 
-def adb_slot_rate(sr_gain, rd_norm, m, ps, pr):
-    """Per-realization rate of the alternating-group scheme: group one's
-    broadcast and beamforming rates paired, likewise group two, each pair
-    min-combined and halved. Arrays may be (L,) or (slots, L)."""
-    _check_powers(ps, pr)
-    sr_gain, rd_norm, single = _as_slots(sr_gain, rd_norm)
-    if not 1 <= m <= sr_gain.shape[1] - 1:
-        raise ValueError(f"m={m} leaves an empty relay group")
-    r11 = _rate(ps * sr_gain[:, :m].min(axis=1))
-    r22 = _rate(pr * rd_norm[:, :m].sum(axis=1) ** 2)
-    r21 = _rate(ps * sr_gain[:, m:].min(axis=1))
-    r12 = _rate(pr * rd_norm[:, m:].sum(axis=1) ** 2)
-    out = 0.5 * np.minimum(r11, r22) + 0.5 * np.minimum(r21, r12)
-    return float(out[0]) if single else out
+def _adb_reduce(stats, a, b):
+    """Alternating groups: the four component rates are averaged over slots,
+    then 0.5*min(mean11, mean22) + 0.5*min(mean21, mean12)."""
+    e11, e22, e21, e12 = _adb_terms(stats, a, b)
+    v1, s1, amb1 = _min_of_means(e11, e22)
+    v2, s2, amb2 = _min_of_means(e21, e12)
+    return 0.5 * (v1 + v2), 0.5 * math.hypot(s1, s2), amb1 or amb2
 
 
-def crs_slot_rate(sr_gain, rd_norm, ps, pr):
-    """Per-realization rate of best-relay selection: half the capacity of
-    the strongest end-to-end min link."""
-    _check_powers(ps, pr)
-    sr_gain, rd_norm, single = _as_slots(sr_gain, rd_norm)
-    best = np.minimum(ps * sr_gain, pr * rd_norm**2).max(axis=1)
-    out = 0.5 * _rate(best)
-    return float(out[0]) if single else out
+def _crs_reduce(stats, a, b):
+    """Best-relay selection: half the capacity of the strongest end-to-end
+    min link."""
+    sr, rd2 = stats
+    best = np.full(sr.shape[1], -np.inf)
+    link = np.empty(sr.shape[1])
+    other = np.empty(sr.shape[1])
+    for sr_row, rd2_row in zip(sr, rd2):
+        np.multiply(a, sr_row, out=link)
+        np.multiply(b, rd2_row, out=other)
+        np.minimum(link, other, out=link)
+        np.maximum(best, link, out=best)
+    return (*_mean_se(0.5 * _rate(best)), False)
 
 
-def df_slot_rate(sr_gain, rd_norm, ps, pr):
-    """Per-realization rate of all-relay decode-and-forward: weakest relay
-    must decode, all relays beamform."""
-    _check_powers(ps, pr)
-    sr_gain, rd_norm, single = _as_slots(sr_gain, rd_norm)
-    gain = np.minimum(ps * sr_gain.min(axis=1), pr * rd_norm.sum(axis=1) ** 2)
-    out = 0.5 * _rate(gain)
-    return float(out[0]) if single else out
+def _df_reduce(stats, a, b):
+    """All-relay decode-and-forward: the weakest relay must decode, all
+    relays beamform."""
+    min_all, beam_all = stats
+    return (*_mean_se(0.5 * _rate(np.minimum(a * min_all, b * beam_all))), False)
 
 
-def select_sfd(state: NetworkState, ps, pr):
-    """Receive/transmit relay pair for single-slot full-duplex mimicking.
+def _sfd_links(stats, a, b):
+    """Per-slot SNRs of the receive and transmit links chosen for
+    full-duplex mimicking, from _sfd_stats at normalized powers a and b.
 
     Best receive and best transmit relays are chosen independently; on a
     collision the weaker of the two swap options is dropped: keep (r2, t1)
     if min(g_sr[r2], g_rd[t1]) >= min(g_sr[r1], g_rd[t2]), else (r1, t2).
     Ties go to the lowest relay index.
     """
-    _check_powers(ps, pr)
-    if state.sr_gain.shape[0] < 2:
-        raise ValueError("relay selection needs at least two relays")
-    g_sr = ps * state.sr_gain
-    g_rd = pr * state.rd_norm**2
-    r1 = int(np.argmax(g_sr))
-    t1 = int(np.argmax(g_rd))
-    if r1 != t1:
-        return r1, t1
-    sr_masked = g_sr.copy()
-    sr_masked[r1] = -np.inf
-    r2 = int(np.argmax(sr_masked))
-    rd_masked = g_rd.copy()
-    rd_masked[t1] = -np.inf
-    t2 = int(np.argmax(rd_masked))
-    if min(g_sr[r2], g_rd[t1]) >= min(g_sr[r1], g_rd[t2]):
-        return r2, t1
-    return r1, t2
-
-
-def sim_adb(cfg: ChannelConfig, sim: SimConfig, ps, pr) -> ThroughputEstimate:
-    """Estimate alternating-group throughput: the four component rates are
-    averaged over slots, then 0.5*min(mean11, mean22) + 0.5*min(mean21,
-    mean12)."""
-    _check_powers(ps, pr)
-    min1, beam1, min2, beam2 = _cache.stats(_adb_stats, cfg, sim, cfg.M)
-    a = ps / cfg.noise_r
-    b = pr / cfg.noise_d
-    e11 = _mean_se(_rate(a * min1))
-    e22 = _mean_se(_rate(b * beam1))
-    e21 = _mean_se(_rate(a * min2))
-    e12 = _mean_se(_rate(b * beam2))
-    v1, s1, amb1 = _min_of_means(e11, e22)
-    v2, s2, amb2 = _min_of_means(e21, e12)
-    return ThroughputEstimate(
-        value=0.5 * (v1 + v2),
-        std_error=0.5 * math.hypot(s1, s2),
-        method="monte-carlo",
-        slots_used=sim.slots,
-        boundary_ambiguous=amb1 or amb2,
-    )
-
-
-def adb_component_estimates(cfg: ChannelConfig, sim: SimConfig, ps, pr):
-    """Sample means and standard errors of the four component rates, keyed
-    "c11", "c22" (group one) and "c21", "c12" (group two)."""
-    _check_powers(ps, pr)
-    min1, beam1, min2, beam2 = _cache.stats(_adb_stats, cfg, sim, cfg.M)
-    a = ps / cfg.noise_r
-    b = pr / cfg.noise_d
-    return {
-        "c11": _mean_se(_rate(a * min1)),
-        "c22": _mean_se(_rate(b * beam1)),
-        "c21": _mean_se(_rate(a * min2)),
-        "c12": _mean_se(_rate(b * beam2)),
-    }
-
-
-def sim_crs(cfg: ChannelConfig, sim: SimConfig, ps, pr) -> ThroughputEstimate:
-    """Estimate best-relay-selection throughput."""
-    _check_powers(ps, pr)
-    sr, rd2 = _cache.stats(_crs_stats, cfg, sim)
-    a = ps / cfg.noise_r
-    b = pr / cfg.noise_d
-    best = np.full(sim.slots, -np.inf)
-    link = np.empty(sim.slots)
-    other = np.empty(sim.slots)
-    for sr_row, rd2_row in zip(sr, rd2):
-        np.multiply(a, sr_row, out=link)
-        np.multiply(b, rd2_row, out=other)
-        np.minimum(link, other, out=link)
-        np.maximum(best, link, out=best)
-    mean, se = _mean_se(0.5 * _rate(best))
-    return ThroughputEstimate(mean, se, "monte-carlo", sim.slots)
-
-
-def sim_df(cfg: ChannelConfig, sim: SimConfig, ps, pr) -> ThroughputEstimate:
-    """Estimate all-relay decode-and-forward throughput."""
-    _check_powers(ps, pr)
-    min_all, beam_all = _cache.stats(_df_stats, cfg, sim)
-    gain = np.minimum(
-        (ps / cfg.noise_r) * min_all, (pr / cfg.noise_d) * beam_all
-    )
-    mean, se = _mean_se(0.5 * _rate(gain))
-    return ThroughputEstimate(mean, se, "monte-carlo", sim.slots)
-
-
-def _sfd_links(stats, a, b):
-    """Per-slot SNRs of the receive and transmit links the selection rule
-    of select_sfd picks, from _sfd_stats at normalized powers a and b."""
     sr1, sr2, rd1, rd2, collide = stats
     g_sr1 = a * sr1
     g_sr2 = a * sr2
     g_rd1 = b * rd1
     g_rd2 = b * rd2
-    # On collisions keep the stronger swap option, as in select_sfd.
     demote_recv = collide & (np.minimum(g_sr2, g_rd1) >= np.minimum(g_sr1, g_rd2))
     demote_trans = collide & ~demote_recv
     return (
@@ -402,21 +310,48 @@ def _sfd_links(stats, a, b):
     )
 
 
-def sim_sfd_mmrs(cfg: ChannelConfig, sim: SimConfig, ps, pr) -> ThroughputEstimate:
-    """Estimate full-duplex-mimicking selection throughput: the smaller of
-    the mean receive-link and mean transmit-link capacities, no half
-    prefactor."""
+def _sfd_reduce(stats, a, b):
+    """Full-duplex-mimicking selection: the smaller of the mean receive-link
+    and mean transmit-link capacities, no half prefactor."""
+    recv, trans = _sfd_links(stats, a, b)
+    return _min_of_means(_mean_se(_rate(recv)), _mean_se(_rate(trans)))
+
+
+# protocol -> (stats, ChannelConfig fields stats reads beyond the gains,
+# reduce). stats(sr_gain, rd_norm, *fields) gives the power-independent
+# per-slot arrays, cached with the stream; reduce(stats, a, b) gives (mean,
+# se, boundary_ambiguous) at a = ps/noise_r, b = pr/noise_d. The key order
+# is the protocol (and row) order.
+_TABLE = {
+    "adb": (_adb_stats, ("M",), _adb_reduce),
+    "crs": (_crs_stats, (), _crs_reduce),
+    "df": (_df_stats, (), _df_reduce),
+    "sfd-mmrs": (_sfd_stats, (), _sfd_reduce),
+}
+PROTOCOLS = tuple(_TABLE)
+
+
+def _stats(protocol, cfg: ChannelConfig, sim: SimConfig):
+    build, fields, _ = _TABLE[protocol]
+    return _cache.stats(build, cfg, sim, *(getattr(cfg, f) for f in fields))
+
+
+def estimate(
+    protocol: str, cfg: ChannelConfig, sim: SimConfig, ps, pr
+) -> ThroughputEstimate:
+    """Monte Carlo throughput of one protocol at source power ps and relay
+    power pr, from the shared fading stream of (cfg, sim)."""
     _check_powers(ps, pr)
-    recv, trans = _sfd_links(
-        _cache.stats(_sfd_stats, cfg, sim), ps / cfg.noise_r, pr / cfg.noise_d
+    reduce = _TABLE[protocol][2]
+    mean, se, ambiguous = reduce(
+        _stats(protocol, cfg, sim), ps / cfg.noise_r, pr / cfg.noise_d
     )
-    c_sr = _mean_se(_rate(recv))
-    c_rd = _mean_se(_rate(trans))
-    value, se, ambiguous = _min_of_means(c_sr, c_rd)
-    return ThroughputEstimate(
-        value=value,
-        std_error=se,
-        method="monte-carlo",
-        slots_used=sim.slots,
-        boundary_ambiguous=ambiguous,
-    )
+    return ThroughputEstimate(mean, se, "monte-carlo", sim.slots, ambiguous)
+
+
+def adb_component_estimates(cfg: ChannelConfig, sim: SimConfig, ps, pr):
+    """Sample means and standard errors of the four component rates, keyed
+    "c11", "c22" (group one) and "c21", "c12" (group two)."""
+    _check_powers(ps, pr)
+    terms = _adb_terms(_stats("adb", cfg, sim), ps / cfg.noise_r, pr / cfg.noise_d)
+    return dict(zip(("c11", "c22", "c21", "c12"), terms))

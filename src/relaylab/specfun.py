@@ -16,6 +16,8 @@ EULER_GAMMA = 0.5772156649015328606
 _EPS = 0.5 * sys.float_info.epsilon
 _TINY = 1e-300
 _MAX_ITER = 400
+# Above this the asymptotic series replaces the continued fraction.
+_LARGE_X = 2.0**48
 
 
 def _en_series(order: int, x: float) -> float:
@@ -69,10 +71,25 @@ def _en_cf_scaled(order: int, x: float) -> float:
     raise ArithmeticError(f"E_{order} continued fraction stalled at x={x!r}")
 
 
+def _en_asymptotic_scaled(order: int, x: float) -> float:
+    """Asymptotic series exp(x) * E_n(x) ~ (1/x) sum_k (-1)^k (n)_k / x^k,
+    used for x >= _LARGE_X. There the continued fraction's steps stop
+    changing and its convergence test can stall (seen from x ~ 1e15), while
+    each term here is (n + k)/x times the last, so a few terms reach
+    machine precision."""
+    total = term = 1.0
+    for k in range(_MAX_ITER):
+        term *= -(order + k) / x
+        total += term
+        if abs(term) < abs(total) * _EPS:
+            return total / x
+    raise ArithmeticError(f"E_{order} asymptotic series diverged at x={x!r}")
+
+
 def exp_integral_e1(x: float) -> float:
     """Exponential integral E1(x) = int_x^inf e^-t / t dt, x > 0.
 
-    Power series below x = 1, modified Lentz continued fraction above.
+    Power series below x = 1, e^-x times exp_scaled_en(1, x) above.
     Relative error is a few ulps across [1e-8, 700]; underflows to 0.0
     gracefully once e^-x itself leaves the double range.
     """
@@ -80,7 +97,7 @@ def exp_integral_e1(x: float) -> float:
         raise ValueError(f"E1 requires x > 0, got {x!r}")
     if x <= 1.0:
         return _en_series(1, x)
-    return math.exp(-x) * _en_cf_scaled(1, x)
+    return math.exp(-x) * exp_scaled_en(1, x)
 
 
 def exp_scaled_e1(x: float) -> float:
@@ -91,8 +108,9 @@ def exp_scaled_e1(x: float) -> float:
 def exp_scaled_en(order: int, x: float) -> float:
     """exp(x) * E_order(x) for integer order >= 1 and x > 0.
 
-    Same series/continued-fraction split as exp_integral_e1, generalized to
-    higher order. Monotone decreasing in x and in order, bounded above by 1/x.
+    Series up to x = 1, continued fraction above, asymptotic series from
+    x = _LARGE_X on. Monotone decreasing in x and in order, bounded above by
+    1/x.
     """
     if order < 1 or int(order) != order:
         raise ValueError(f"order must be an integer >= 1, got {order!r}")
@@ -101,6 +119,8 @@ def exp_scaled_en(order: int, x: float) -> float:
     order = int(order)
     if x <= 1.0:
         return math.exp(x) * _en_series(order, x)
+    if x >= _LARGE_X:
+        return _en_asymptotic_scaled(order, x)
     return _en_cf_scaled(order, x)
 
 

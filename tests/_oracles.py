@@ -38,3 +38,24 @@ def empirical_cdf(samples_sorted, grid):
 def dkw_band(n, confidence=0.99):
     """Dvoretzky-Kiefer-Wolfowitz sup-norm band at the given confidence."""
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n))
+
+
+def select_sfd(sr_gain, rd_norm, ps, pr):
+    """Receive and transmit relay of sfd-mmrs for one slot, by the scalar
+    rule in plain Python: the best receive relay r1 and best transmit relay
+    t1 are chosen independently; on a collision the weaker swap option is
+    dropped, keeping (r2, t1) if min(g_sr[r2], g_rd[t1]) >= min(g_sr[r1],
+    g_rd[t2]), else (r1, t2). Ties go to the lowest relay index."""
+    g_sr = [ps * float(g) for g in sr_gain]
+    g_rd = [pr * float(n) * float(n) for n in rd_norm]
+    relays = range(len(g_sr))
+    r1 = max(relays, key=g_sr.__getitem__)
+    t1 = max(relays, key=g_rd.__getitem__)
+    if r1 != t1:
+        return r1, t1
+    others = [i for i in relays if i != r1]
+    r2 = max(others, key=g_sr.__getitem__)
+    t2 = max(others, key=g_rd.__getitem__)
+    if min(g_sr[r2], g_rd[t1]) >= min(g_sr[r1], g_rd[t2]):
+        return r2, t1
+    return r1, t2

@@ -18,7 +18,6 @@ from relaylab.simulate import (
     _mean_se,
     _min_of_means,
     _rate,
-    crs_slot_rate,
 )
 
 
@@ -92,9 +91,8 @@ def sim_adb(cfg, sim, ps, pr):
 
 def sim_crs(cfg, sim, ps, pr):
     sr, rd = _gains(cfg, sim)
-    return _estimate(
-        _mean_se(crs_slot_rate(sr, rd, ps / cfg.noise_r, pr / cfg.noise_d)), sim
-    )
+    best = np.minimum((ps / cfg.noise_r) * sr, (pr / cfg.noise_d) * rd**2).max(axis=1)
+    return _estimate(_mean_se(0.5 * _rate(best)), sim)
 
 
 def sim_df(cfg, sim, ps, pr):

@@ -7,12 +7,10 @@ import pytest
 from relaylab.analytic import (
     adb_closed,
     c11_closed,
-    c12_closed,
-    c21_closed,
     c22_closed,
 )
 from relaylab.channel import ChannelConfig
-from relaylab.simulate import SimConfig, sim_adb
+from relaylab.simulate import SimConfig, estimate
 
 from _oracles import capacity_mean_se, min_erlang_samples, norm_sum_samples
 
@@ -63,16 +61,11 @@ def test_beamforming_term_approximation_gap():
     assert abs(c22_closed(0.1, 3, 1, 1.0) - mean) / mean <= 0.12
 
 
-def test_group_aliases_are_identical():
-    assert c21_closed(4.0, 3, 2, 1.1) == c11_closed(4.0, 3, 2, 1.1)
-    assert c12_closed(4.0, 3, 2, 1.1) == c22_closed(4.0, 3, 2, 1.1)
-
-
 def test_terms_monotone_in_power():
     powers = np.geomspace(1e-2, 1e3, 20)
     for fn, (g, s) in (
-        (c11_closed, (2, 3)), (c21_closed, (3, 1)),
-        (c22_closed, (2, 3)), (c12_closed, (1, 4)),
+        (c11_closed, (2, 3)), (c11_closed, (3, 1)),
+        (c22_closed, (2, 3)), (c22_closed, (1, 4)),
     ):
         vals = [fn(float(p), g, s, 1.0) for p in powers]
         assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -100,7 +93,7 @@ def test_composition_term_count_drives_cost():
 
 
 def test_power_validation():
-    for fn in (c11_closed, c21_closed, c22_closed, c12_closed):
+    for fn in (c11_closed, c22_closed):
         with pytest.raises(ValueError):
             fn(0.0, 2, 2, 1.0)
         with pytest.raises(ValueError):
@@ -149,6 +142,6 @@ def test_adb_closed_noise_scaling():
 
 def test_adb_closed_tracks_simulation():
     cfg = ChannelConfig(L=4, M=2, N_R=3)
-    est = sim_adb(cfg, SimConfig(slots=200_000, seed=42), 6.0, 2.0)
+    est = estimate("adb", cfg, SimConfig(slots=200_000, seed=42), 6.0, 2.0)
     form = adb_closed(6.0, 2.0, cfg)
     assert abs(form.c_adb - est.value) / est.value <= 0.05

@@ -6,14 +6,11 @@ from scipy import integrate
 
 from relaylab.channel import (
     ChannelConfig,
-    FadingStream,
-    NetworkState,
     erlang_cdf,
     min_erlang_cdf,
     nakagami_sum_cdf,
     nakagami_sum_pdf,
     sample_gains,
-    sample_state,
 )
 
 from _oracles import dkw_band, empirical_cdf, min_erlang_samples, norm_sum_samples
@@ -35,13 +32,6 @@ def test_config_rejects_bad_scalars():
         ChannelConfig(L=4, M=2, sigma_g2=0.0)
     with pytest.raises(ValueError):
         ChannelConfig(L=4, M=2, noise_d=-1.0)
-
-
-def test_network_state_validation():
-    with pytest.raises(ValueError):
-        NetworkState(sr_gain=[1.0, -2.0], rd_norm=[1.0, 1.0])
-    with pytest.raises(ValueError):
-        NetworkState(sr_gain=[1.0], rd_norm=[1.0, 1.0])
 
 
 def test_sample_state_single_antenna_mean():
@@ -78,24 +68,19 @@ def test_stream_determinism_and_partition_invariance():
     assert np.array_equal(np.vstack([a_sr, b_sr]), whole_sr)
     assert np.array_equal(np.vstack([a_rd, b_rd]), whole_rd)
 
-    stream = FadingStream(seed=99)
     for i in range(7):
-        state = sample_state(stream, cfg)
-        assert np.array_equal(state.sr_gain, whole_sr[i])
-        assert np.array_equal(state.rd_norm, whole_rd[i])
-    assert stream.next_slot == 7
+        sr, rd = sample_gains(cfg, seed=99, start_slot=i, count=1)
+        assert np.array_equal(sr[0], whole_sr[i])
+        assert np.array_equal(rd[0], whole_rd[i])
 
     other_sr, _ = sample_gains(cfg, seed=100, start_slot=0, count=7)
     assert not np.array_equal(other_sr, whole_sr)
 
 
 def test_stream_seed_validation():
-    with pytest.raises(ValueError):
-        FadingStream(seed=-1)
-    with pytest.raises(ValueError):
-        FadingStream(seed=2**64)
-    with pytest.raises(ValueError):
-        sample_gains(ChannelConfig(L=2, M=1), seed=-3, start_slot=0, count=1)
+    for seed in (-3, 2**64):
+        with pytest.raises(ValueError):
+            sample_gains(ChannelConfig(L=2, M=1), seed=seed, start_slot=0, count=1)
 
 
 def test_slot_autocorrelation_negligible():

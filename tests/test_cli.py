@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -127,3 +128,58 @@ def test_argparse_rejections():
     with pytest.raises(SystemExit) as exc:
         main(["ratio-sweep", "--analytic-only", "--mc-only"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("payload", [
+    {"channel": 5},
+    {"channel": [1, 2]},
+    {"sim": "x"},
+    {"grid": 3},
+    {"methods": 7},
+    {"channel": {"L": 1e400}},
+    {"sim": {"slots": 2000.5}},
+    {"sim": {"slots": True}},
+    {"sim": {"seed": 1.5}},
+    {"sim": {"workers": 2.5}},
+], ids=[
+    "channel-number", "channel-list", "sim-string", "grid-number",
+    "methods-number", "L-overflow", "slots-float", "slots-bool",
+    "seed-float", "workers-float",
+])
+def test_malformed_config_exits_1_with_one_line(tmp_path, capsys, payload):
+    cfg = _write(tmp_path / "cfg.json", {"experiment": "snr-sweep", **payload})
+    assert main(["snr-sweep", "--config", cfg, "--output", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("relaylab: config error:")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_large_closed_form_argument_exits_0(tmp_path):
+    # -150 dB puts e^x E_n(x) at x ~ 1e17, where the continued fraction
+    # used to stall
+    cfg = _write(tmp_path / "cfg.json", {"experiment": "snr-sweep", "grid": [-150]})
+    out = tmp_path / "x.csv"
+    assert main(["snr-sweep", "--config", cfg, "--output", str(out), "--analytic-only"]) == 0
+    assert out.read_text().count("\n") == 2
+
+
+def test_verbose_logs_each_row_and_keeps_csv_bytes(tmp_path, caplog):
+    cfg = _write(tmp_path / "cfg.json", {
+        "experiment": "antenna-sweep",
+        "grid": [1, 2],
+        "sim": {"slots": 5_000},
+        "tolerance": 1e-2,
+    })
+    quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"
+    with caplog.at_level(logging.DEBUG, logger="relaylab"):
+        assert main(["antenna-sweep", "--config", cfg, "--output", str(quiet)]) == 0
+        assert not [r for r in caplog.records if r.levelno == logging.INFO]
+        assert main(["antenna-sweep", "--config", cfg, "--output", str(loud), "-v"]) == 0
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    # one line per row: 4 protocols x 2 antenna counts, plus adb's analytic rows
+    assert len(lines) == 10
+    assert lines[0].startswith("adb L=4 M=2 N_R=1 snr_db=10 analytic ")
+    assert sorted(lines) == sorted(set(lines))
+    assert loud.read_bytes() == quiet.read_bytes()

@@ -10,11 +10,10 @@ from relaylab.power import (
     OptimizationError,
     PowerBudget,
     PowerPoint,
-    budget_pr,
     maximize_throughput,
     ratio_point,
 )
-from relaylab.simulate import SimConfig, ThroughputEstimate, sim_adb, sim_crs
+from relaylab.simulate import SimConfig, ThroughputEstimate, estimate
 
 
 def _analytic(value):
@@ -22,14 +21,16 @@ def _analytic(value):
 
 
 def test_budget_pr_examples():
-    assert budget_pr(PowerBudget("adb", 10.0, 4), 6.0) == pytest.approx(2.0)
-    assert budget_pr(PowerBudget("crs", 10.0, 4), 6.0) == pytest.approx(3.5)
-    assert budget_pr(PowerBudget("df", 10.0, 4), 6.0) == pytest.approx(3.5)
-    assert budget_pr(PowerBudget("sfd-mmrs", 10.0, 4), 6.0) == pytest.approx(1.0)
+    # the relay power that exhausts each budget at ps = 6, reached through
+    # the ratio ps/pr = 6/pr
+    for protocol, pr in (("adb", 2.0), ("crs", 3.5), ("df", 3.5), ("sfd-mmrs", 1.0)):
+        pt = ratio_point(PowerBudget(protocol, 10.0, 4), 6.0 / pr)
+        assert pt.ps == pytest.approx(6.0) and pt.pr == pytest.approx(pr)
+    # ps at the whole budget leaves no relay power; ps = 0 is no split
     with pytest.raises(ValueError):
-        budget_pr(PowerBudget("sfd-mmrs", 10.0, 4), 10.0)
+        ratio_point(PowerBudget("sfd-mmrs", 10.0, 4), math.inf)
     with pytest.raises(ValueError):
-        budget_pr(PowerBudget("adb", 10.0, 4), 0.0)
+        ratio_point(PowerBudget("adb", 10.0, 4), 0.0)
 
 
 def test_budget_validation():
@@ -82,7 +83,7 @@ def test_maximize_matches_dense_grid():
     cfg = ChannelConfig(L=4, M=2, N_R=3)
     for protocol, evaluator in (
         ("adb", lambda ps, pr: _analytic(adb_closed(ps, pr, cfg).c_adb)),
-        ("crs", lambda ps, pr: sim_crs(cfg, SimConfig(slots=50_000, seed=42), ps, pr)),
+        ("crs", lambda ps, pr: estimate("crs", cfg, SimConfig(slots=50_000, seed=42), ps, pr)),
     ):
         budget = PowerBudget(protocol, 10.0, cfg.L)
         _, est = maximize_throughput(budget, evaluator, tolerance=1e-3)
@@ -97,7 +98,7 @@ def test_mc_and_analytic_optima_agree():
     cfg = ChannelConfig(L=4, M=2, N_R=3)
     budget = PowerBudget("adb", 10.0, cfg.L)
     sim = SimConfig(slots=200_000, seed=42)
-    pt_mc, _ = maximize_throughput(budget, lambda ps, pr: sim_adb(cfg, sim, ps, pr))
+    pt_mc, _ = maximize_throughput(budget, lambda ps, pr: estimate("adb", cfg, sim, ps, pr))
     pt_an, _ = maximize_throughput(
         budget, lambda ps, pr: _analytic(adb_closed(ps, pr, cfg).c_adb)
     )
@@ -109,7 +110,7 @@ def test_cmax_nondecreasing_in_budget():
     sim = SimConfig(slots=50_000, seed=42)
     for protocol, evaluator in (
         ("adb", lambda ps, pr: _analytic(adb_closed(ps, pr, cfg).c_adb)),
-        ("crs", lambda ps, pr: sim_crs(cfg, sim, ps, pr)),
+        ("crs", lambda ps, pr: estimate("crs", cfg, sim, ps, pr)),
     ):
         values = []
         for snr in (1.0, 3.0, 10.0, 30.0, 100.0):

@@ -4,26 +4,22 @@ import numpy as np
 import pytest
 
 import _slot_major
+from _oracles import select_sfd
 from relaylab import simulate
-from relaylab.channel import ChannelConfig, NetworkState, sample_gains
+from relaylab.channel import ChannelConfig, sample_gains
 from relaylab.simulate import (
+    PROTOCOLS,
     SimConfig,
     ThroughputEstimate,
     _min_of_means,
     _adb_stats,
     _df_stats,
+    _rate,
     _relay_sum,
     _sfd_links,
     _sfd_stats,
     adb_component_estimates,
-    adb_slot_rate,
-    crs_slot_rate,
-    df_slot_rate,
-    select_sfd,
-    sim_adb,
-    sim_crs,
-    sim_df,
-    sim_sfd_mmrs,
+    estimate,
 )
 
 CFG = ChannelConfig(L=4, M=2, N_R=3)
@@ -37,6 +33,10 @@ def test_sim_config_validation():
         SimConfig(seed=-1)
     with pytest.raises(ValueError):
         SimConfig(workers=0)
+    # integers only, bools rejected
+    for bad in ({"slots": 2000.5}, {"slots": True}, {"seed": 1.5}, {"workers": 2.5}):
+        with pytest.raises(ValueError):
+            SimConfig(**bad)
 
 
 def test_estimate_validation():
@@ -48,79 +48,83 @@ def test_estimate_validation():
         ThroughputEstimate(1.0, 0.0, "guess", 1)
 
 
+def _slot_rate(protocol, sr_gain, rd_norm, ps, pr, m=None):
+    """One slot's rate through the protocol table: stats on (L, 1) arrays,
+    reduced at powers ps, pr (unit noise)."""
+    build, fields, reduce = simulate._TABLE[protocol]
+    sr = np.asarray(sr_gain, dtype=np.float64).reshape(-1, 1)
+    rd = np.asarray(rd_norm, dtype=np.float64).reshape(-1, 1)
+    stats = build(sr, rd, *([m] if fields else []))
+    return reduce(stats, ps, pr)[0]
+
+
 def test_adb_hand_state():
     # L=2, M=1: group rates are (log2 5, log2 2) and (log2 10, log2 5),
     # so the slot rate is (log2 2 + log2 5)/2
-    val = adb_slot_rate([4.0, 9.0], [1.0, 2.0], 1, 1.0, 1.0)
+    val = _slot_rate("adb", [4.0, 9.0], [1.0, 2.0], 1.0, 1.0, m=1)
     assert val == pytest.approx(0.5 * math.log2(5) + 0.5 * math.log2(2), rel=1e-12)
     assert round(val, 4) == 1.6610
 
 
 def test_crs_hand_state():
-    val = crs_slot_rate([3.0, 1.0], [math.sqrt(2), math.sqrt(5)], 1.0, 1.0)
+    val = _slot_rate("crs", [3.0, 1.0], [math.sqrt(2), math.sqrt(5)], 1.0, 1.0)
     assert val == pytest.approx(0.5 * math.log2(3), rel=1e-12)
     assert round(val, 4) == 0.7925
 
 
 def test_crs_single_relay_reduction():
-    val = crs_slot_rate([3.0], [math.sqrt(2)], 1.0, 1.0)
+    val = _slot_rate("crs", [3.0], [math.sqrt(2)], 1.0, 1.0)
     assert val == pytest.approx(0.5 * math.log2(3), rel=1e-12)
 
 
 def test_df_hand_state():
-    val = df_slot_rate([4.0, 9.0], [1.0, 2.0], 1.0, 1.0)
+    val = _slot_rate("df", [4.0, 9.0], [1.0, 2.0], 1.0, 1.0)
     assert val == pytest.approx(0.5 * math.log2(5), rel=1e-12)
     assert round(val, 4) == 1.1610
 
 
 def test_df_single_relay_equals_crs():
     sr, rd = [2.7], [1.4]
-    assert df_slot_rate(sr, rd, 2.0, 3.0) == crs_slot_rate(sr, rd, 2.0, 3.0)
+    assert _slot_rate("df", sr, rd, 2.0, 3.0) == _slot_rate("crs", sr, rd, 2.0, 3.0)
 
 
-def test_adb_slot_rate_group_validation():
-    with pytest.raises(ValueError):
-        adb_slot_rate([1.0, 2.0], [1.0, 2.0], 2, 1.0, 1.0)
+def _sfd_pair(sr_gain, rd_norm, ps, pr):
+    """The oracle's (receive, transmit) relays for one slot, after checking
+    that the table's selected links are exactly those relays' SNRs."""
+    r, t = select_sfd(sr_gain, rd_norm, ps, pr)
+    sr = np.asarray(sr_gain, dtype=np.float64).reshape(-1, 1)
+    rd = np.asarray(rd_norm, dtype=np.float64).reshape(-1, 1)
+    recv, trans = _sfd_links(_sfd_stats(sr, rd), ps, pr)
+    assert recv[0] == ps * sr[r, 0]
+    assert trans[0] == pr * rd[t, 0] ** 2
+    return r, t
 
 
 def test_select_sfd_cases():
     # distinct winners
-    st = NetworkState([3.0, 1.0], np.sqrt([2.0, 5.0]))
-    assert select_sfd(st, 1.0, 1.0) == (0, 1)
+    assert _sfd_pair([3.0, 1.0], np.sqrt([2.0, 5.0]), 1.0, 1.0) == (0, 1)
     # collision resolved by dropping the weaker swap option
-    st = NetworkState([5.0, 1.0], np.sqrt([4.0, 2.0]))
-    assert select_sfd(st, 1.0, 1.0) == (0, 1)
-    st = NetworkState([1.0, 5.0], np.sqrt([2.0, 9.0]))
-    assert select_sfd(st, 1.0, 1.0) == (1, 0)
+    assert _sfd_pair([5.0, 1.0], np.sqrt([4.0, 2.0]), 1.0, 1.0) == (0, 1)
+    assert _sfd_pair([1.0, 5.0], np.sqrt([2.0, 9.0]), 1.0, 1.0) == (1, 0)
 
 
 def test_select_sfd_tie_breaks_low_index():
-    st = NetworkState([5.0, 5.0], [2.0, 2.0])
-    assert select_sfd(st, 1.0, 1.0) == (1, 0)
-    st = NetworkState([7.0, 5.0, 7.0], [3.0, 3.0, 1.0])
-    r, t = select_sfd(st, 1.0, 1.0)
-    assert (r, t) == (2, 0)
-
-
-def test_select_sfd_needs_two_relays():
-    st = NetworkState([1.0], [1.0])
-    with pytest.raises(ValueError):
-        select_sfd(st, 1.0, 1.0)
+    assert _sfd_pair([5.0, 5.0], [2.0, 2.0], 1.0, 1.0) == (1, 0)
+    assert _sfd_pair([7.0, 5.0, 7.0], [3.0, 3.0, 1.0], 1.0, 1.0) == (2, 0)
 
 
 def test_select_sfd_power_dependence():
     # the collision rule compares post-power SNRs, so powers can flip it:
     # source-starved slots keep the best receiver, source-rich slots keep
     # the best transmitter
-    st = NetworkState([5.0, 1.0], np.sqrt([4.0, 3.0]))
-    assert select_sfd(st, 1.0, 1.0) == (0, 1)
-    assert select_sfd(st, 100.0, 1.0) == (1, 0)
+    assert _sfd_pair([5.0, 1.0], np.sqrt([4.0, 3.0]), 1.0, 1.0) == (0, 1)
+    assert _sfd_pair([5.0, 1.0], np.sqrt([4.0, 3.0]), 100.0, 1.0) == (1, 0)
 
 
 def test_estimators_deterministic():
-    for fn in (sim_adb, sim_crs, sim_df, sim_sfd_mmrs):
-        a = fn(CFG, SIM, 3.0, 2.0)
-        b = fn(CFG, SIM, 3.0, 2.0)
+    for protocol in PROTOCOLS:
+        a = estimate(protocol, CFG, SIM, 3.0, 2.0)
+        b = estimate(protocol, CFG, SIM, 3.0, 2.0)
         assert a == b
 
 
@@ -133,9 +137,7 @@ def test_worker_count_does_not_change_values():
         sim = SimConfig(slots=70_000, seed=9, workers=workers)
         simulate._cache.clear()
         gains.append([a.tobytes() for a in simulate._cache.gains(CFG, sim)])
-        estimates.append(
-            [fn(CFG, sim, 3.0, 2.0) for fn in (sim_adb, sim_crs, sim_df, sim_sfd_mmrs)]
-        )
+        estimates.append([estimate(p, CFG, sim, 3.0, 2.0) for p in PROTOCOLS])
     assert gains[0] == gains[1]
     assert estimates[0] == estimates[1]
 
@@ -177,7 +179,8 @@ def test_relay_major_statistics_match_slot_major():
 @pytest.mark.parametrize("L", [2, 3, 5])
 def test_sfd_statistics_match_scalar_rule_with_ties(L):
     # gains from a three-value set make argmax ties and receive/transmit
-    # collisions common; each slot's selected links must equal select_sfd's
+    # collisions common; each slot's selected links must equal the scalar
+    # rule's
     rng = np.random.default_rng(L)
     n = 2_000
     sr = rng.integers(1, 4, size=(L, n)).astype(np.float64)
@@ -187,7 +190,7 @@ def test_sfd_statistics_match_scalar_rule_with_ties(L):
     for ps, pr in ((1.0, 1.0), (2.0, 0.5), (100.0, 1.0), (0.01, 3.0)):
         recv, trans = _sfd_links(stats, ps, pr)
         for i in range(n):
-            r, t = select_sfd(NetworkState(sr[:, i], rd[:, i]), ps, pr)
+            r, t = select_sfd(sr[:, i], rd[:, i], ps, pr)
             assert recv[i] == ps * sr[r, i]
             assert trans[i] == pr * rd[t, i] ** 2
 
@@ -198,15 +201,15 @@ def test_estimators_match_manual_reduction():
     sim = SimConfig(slots=n, seed=3)
     sr, rd = sample_gains(CFG, 3, 0, n)
 
-    est = sim_crs(CFG, sim, 2.0, 1.5)
-    manual = crs_slot_rate(sr, rd, 2.0, 1.5)
+    est = estimate("crs", CFG, sim, 2.0, 1.5)
+    manual = 0.5 * _rate(np.minimum(2.0 * sr, 1.5 * rd**2).max(axis=1))
     assert est.value == float(manual.mean())
 
-    est = sim_df(CFG, sim, 2.0, 1.5)
+    est = estimate("df", CFG, sim, 2.0, 1.5)
     rate = 0.5 * np.log2(1 + np.minimum(2.0 * sr.min(1), 1.5 * rd.sum(1) ** 2))
     assert est.value == pytest.approx(float(rate.mean()), rel=1e-15)
 
-    est = sim_adb(CFG, sim, 2.0, 1.5)
+    est = estimate("adb", CFG, sim, 2.0, 1.5)
     r11 = np.log2(1 + 2.0 * sr[:, :2].min(1)).mean()
     r22 = np.log2(1 + 1.5 * rd[:, :2].sum(1) ** 2).mean()
     r21 = np.log2(1 + 2.0 * sr[:, 2:].min(1)).mean()
@@ -214,10 +217,10 @@ def test_estimators_match_manual_reduction():
     expect = 0.5 * min(r11, r22) + 0.5 * min(r21, r12)
     assert est.value == pytest.approx(expect, rel=1e-12)
 
-    est = sim_sfd_mmrs(CFG, sim, 2.0, 1.5)
+    est = estimate("sfd-mmrs", CFG, sim, 2.0, 1.5)
     c_sr, c_rd = [], []
     for i in range(n):
-        recv, trans = select_sfd(NetworkState(sr[i], rd[i]), 2.0, 1.5)
+        recv, trans = select_sfd(sr[i], rd[i], 2.0, 1.5)
         c_sr.append(math.log2(1 + 2.0 * sr[i, recv]))
         c_rd.append(math.log2(1 + 1.5 * rd[i, trans] ** 2))
     assert est.value == pytest.approx(min(np.mean(c_sr), np.mean(c_rd)), rel=1e-12)
@@ -247,22 +250,22 @@ def test_sfd_symmetric_links_balanced():
         c_sr.std(ddof=1) / math.sqrt(n), c_rd.std(ddof=1) / math.sqrt(n)
     )
     assert abs(c_sr.mean() - c_rd.mean()) <= 3 * se
-    est = sim_sfd_mmrs(cfg, SimConfig(slots=n, seed=17), 1.0, 1.0)
+    est = estimate("sfd-mmrs", cfg, SimConfig(slots=n, seed=17), 1.0, 1.0)
     assert est.value == pytest.approx(min(c_sr.mean(), c_rd.mean()), rel=1e-12)
 
 
 def test_sfd_has_no_half_prefactor():
     # at generous symmetric powers the full-duplex-mimicking rate exceeds
     # the half-rate selection protocol roughly twofold
-    crs = sim_crs(CFG, SIM, 10.0, 10.0)
-    sfd = sim_sfd_mmrs(CFG, SIM, 10.0, 10.0)
+    crs = estimate("crs", CFG, SIM, 10.0, 10.0)
+    sfd = estimate("sfd-mmrs", CFG, SIM, 10.0, 10.0)
     assert sfd.value > 1.5 * crs.value
 
 
 def test_se_shrinks_with_sqrt_slots():
-    for fn in (sim_adb, sim_crs, sim_df):
-        small = fn(CFG, SimConfig(slots=100_000, seed=42), 3.0, 2.0)
-        big = fn(CFG, SimConfig(slots=200_000, seed=42), 3.0, 2.0)
+    for protocol in ("adb", "crs", "df"):
+        small = estimate(protocol, CFG, SimConfig(slots=100_000, seed=42), 3.0, 2.0)
+        big = estimate(protocol, CFG, SimConfig(slots=200_000, seed=42), 3.0, 2.0)
         ratio = small.std_error / big.std_error
         assert math.sqrt(2) * 0.9 <= ratio <= math.sqrt(2) * 1.1
 
@@ -275,9 +278,9 @@ def test_adb_symmetric_half_terms_agree():
 
 
 def test_estimates_nonnegative_and_power_monotone():
-    for fn in (sim_adb, sim_crs, sim_df, sim_sfd_mmrs):
-        lo = fn(CFG, SIM, 1.0, 0.5)
-        hi = fn(CFG, SIM, 2.0, 1.0)
+    for protocol in PROTOCOLS:
+        lo = estimate(protocol, CFG, SIM, 1.0, 0.5)
+        hi = estimate(protocol, CFG, SIM, 2.0, 1.0)
         assert lo.value >= 0.0
         assert hi.value > lo.value
 
@@ -290,8 +293,8 @@ def test_min_of_means_boundary_flag():
 
 
 def test_power_validation():
-    for fn in (sim_adb, sim_crs, sim_df, sim_sfd_mmrs):
+    for protocol in PROTOCOLS:
         with pytest.raises(ValueError):
-            fn(CFG, SIM, 0.0, 1.0)
+            estimate(protocol, CFG, SIM, 0.0, 1.0)
         with pytest.raises(ValueError):
-            fn(CFG, SIM, 1.0, -2.0)
+            estimate(protocol, CFG, SIM, 1.0, -2.0)

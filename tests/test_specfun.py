@@ -62,6 +62,20 @@ def test_scaled_en_matches_mpmath():
             assert abs(got - ref) <= 1e-12 * abs(ref), (order, x)
 
 
+def test_scaled_en_large_x_matches_mpmath():
+    # the continued fraction's convergence test can stall once its steps
+    # stop changing (seen from x ~ 1e15, e.g. x = 5e300); large x takes
+    # the asymptotic series instead
+    rng = np.random.default_rng(2024)
+    xs = np.exp(rng.uniform(math.log(1e3), math.log(1.7e308), 120))
+    for x in [*xs.tolist(), 2.01e17, 5e300, 2.0**48, 1.7e308]:
+        for order in range(1, 17):
+            got = exp_scaled_en(order, x)
+            ref = float(mp.expint(order, mp.mpf(x)) * mp.exp(mp.mpf(x)))
+            assert abs(got - ref) <= 1e-14 * ref, (order, x)
+    assert exp_integral_e1(5e300) == 0.0
+
+
 def test_scaled_en_recurrence():
     # n * S_{n+1}(x) = 1 - x * S_n(x) for the scaled functions
     for order in (1, 2, 5, 11):
