@@ -50,12 +50,9 @@ from .simulate import (
     estimate,
 )
 from .specfun import (
-    compositions,
     exp_integral_e1,
     exp_scaled_e1,
     exp_scaled_en,
-    log_factorial,
-    log_multinomial,
 )
 
 __version__ = "0.1.0"

@@ -12,19 +12,18 @@ The reduction used throughout: for integer p >= 0 and mu, beta > 0,
     int_0^inf z^p e^(-mu z) / (z + beta) dz = p! mu^(-p) e^x E_{p+1}(x),
 
 with x = beta*mu. Expanding the CDF-survival form of E[ln(1 + z/beta)]
-against Erlang/gamma densities leaves only such integrals.
+against Erlang/gamma densities leaves only such integrals. For the minimum of
+g Erlang(s) gains the survival is e^(-g z) (sum_{r<s} z^r/r!)^g in unit-rate
+z, and the coefficients of that power come from exact integer counts N_p
+(p labelled balls in g boxes, fewer than s per box), so every weight is
+positive and correctly rounded.
 """
 
 import math
 from dataclasses import dataclass
 
 from .channel import ChannelConfig
-from .specfun import (
-    compositions,
-    exp_scaled_en,
-    log_factorial,
-    log_multinomial,
-)
+from .specfun import exp_scaled_en
 
 __all__ = [
     "AdbClosedForm",
@@ -60,37 +59,46 @@ def _check_term_args(power, group_size, shape, sigma2):
         raise ValueError(f"sigma2 must be > 0, got {sigma2!r}")
 
 
+def _box_counts(group_size: int, shape: int) -> list:
+    """N_p = p! [y^p] (sum_{r<shape} y^r/r!)^group_size for p = 0..P, the
+    number of ways to put p labelled balls into group_size boxes with fewer
+    than shape balls in each. Built one box at a time in exact integers:
+    r of the p + r balls go into the new box."""
+    # C(p + r, r) for every p a round reads; each is used once per round
+    binom = [
+        [math.comb(p + r, r) for r in range(shape)]
+        for p in range((group_size - 1) * (shape - 1) + 1)
+    ]
+    counts = [1]
+    for _ in range(group_size):
+        nxt = [0] * (len(counts) + shape - 1)
+        for p, n in enumerate(counts):
+            row = binom[p]
+            for r in range(shape):
+                nxt[p + r] += n * row[r]
+        counts = nxt
+    return counts
+
+
 def c11_closed(ps: float, group_size: int, shape: int, sigma_g2: float) -> float:
     """Exact E[log2(1 + ps * min of group_size i.i.d. Erlang(shape) gains)],
     gains scaled so each has mean 2*shape*sigma_g2.
 
-    The min-of-Erlang survival raised to group_size expands by the
-    multinomial theorem over compositions (n_1..n_shape) of group_size; a
-    composition with weighted degree p = sum_i (i-1)*n_i contributes
+    The min-of-Erlang survival raised to group_size has polynomial part
+    sum_p N_p z^p / p! with N_p from _box_counts, so
 
-        multinom(group_size; n) / prod_i ((i-1)!)^n_i * p! / group_size^p
-            * e^x E_{p+1}(x) / ln 2,
+        c11 = sum_p N_p / group_size^p * e^x E_{p+1}(x) / ln 2,
 
     all with the common argument x = group_size / (2 * ps * sigma_g2).
+    N_p <= group_size^p, and the integer quotient is correctly rounded.
     """
     _check_term_args(ps, group_size, shape, sigma_g2)
     group_size, shape = int(group_size), int(shape)
     x = group_size / (2.0 * ps * sigma_g2)
-    log_g = math.log(group_size)
-    scaled = {}
-    terms = []
-    for comp in compositions(group_size, shape):
-        p = sum(i * n for i, n in enumerate(comp))
-        if p not in scaled:
-            scaled[p] = exp_scaled_en(p + 1, x)
-        log_coef = (
-            log_multinomial(group_size, comp)
-            - math.fsum(n * log_factorial(i) for i, n in enumerate(comp))
-            + log_factorial(p)
-            - p * log_g
-        )
-        terms.append(math.exp(log_coef) * scaled[p])
-    return math.fsum(terms) / _LN2
+    return math.fsum(
+        n / group_size**p * exp_scaled_en(p + 1, x)
+        for p, n in enumerate(_box_counts(group_size, shape))
+    ) / _LN2
 
 
 def c22_closed(pr: float, group_size: int, shape: int, sigma_h2: float) -> float:

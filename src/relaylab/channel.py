@@ -52,7 +52,7 @@ class ChannelConfig:
     def __post_init__(self):
         for name in ("L", "M", "N_R"):
             v = getattr(self, name)
-            if int(v) != v or isinstance(v, float):
+            if isinstance(v, (bool, float)) or int(v) != v:
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.L < 2:
             raise ValueError(f"need at least two relays, got L={self.L}")
@@ -64,8 +64,8 @@ class ChannelConfig:
             raise ValueError(f"N_R must be >= 1, got {self.N_R}")
         for name in ("sigma_g2", "sigma_h2", "noise_r", "noise_d"):
             v = getattr(self, name)
-            if not v > 0:
-                raise ValueError(f"{name} must be > 0, got {v!r}")
+            if isinstance(v, bool) or not 0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
 
 
 def _draws_per_slot(cfg: ChannelConfig) -> int:

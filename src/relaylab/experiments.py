@@ -159,17 +159,31 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_snr_db(v) -> bool:
+    """A dB value whose linear power is a positive finite double."""
+    try:
+        return _is_number(v) and 0.0 < _snr_linear(v) < math.inf
+    except OverflowError:
+        return False
+
+
 def _validate_grid(spec: ExperimentSpec) -> tuple:
     exp, grid = spec.experiment, spec.grid
     if len(grid) == 0:
         raise ConfigError("grid must be non-empty")
     if exp == "ratio-sweep":
-        if not all(isinstance(r, (int, float)) and 0 < r < math.inf for r in grid):
+        if not all(_is_number(r) and 0 < r < math.inf for r in grid):
             raise ConfigError("ratio grid entries must be positive finite numbers")
         return tuple(float(r) for r in grid)
     if exp == "snr-sweep":
-        if not all(isinstance(s, (int, float)) and math.isfinite(s) for s in grid):
-            raise ConfigError("snr grid entries must be finite numbers (dB)")
+        if not all(_is_snr_db(s) for s in grid):
+            raise ConfigError(
+                "snr grid entries must be dB numbers with 10^(dB/10) a positive finite double"
+            )
         return tuple(float(s) for s in grid)
     if exp == "grouping-sweep":
         if not all(_is_int(m) and 1 <= m <= spec.channel.L - 1 for m in grid):
@@ -198,7 +212,7 @@ def _validate_grid(spec: ExperimentSpec) -> tuple:
         g, s, p = entry
         if not (_is_int(g) and g >= 1 and _is_int(s) and s >= 1):
             raise ConfigError("validate group_size and shape must be positive integers")
-        if not (isinstance(p, (int, float)) and 0 < p < math.inf):
+        if not (_is_number(p) and 0 < p < math.inf):
             raise ConfigError("validate power must be positive and finite")
         cleaned.append((g, s, float(p)))
     return tuple(cleaned)
@@ -241,8 +255,10 @@ def resolve_spec(raw: dict) -> ExperimentSpec:
     methods = tuple(m for m in METHODS if m in methods)
 
     snr_db = raw.get("snr_db", 10.0)
-    if not isinstance(snr_db, (int, float)) or not math.isfinite(snr_db):
-        raise ConfigError(f"snr_db must be a finite number, got {snr_db!r}")
+    if not _is_snr_db(snr_db):
+        raise ConfigError(
+            f"snr_db must be a dB number with 10^(dB/10) a positive finite double, got {snr_db!r}"
+        )
     total_antennas = raw.get("total_antennas", 48)
     if not _is_int(total_antennas) or total_antennas < 2:
         raise ConfigError(f"total_antennas must be an integer >= 2, got {total_antennas!r}")

@@ -1,15 +1,11 @@
 """Scalar special functions behind the closed-form throughput expressions.
 
-Exponential integrals E_n(x), plain and exponentially scaled, plus log-domain
-factorial/multinomial helpers and integer-composition enumeration. Everything
+Exponential integrals E_n(x), plain and exponentially scaled. Everything
 here is a deterministic pure function; no numpy required.
 """
 
 import math
 import sys
-from typing import Iterator, Sequence, Tuple
-
-Composition = Tuple[int, ...]
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -123,46 +119,3 @@ def exp_scaled_en(order: int, x: float) -> float:
         return _en_asymptotic_scaled(order, x)
     return _en_cf_scaled(order, x)
 
-
-def log_factorial(n: int) -> float:
-    """ln(n!) for n >= 0; exact-integer path for small n, lgamma beyond."""
-    if n < 0 or int(n) != n:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    n = int(n)
-    if n <= 20:
-        return math.log(math.factorial(n)) if n > 1 else 0.0
-    return math.lgamma(n + 1.0)
-
-
-def compositions(total: int, parts: int) -> Iterator[Composition]:
-    """Yield all tuples of `parts` non-negative ints summing to `total`.
-
-    Enumeration is colexicographic: the last coordinate varies slowest.
-    compositions(2, 2) yields (2, 0), (1, 1), (0, 2). The stream has
-    C(total + parts - 1, parts - 1) elements.
-    """
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts!r}")
-    if total < 0:
-        raise ValueError(f"total must be >= 0, got {total!r}")
-    if parts == 1:
-        yield (total,)
-        return
-    for tail in range(total + 1):
-        for head in compositions(total - tail, parts - 1):
-            yield head + (tail,)
-
-
-def log_multinomial(total: int, counts: Sequence[int]) -> float:
-    """ln of the multinomial coefficient total! / prod(counts_i!).
-
-    The counts must be non-negative and sum to `total`.
-    """
-    counts = tuple(counts)
-    if any(c < 0 or int(c) != c for c in counts):
-        raise ValueError(f"counts must be non-negative integers, got {counts!r}")
-    if sum(counts) != total:
-        raise ValueError(
-            f"counts sum to {sum(counts)}, expected total={total}"
-        )
-    return log_factorial(total) - math.fsum(log_factorial(c) for c in counts)

@@ -1,10 +1,13 @@
+import itertools
 import math
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from relaylab.analytic import (
+    _box_counts,
     adb_closed,
     c11_closed,
     c22_closed,
@@ -85,11 +88,70 @@ def test_numerical_stability_extremes():
                 assert math.isfinite(v) and v >= 0.0, (fn.__name__, group, shape, power)
 
 
-def test_composition_term_count_drives_cost():
-    # indirect check that the multinomial expansion has the expected size:
-    # group 3, shape 3 has C(5,2)=10 compositions and still evaluates fast
-    from relaylab.specfun import compositions
-    assert sum(1 for _ in compositions(3, 3)) == math.comb(5, 2)
+def test_box_counts_match_brute_force():
+    # N_p sums p!/prod(r_i!) over box fillings (r_1..r_g), each r_i < s
+    for g in range(1, 5):
+        for s in range(1, 5):
+            expect = [0] * (g * (s - 1) + 1)
+            for fill in itertools.product(range(s), repeat=g):
+                p = sum(fill)
+                expect[p] += math.factorial(p) // math.prod(map(math.factorial, fill))
+            assert _box_counts(g, s) == expect, (g, s)
+
+
+def _c11_weights(g, s):
+    # [y^p](sum_{r<s} y^r/r!)^g * p!/g^p from an ordinary power of the
+    # integer polynomial sum_r (s-1)!/r! y^r, scaled back exactly
+    base = [math.factorial(s - 1) // math.factorial(r) for r in range(s)]
+    coef = [1]
+    for _ in range(g):
+        nxt = [0] * (len(coef) + s - 1)
+        for i, c in enumerate(coef):
+            for r, b in enumerate(base):
+                nxt[i + r] += c * b
+        coef = nxt
+    return [
+        mp.mpf(c * math.factorial(p)) / (math.factorial(s - 1) ** g * g**p)
+        for p, c in enumerate(coef)
+    ]
+
+
+def test_c11_matches_mpmath_up_to_sixteen():
+    powers = (1e-3, 1e-1, 10.0, 1e4)
+    worst = 0.0
+    # mpmath's E_n loses digits at 30 places for orders ~200 near x ~ 80
+    with mp.workdps(60):
+        for g in range(1, 17):
+            scaled = {}
+            for power in powers:
+                x = mp.mpf(g) / (2 * mp.mpf(power))
+                scaled[power] = [mp.exp(x) * mp.expint(n, x) for n in range(1, 15 * g + 2)]
+            for s in range(1, 17):
+                weights = _c11_weights(g, s)
+                for power in powers:
+                    ref = mp.fsum(w * e for w, e in zip(weights, scaled[power])) / mp.log(2)
+                    got = c11_closed(power, g, s, 1.0)
+                    worst = max(worst, float(abs(got - ref) / ref))
+    assert worst <= 1e-12, worst
+
+
+def test_c11_matches_quadrature():
+    # the counting expansion against the survival integral itself
+    for power, g, s in ((0.5, 3, 2), (20.0, 2, 4), (3.0, 5, 3)):
+        def integrand(z):
+            tail = sum((z / 2) ** r / mp.factorial(r) for r in range(s))
+            return (mp.exp(-z / 2) * tail) ** g * power / (1 + power * z)
+        ref = mp.quad(integrand, [0, 1, 10, mp.inf]) / mp.log(2)
+        assert c11_closed(power, g, s, 1.0) == pytest.approx(float(ref), rel=1e-12)
+
+
+def test_c11_sixteen_by_sixteen_wall_bound():
+    # generous bound: the count build is O(g^2 s^2), while enumerating
+    # compositions would take C(31, 15) ~ 3e8 terms here
+    start = time.perf_counter()
+    value = c11_closed(10.0, 16, 16, 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert math.isfinite(value) and value > 0.0
 
 
 def test_power_validation():

@@ -111,12 +111,13 @@ def test_unwritable_output_exits_1(tmp_path):
 
 
 def test_numerical_failure_exits_2(tmp_path, capsys):
+    # 3080 dB is 1e308 linear: a valid power whose Monte Carlo rates overflow
     cfg = _write(tmp_path / "cfg.json", {
         "experiment": "snr-sweep",
-        "grid": [4000],
+        "grid": [3080],
         "sim": {"slots": 1000},
     })
-    rc = main(["snr-sweep", "--config", cfg, "--output", str(tmp_path / "x.csv")])
+    rc = main(["snr-sweep", "--config", cfg, "--output", str(tmp_path / "x.csv"), "--mc-only"])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
 
@@ -141,14 +142,31 @@ def test_argparse_rejections():
     {"sim": {"slots": True}},
     {"sim": {"seed": 1.5}},
     {"sim": {"workers": 2.5}},
+    {"channel": {"sigma_g2": 1e400}},
+    {"channel": {"sigma_h2": float("nan")}},
+    {"channel": {"noise_d": 1e400}},
+    {"channel": {"M": True}},
+    {"channel": {"noise_r": True}},
+    {"snr_db": True},
+    {"grid": [0.0, True]},
+    {"experiment": "ratio-sweep", "grid": [1.0, True]},
+    {"grid": [-4000]},
+    {"grid": [4000]},
+    {"snr_db": -4000},
+    {"snr_db": 4000},
 ], ids=[
     "channel-number", "channel-list", "sim-string", "grid-number",
     "methods-number", "L-overflow", "slots-float", "slots-bool",
-    "seed-float", "workers-float",
+    "seed-float", "workers-float", "sigma_g2-inf", "sigma_h2-nan",
+    "noise_d-inf", "M-bool", "noise_r-bool", "snr_db-bool", "snr-grid-bool",
+    "ratio-grid-bool", "snr-grid-underflow", "snr-grid-overflow",
+    "snr_db-underflow", "snr_db-overflow",
 ])
 def test_malformed_config_exits_1_with_one_line(tmp_path, capsys, payload):
-    cfg = _write(tmp_path / "cfg.json", {"experiment": "snr-sweep", **payload})
-    assert main(["snr-sweep", "--config", cfg, "--output", str(tmp_path / "x.csv")]) == 1
+    payload = {"experiment": "snr-sweep", **payload}
+    cfg = _write(tmp_path / "cfg.json", payload)
+    out = str(tmp_path / "x.csv")
+    assert main([payload["experiment"], "--config", cfg, "--output", out]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.splitlines()
