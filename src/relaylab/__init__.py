@@ -36,7 +36,6 @@ from .experiments import (
     write_summary,
 )
 from .power import (
-    PROTOCOLS,
     OptimizationError,
     PowerBudget,
     PowerPoint,
@@ -44,9 +43,9 @@ from .power import (
     ratio_point,
 )
 from .simulate import (
+    PROTOCOLS,
     SimConfig,
     ThroughputEstimate,
-    adb_component_estimates,
     estimate,
 )
 from .specfun import (

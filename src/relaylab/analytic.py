@@ -95,6 +95,8 @@ def c11_closed(ps: float, group_size: int, shape: int, sigma_g2: float) -> float
     _check_term_args(ps, group_size, shape, sigma_g2)
     group_size, shape = int(group_size), int(shape)
     x = group_size / (2.0 * ps * sigma_g2)
+    if not 0 < x < math.inf:  # ps so large or small that x over/underflows
+        raise ArithmeticError(f"c11 argument x={x!r} out of range at ps={ps!r}")
     return math.fsum(
         n / group_size**p * exp_scaled_en(p + 1, x)
         for p, n in enumerate(_box_counts(group_size, shape))
@@ -112,6 +114,8 @@ def c22_closed(pr: float, group_size: int, shape: int, sigma_h2: float) -> float
     _check_term_args(pr, group_size, shape, sigma_h2)
     group_size, shape = int(group_size), int(shape)
     x = 1.0 / (2.0 * pr * group_size * sigma_h2)
+    if not 0 < x < math.inf:
+        raise ArithmeticError(f"c22 argument x={x!r} out of range at pr={pr!r}")
     return math.fsum(
         exp_scaled_en(k + 1, x) for k in range(shape * group_size)
     ) / _LN2

@@ -1,8 +1,10 @@
-"""Experiment runners: config resolution, sweeps, CSV and summary emission.
+"""Experiments: config resolution, one sweep executor, CSV and summary emission.
 
-Each experiment produces one row per (protocol, axis point, method) in a
-fixed order with a fixed CSV schema, so identical specs yield byte-identical
-files. A JSON sidecar records the fully resolved spec and package version.
+Every experiment is a list of (label, channel, snr_db, split) points that one
+executor runs by the methods the spec asks for, one row per (point, method)
+in a fixed order with a fixed CSV schema, so identical specs yield
+byte-identical files. A JSON sidecar records the fully resolved spec, the
+package version and the experiment's summary.
 """
 
 import csv
@@ -13,23 +15,24 @@ import os
 import subprocess
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .analytic import adb_closed, c11_closed, c22_closed
 from .channel import ChannelConfig
 from .power import (
-    PROTOCOLS,
-    OptimizationError,
     PowerBudget,
+    PowerPoint,
+    evaluate_split,
     maximize_throughput,
     ratio_point,
 )
 from .simulate import (
+    PROTOCOLS,
+    TERMS,
     SimConfig,
     ThroughputEstimate,
-    adb_component_estimates,
     estimate,
 )
 
@@ -68,9 +71,9 @@ CSV_COLUMNS = (
 
 METHODS = ("analytic", "monte-carlo")
 
-# protocol -> callable(cfg, sim, ps, pr), looked up as each sweep point
-# builds its evaluators.
-_SIMULATORS = {p: partial(estimate, p) for p in PROTOCOLS}
+# label (protocol or adb component term) -> callable(cfg, sim, ps, pr),
+# looked up as each sweep point builds its evaluators.
+_SIMULATORS = {label: partial(estimate, label) for label in PROTOCOLS + TERMS}
 
 
 class ConfigError(ValueError):
@@ -304,166 +307,146 @@ def load_spec(path: str) -> ExperimentSpec:
     return resolve_spec(read_config(path))
 
 
-def _analytic_evaluator(cfg: ChannelConfig) -> Callable:
-    def evaluate(ps: float, pr: float) -> ThroughputEstimate:
-        return ThroughputEstimate(
-            adb_closed(ps, pr, cfg).c_adb, 0.0, "analytic", 0
-        )
-    return evaluate
+def _closed_form(label, cfg, ps, pr) -> ThroughputEstimate:
+    """Closed-form throughput of the alternating scheme, or of one of its
+    component rates: c11 and c22 for group one (size M), c21 and c12 for
+    group two (size L - M)."""
+    size = cfg.M if label in ("c11", "c22") else cfg.L - cfg.M
+    if label == "adb":
+        value = adb_closed(ps, pr, cfg).c_adb
+    elif label in ("c11", "c21"):
+        value = c11_closed(ps / cfg.noise_r, size, cfg.N_R, cfg.sigma_g2)
+    else:
+        value = c22_closed(pr / cfg.noise_d, size, cfg.N_R, cfg.sigma_h2)
+    return ThroughputEstimate(value, 0.0, "analytic", 0)
 
 
-def _row(protocol, cfg, snr_db, ps, pr, est) -> SweepRow:
+def _row(label, cfg, snr_db, point, est) -> SweepRow:
     log.info(
         "%s L=%d M=%d N_R=%d snr_db=%g %s %.6g",
-        protocol, cfg.L, cfg.M, cfg.N_R, snr_db, est.method, est.value,
+        label, cfg.L, cfg.M, cfg.N_R, snr_db, est.method, est.value,
     )
     return SweepRow(
-        protocol=protocol,
+        protocol=label,
         L=cfg.L,
         M=cfg.M,
         N_R=cfg.N_R,
         snr_db=float(snr_db),
-        ps=float(ps),
-        pr=float(pr),
+        ps=float(point.ps),
+        pr=float(point.pr),
         throughput=est.value,
         std_error=est.std_error,
         method=est.method,
     )
 
 
-def _evaluators(spec, protocol, cfg):
-    """(method, evaluator) pairs for one protocol in method order; only the
-    alternating scheme has an analytic form."""
+def _evaluators(spec, label, cfg):
+    """Evaluators for one label in method order, for the methods the spec
+    asks for; the selection and decode-forward baselines have no closed
+    form."""
     out = []
-    if "analytic" in spec.methods and protocol == "adb":
-        out.append(("analytic", _analytic_evaluator(cfg)))
+    if "analytic" in spec.methods and label not in ("crs", "df", "sfd-mmrs"):
+        out.append(partial(_closed_form, label, cfg))
     if "monte-carlo" in spec.methods:
-        out.append(("monte-carlo", partial(_SIMULATORS[protocol], cfg, spec.sim)))
+        out.append(partial(_SIMULATORS[label], cfg, spec.sim))
     return out
 
 
-def run_ratio_sweep(spec: ExperimentSpec) -> SweepResult:
-    """Throughput of every protocol along its budget curve over the ratio grid."""
-    cfg = spec.channel
-    snr = _snr_linear(spec.snr_db)
-    rows, peaks = [], {}
-    for protocol in PROTOCOLS:
-        budget = PowerBudget(protocol, snr, cfg.L)
-        evaluators = _evaluators(spec, protocol, cfg)
-        for ratio in spec.grid:
-            point = ratio_point(budget, ratio)
-            for method, evaluate in evaluators:
-                est = evaluate(point.ps, point.pr)
-                if not math.isfinite(est.value):
-                    log.warning(
-                        "skipping %s %s row at ratio %g: non-finite value",
-                        protocol, method, ratio,
-                    )
-                    continue
-                rows.append(_row(protocol, cfg, spec.snr_db, point.ps, point.pr, est))
-                key = f"{protocol}/{method}"
-                if key not in peaks or est.value > peaks[key]["throughput"]:
-                    peaks[key] = {"ratio": float(ratio), "throughput": est.value}
-    return SweepResult(spec, rows, {"peaks": peaks})
-
-
 def _points(spec: ExperimentSpec) -> list:
-    """(protocol, cfg, snr_db) of every optimal-split sweep point, in row
-    order."""
+    """(label, cfg, snr_db, split) of every sweep point, in row order. split
+    is a fixed PowerPoint, or None where the split is optimised."""
     base, exp = spec.channel, spec.experiment
+    if exp == "ratio-sweep":
+        snr = _snr_linear(spec.snr_db)
+        return [
+            (p, base, spec.snr_db, ratio_point(PowerBudget(p, snr, base.L), r))
+            for p in PROTOCOLS for r in spec.grid
+        ]
+    if exp == "validate":
+        # term-major in name order; each (g, s) is one two-group channel
+        return [
+            (term, replace(base, L=2 * g, M=g, N_R=s), 10.0 * math.log10(p), PowerPoint(p, p))
+            for term in sorted(TERMS) for g, s, p in spec.grid
+        ]
     if exp == "snr-sweep":
-        return [(p, base, snr_db) for p in PROTOCOLS for snr_db in spec.grid]
+        return [(p, base, snr_db, None) for p in PROTOCOLS for snr_db in spec.grid]
     if exp == "antenna-sweep":
-        return [(p, replace(base, N_R=n), spec.snr_db) for p in PROTOCOLS for n in spec.grid]
+        return [
+            (p, replace(base, N_R=n), spec.snr_db, None) for p in PROTOCOLS for n in spec.grid
+        ]
     if exp == "grouping-sweep":
-        return [("adb", replace(base, M=m), spec.snr_db) for m in spec.grid]
+        return [("adb", replace(base, M=m), spec.snr_db, None) for m in spec.grid]
     # relay-sweep: a fixed antenna total split over L relays, M = L/2
     return [
-        ("adb", replace(base, L=L, M=L // 2, N_R=spec.total_antennas // L), spec.snr_db)
+        ("adb", replace(base, L=L, M=L // 2, N_R=spec.total_antennas // L), spec.snr_db, None)
         for L in spec.grid
     ]
 
 
-def run_sweep(spec: ExperimentSpec) -> SweepResult:
-    """Per-point maximum throughput over the power split, for the snr,
-    grouping, antenna and relay sweeps.
-
-    Points run grouped by ChannelConfig, in order of first appearance, so
-    each fading stream is sampled once and serves every protocol; rows are
-    emitted in point order, method-ordered within a point."""
-    points = _points(spec)
-    first = {}
-    for _, cfg, _ in points:
-        first.setdefault(cfg, len(first))
-    rows = [[] for _ in points]
-    for i in sorted(range(len(points)), key=lambda i: first[points[i][1]]):
-        protocol, cfg, snr_db = points[i]
-        budget = PowerBudget(protocol, _snr_linear(snr_db), cfg.L)
-        for method, evaluate in _evaluators(spec, protocol, cfg):
-            point, est = maximize_throughput(budget, evaluate, spec.tolerance)
-            rows[i].append(_row(protocol, cfg, snr_db, point.ps, point.pr, est))
-    return SweepResult(spec, [row for point_rows in rows for row in point_rows])
+def _peaks(spec: ExperimentSpec, rows: list) -> dict:
+    """Per protocol/method, the first grid ratio of highest throughput."""
+    peaks = {}
+    for key in dict.fromkeys(f"{r.protocol}/{r.method}" for r in rows):
+        series = [r.throughput for r in rows if f"{r.protocol}/{r.method}" == key]
+        i = max(range(len(series)), key=series.__getitem__)
+        peaks[key] = {"ratio": spec.grid[i], "throughput": series[i]}
+    return {"peaks": peaks}
 
 
-def run_validate(spec: ExperimentSpec) -> SweepResult:
-    """Closed-form terms against their Monte Carlo estimates over a grid of
-    (group_size, shape, power) triples.
+def _gaps(spec: ExperimentSpec, rows: list) -> dict:
+    """Closed form against Monte Carlo for every validate term, grid-major.
 
     Broadcast terms (c11/c21) are exact, so gaps should sit at Monte Carlo
     noise level; beamforming terms (c22/c12) carry the moment-matching
-    approximation gap. Gaps land in the summary; the CSV holds the paired
-    values, one term per protocol label."""
-    base = spec.channel
-    sigma_g2, sigma_h2 = base.sigma_g2, base.sigma_h2
-    per_term: Dict[str, list] = {t: [] for t in ("c11", "c12", "c21", "c22")}
-    gaps = []
-    for g, s, p in spec.grid:
-        cfg = replace(base, L=2 * g, M=g, N_R=s)
-        mc = adb_component_estimates(cfg, spec.sim, p, p)
-        exact = c11_closed(p / cfg.noise_r, g, s, sigma_g2)
-        approx = c22_closed(p / cfg.noise_d, g, s, sigma_h2)
-        closed = {"c11": exact, "c21": exact, "c22": approx, "c12": approx}
-        snr_db = 10.0 * math.log10(p)
-        for term in per_term:
-            mean, se = mc[term]
-            if "analytic" in spec.methods:
-                est = ThroughputEstimate(closed[term], 0.0, "analytic", 0)
-                per_term[term].append(_row(term, cfg, snr_db, p, p, est))
-            if "monte-carlo" in spec.methods:
-                est = ThroughputEstimate(mean, se, "monte-carlo", spec.sim.slots)
-                per_term[term].append(_row(term, cfg, snr_db, p, p, est))
-            gaps.append({
-                "term": term,
-                "group_size": g,
-                "shape": s,
-                "power": p,
-                "analytic": closed[term],
-                "monte_carlo": mean,
-                "std_error": se,
-                "rel_gap": (closed[term] - mean) / mean if mean else 0.0,
-            })
-    rows = [r for term in sorted(per_term) for r in per_term[term]]
-    exact_gaps = [
-        abs(e["analytic"] - e["monte_carlo"]) / e["std_error"]
-        for e in gaps if e["term"] in ("c11", "c21") and e["std_error"]
-    ]
-    approx_gaps = [
-        abs(e["rel_gap"]) for e in gaps if e["term"] in ("c22", "c12")
-    ]
-    summary = {
-        "gaps": gaps,
-        "max_exact_gap_se": max(exact_gaps, default=0.0),
-        "max_approx_gap_rel": max(approx_gaps, default=0.0),
-    }
-    return SweepResult(spec, rows, summary)
+    approximation gap. Both methods are needed, so a single-method run has
+    no gaps."""
+    n = len(spec.grid)
+    pairs = list(zip(rows[::2], rows[1::2])) if len(spec.methods) == 2 else []
+    summary = {"gaps": [], "max_exact_gap_se": 0.0, "max_approx_gap_rel": 0.0}
+    for _, (closed, mc) in sorted(enumerate(pairs), key=lambda e: e[0] % n):
+        a, m, se = closed.throughput, mc.throughput, mc.std_error
+        rel = (a - m) / m if m else 0.0
+        summary["gaps"].append({
+            "term": closed.protocol,
+            "group_size": closed.M,
+            "shape": closed.N_R,
+            "power": closed.ps,
+            "analytic": a,
+            "monte_carlo": m,
+            "std_error": se,
+            "rel_gap": rel,
+        })
+        if closed.protocol in ("c22", "c12"):
+            summary["max_approx_gap_rel"] = max(summary["max_approx_gap_rel"], abs(rel))
+        elif se:
+            summary["max_exact_gap_se"] = max(summary["max_exact_gap_se"], abs(a - m) / se)
+    return summary
 
 
 def run_experiment(spec: ExperimentSpec) -> SweepResult:
-    if spec.experiment == "ratio-sweep":
-        return run_ratio_sweep(spec)
-    if spec.experiment == "validate":
-        return run_validate(spec)
-    return run_sweep(spec)
+    """Evaluate every sweep point of spec by each method it asks for, at its
+    fixed split or at the best split on the protocol's budget curve.
+
+    Points run grouped by ChannelConfig, in order of first appearance, so
+    each fading stream is sampled once and serves every label; rows are
+    emitted in point order, method-ordered within a point."""
+    points = _points(spec)
+    first = {}
+    for _, cfg, _, _ in points:
+        first.setdefault(cfg, len(first))
+    rows = [[] for _ in points]
+    for i in sorted(range(len(points)), key=lambda i: first[points[i][1]]):
+        label, cfg, snr_db, split = points[i]
+        for evaluate in _evaluators(spec, label, cfg):
+            if split is None:
+                budget = PowerBudget(label, _snr_linear(snr_db), cfg.L)
+                point, est = maximize_throughput(budget, evaluate, spec.tolerance)
+            else:
+                point, est = split, evaluate_split(evaluate, split)
+            rows[i].append(_row(label, cfg, snr_db, point, est))
+    rows = [row for point_rows in rows for row in point_rows]
+    summarize = {"ratio-sweep": _peaks, "validate": _gaps}.get(spec.experiment)
+    return SweepResult(spec, rows, summarize(spec, rows) if summarize else {})
 
 
 def _format_cell(value) -> str:
@@ -524,25 +507,11 @@ def _version_info() -> dict:
     return {"package": pkg, "git": described}
 
 
-def _spec_as_dict(spec: ExperimentSpec) -> dict:
-    return {
-        "experiment": spec.experiment,
-        "channel": asdict(spec.channel),
-        "sim": asdict(spec.sim),
-        "grid": [list(g) if isinstance(g, tuple) else g for g in spec.grid],
-        "snr_db": spec.snr_db,
-        "total_antennas": spec.total_antennas,
-        "tolerance": spec.tolerance,
-        "methods": list(spec.methods),
-        "output_path": spec.output_path,
-    }
-
-
 def write_summary(result: SweepResult, path: str):
     """JSON sidecar with the resolved spec, version, and run summary."""
     payload = {
         "experiment": result.spec.experiment,
-        "spec": _spec_as_dict(result.spec),
+        "spec": asdict(result.spec),
         "version": _version_info(),
         "row_count": len(result.rows),
         "summary": result.summary,

@@ -15,19 +15,23 @@ from typing import Callable, Tuple
 from .simulate import PROTOCOLS, ThroughputEstimate
 
 __all__ = [
-    "PROTOCOLS",
     "PowerBudget",
     "PowerPoint",
     "ratio_point",
+    "evaluate_split",
     "maximize_throughput",
     "OptimizationError",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# The ps/pr range the search covers, and the points of its coarse log grid.
+_RATIO_BOUNDS = (1e-2, 1e2)
+_COARSE_POINTS = 25
 
 
 class OptimizationError(RuntimeError):
-    """The power-split search hit a non-finite objective value."""
+    """A power split gave a non-finite throughput, or underflowed to zero
+    power."""
 
 
 @dataclass(frozen=True)
@@ -71,30 +75,36 @@ class PowerPoint:
 
 
 def ratio_point(budget: PowerBudget, ratio: float) -> PowerPoint:
-    """Budget-equality point with ps/pr = ratio."""
-    if not ratio > 0:
-        raise ValueError(f"ratio must be > 0, got {ratio!r}")
+    """Budget-equality point with ps/pr = ratio. A split that underflows to
+    zero power is a numerical failure, not a config error."""
+    if not 0 < ratio < math.inf:
+        raise ValueError(f"ratio must be positive and finite, got {ratio!r}")
     pr = budget.total / (ratio + budget.relay_weight)
-    return PowerPoint(ps=ratio * pr, pr=pr)
+    ps = ratio * pr
+    if ps == 0 or pr == 0:
+        raise OptimizationError(f"power split underflows to ps={ps!r}, pr={pr!r}")
+    return PowerPoint(ps=ps, pr=pr)
 
 
 Evaluator = Callable[[float, float], ThroughputEstimate]
 
 
+def evaluate_split(evaluator: Evaluator, point: PowerPoint) -> ThroughputEstimate:
+    """evaluator at a power split; a non-finite value is a numerical failure."""
+    est = evaluator(point.ps, point.pr)
+    if not math.isfinite(est.value):
+        raise OptimizationError(
+            f"objective returned {est.value!r} at ps={point.ps}, pr={point.pr}"
+        )
+    return est
+
+
 def _probe(budget, evaluator, u, cache):
     if u not in cache:
         point = ratio_point(budget, math.exp(u))
-        est = evaluator(point.ps, point.pr)
-        if not math.isfinite(est.value):
-            raise OptimizationError(
-                f"objective returned {est.value!r} at ps={point.ps}, pr={point.pr}"
-            )
+        est = evaluate_split(evaluator, point)
         cache[u] = (est.value, point, est)
     return cache[u]
-
-
-def _grid_values(budget, evaluator, us, cache):
-    return [_probe(budget, evaluator, u, cache)[0] for u in us]
 
 
 def _significant_maxima(us, vals, cache):
@@ -114,8 +124,6 @@ def maximize_throughput(
     budget: PowerBudget,
     evaluator: Evaluator,
     tolerance: float = 1e-3,
-    ratio_bounds: Tuple[float, float] = (1e-2, 1e2),
-    coarse_points: int = 25,
 ) -> Tuple[PowerPoint, ThroughputEstimate]:
     """Maximize evaluator(ps, pr) along the budget-equality curve.
 
@@ -127,18 +135,15 @@ def maximize_throughput(
     """
     if not tolerance > 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
-    lo, hi = ratio_bounds
-    if not (0 < lo < hi):
-        raise ValueError(f"invalid ratio bounds {ratio_bounds!r}")
     cache = {}
-    ulo, uhi = math.log(lo), math.log(hi)
-    step = (uhi - ulo) / (coarse_points - 1)
-    us = [ulo + i * step for i in range(coarse_points)]
-    vals = _grid_values(budget, evaluator, us, cache)
+    ulo, uhi = (math.log(r) for r in _RATIO_BOUNDS)
+    step = (uhi - ulo) / (_COARSE_POINTS - 1)
+    us = [ulo + i * step for i in range(_COARSE_POINTS)]
+    vals = [_probe(budget, evaluator, u, cache)[0] for u in us]
     if len(_significant_maxima(us, vals, cache)) > 1:
         step = (uhi - ulo) / 199
         us = [ulo + i * step for i in range(200)]
-        vals = _grid_values(budget, evaluator, us, cache)
+        vals = [_probe(budget, evaluator, u, cache)[0] for u in us]
     best = max(range(len(us)), key=vals.__getitem__)
     a = us[max(best - 1, 0)]
     b = us[min(best + 1, len(us) - 1)]

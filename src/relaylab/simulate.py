@@ -17,6 +17,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,10 +25,10 @@ from .channel import ChannelConfig, sample_gains
 
 __all__ = [
     "PROTOCOLS",
+    "TERMS",
     "SimConfig",
     "ThroughputEstimate",
     "estimate",
-    "adb_component_estimates",
 ]
 
 _BLOCK = 1 << 15
@@ -78,11 +79,6 @@ class ThroughputEstimate:
             raise ValueError(f"unknown method tag {self.method!r}")
         if self.method == "analytic" and self.std_error != 0.0:
             raise ValueError("analytic estimates carry no standard error")
-
-
-def _check_powers(ps, pr):
-    if not ps > 0 or not pr > 0:
-        raise ValueError(f"powers must be > 0, got ps={ps!r}, pr={pr!r}")
 
 
 def _sample(cfg: ChannelConfig, sim: SimConfig):
@@ -245,22 +241,17 @@ def _min_of_means(a, b):
     return value, se, ambiguous
 
 
-def _adb_terms(stats, a, b):
-    """(mean, se) of the component rates c11, c22 (group one) and c21, c12
-    (group two) at normalized powers a and b."""
-    min1, beam1, min2, beam2 = stats
-    return (
-        _mean_se(_rate(a * min1)),
-        _mean_se(_rate(b * beam1)),
-        _mean_se(_rate(a * min2)),
-        _mean_se(_rate(b * beam2)),
-    )
+def _term_reduce(i, stats, a, b):
+    """Component rate i of _adb_stats: c11, c22 (group one), c21, c12 (group
+    two); the broadcast rates (even i) see power a, the beamforming rates
+    b."""
+    return (*_mean_se(_rate((b if i % 2 else a) * stats[i])), False)
 
 
 def _adb_reduce(stats, a, b):
     """Alternating groups: the four component rates are averaged over slots,
     then 0.5*min(mean11, mean22) + 0.5*min(mean21, mean12)."""
-    e11, e22, e21, e12 = _adb_terms(stats, a, b)
+    e11, e22, e21, e12 = (_term_reduce(i, stats, a, b)[:2] for i in range(4))
     v1, s1, amb1 = _min_of_means(e11, e22)
     v2, s2, amb2 = _min_of_means(e21, e12)
     return 0.5 * (v1 + v2), 0.5 * math.hypot(s1, s2), amb1 or amb2
@@ -317,41 +308,44 @@ def _sfd_reduce(stats, a, b):
     return _min_of_means(_mean_se(_rate(recv)), _mean_se(_rate(trans)))
 
 
-# protocol -> (stats, ChannelConfig fields stats reads beyond the gains,
+# label -> (stats, ChannelConfig fields stats reads beyond the gains,
 # reduce). stats(sr_gain, rd_norm, *fields) gives the power-independent
 # per-slot arrays, cached with the stream; reduce(stats, a, b) gives (mean,
-# se, boundary_ambiguous) at a = ps/noise_r, b = pr/noise_d. The key order
-# is the protocol (and row) order.
+# se, boundary_ambiguous) at a = ps/noise_r, b = pr/noise_d. The four
+# protocols come first, in protocol (and row) order; the alternating
+# scheme's component rates follow, one per _adb_stats array, so they share
+# its statistics.
 _TABLE = {
     "adb": (_adb_stats, ("M",), _adb_reduce),
     "crs": (_crs_stats, (), _crs_reduce),
     "df": (_df_stats, (), _df_reduce),
     "sfd-mmrs": (_sfd_stats, (), _sfd_reduce),
+    "c11": (_adb_stats, ("M",), partial(_term_reduce, 0)),
+    "c22": (_adb_stats, ("M",), partial(_term_reduce, 1)),
+    "c21": (_adb_stats, ("M",), partial(_term_reduce, 2)),
+    "c12": (_adb_stats, ("M",), partial(_term_reduce, 3)),
 }
-PROTOCOLS = tuple(_TABLE)
+PROTOCOLS = tuple(_TABLE)[:4]
+TERMS = tuple(_TABLE)[4:]
 
 
-def _stats(protocol, cfg: ChannelConfig, sim: SimConfig):
-    build, fields, _ = _TABLE[protocol]
+def _stats(label, cfg: ChannelConfig, sim: SimConfig):
+    build, fields, _ = _TABLE[label]
     return _cache.stats(build, cfg, sim, *(getattr(cfg, f) for f in fields))
 
 
 def estimate(
-    protocol: str, cfg: ChannelConfig, sim: SimConfig, ps, pr
+    label: str, cfg: ChannelConfig, sim: SimConfig, ps, pr
 ) -> ThroughputEstimate:
-    """Monte Carlo throughput of one protocol at source power ps and relay
-    power pr, from the shared fading stream of (cfg, sim)."""
-    _check_powers(ps, pr)
-    reduce = _TABLE[protocol][2]
-    mean, se, ambiguous = reduce(
-        _stats(protocol, cfg, sim), ps / cfg.noise_r, pr / cfg.noise_d
-    )
+    """Monte Carlo throughput of one protocol, or rate of one adb component
+    term ("c11", "c22", "c21", "c12"), at source power ps and relay power
+    pr, from the shared fading stream of (cfg, sim)."""
+    if not ps > 0 or not pr > 0:
+        raise ValueError(f"powers must be > 0, got ps={ps!r}, pr={pr!r}")
+    reduce = _TABLE[label][2]
+    # an overflowing rate shows as a non-finite value, which callers check
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, se, ambiguous = reduce(
+            _stats(label, cfg, sim), ps / cfg.noise_r, pr / cfg.noise_d
+        )
     return ThroughputEstimate(mean, se, "monte-carlo", sim.slots, ambiguous)
-
-
-def adb_component_estimates(cfg: ChannelConfig, sim: SimConfig, ps, pr):
-    """Sample means and standard errors of the four component rates, keyed
-    "c11", "c22" (group one) and "c21", "c12" (group two)."""
-    _check_powers(ps, pr)
-    terms = _adb_terms(_stats("adb", cfg, sim), ps / cfg.noise_r, pr / cfg.noise_d)
-    return dict(zip(("c11", "c22", "c21", "c12"), terms))

@@ -88,6 +88,15 @@ def test_numerical_stability_extremes():
                 assert math.isfinite(v) and v >= 0.0, (fn.__name__, group, shape, power)
 
 
+def test_out_of_range_argument_is_arithmetic_error():
+    # 2*power*sigma2 overflows (x = 0) or underflows far enough that x = inf
+    for fn in (c11_closed, c22_closed):
+        with pytest.raises(ArithmeticError, match="out of range"):
+            fn(1e308, 1, 2, 1.0)
+        with pytest.raises(ArithmeticError, match="out of range"):
+            fn(1e-310, 1, 2, 1e-10)
+
+
 def test_box_counts_match_brute_force():
     # N_p sums p!/prod(r_i!) over box fillings (r_1..r_g), each r_i < s
     for g in range(1, 5):

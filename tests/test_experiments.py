@@ -160,6 +160,10 @@ def test_validate_rows_and_gaps():
     assert len(result.rows) == 16
     gaps = result.summary["gaps"]
     assert len(gaps) == 8
+    # grid-major, terms in name order within each grid entry
+    assert [(g["group_size"], g["term"]) for g in gaps] == [
+        (size, term) for size in (1, 2) for term in ("c11", "c12", "c21", "c22")
+    ]
     exact = [g for g in gaps if g["term"] in ("c11", "c21")]
     for g in exact:
         assert abs(g["analytic"] - g["monte_carlo"]) <= 3.5 * g["std_error"]
@@ -168,6 +172,36 @@ def test_validate_rows_and_gaps():
     exact_single = [g for g in gaps if g["term"] in ("c22", "c12") and g["group_size"] == 1]
     for g in exact_single:
         assert abs(g["analytic"] - g["monte_carlo"]) <= 3.5 * g["std_error"]
+
+
+def test_validate_analytic_only_samples_nothing(monkeypatch):
+    # a single-method run builds only that method's evaluators
+    calls = []
+    sample_gains = simulate.sample_gains
+
+    def counting(*args):
+        calls.append(args[2:])
+        return sample_gains(*args)
+
+    monkeypatch.setattr(simulate, "sample_gains", counting)
+    simulate._cache.clear()
+    result = run_experiment(resolve_spec({"experiment": "validate", "methods": ["analytic"]}))
+    assert len(result.rows) == 4 * 27
+    assert calls == []
+    assert result.summary["gaps"] == []
+
+
+def test_ratio_peaks_are_grid_values():
+    # on the adb budget curve at 10 dB none of these ratios survives ps/pr
+    grid = [0.1077872617411859, 0.9260624110733137, 12.614543385908233]
+    spec = resolve_spec({"experiment": "ratio-sweep", "grid": grid, "methods": ["analytic"]})
+    result = run_experiment(spec)
+    rows = result.rows
+    assert all(r.ps / r.pr != ratio for r, ratio in zip(rows, grid))
+    best = max(range(3), key=lambda i: rows[i].throughput)
+    assert result.summary["peaks"] == {
+        "adb/analytic": {"ratio": grid[best], "throughput": rows[best].throughput}
+    }
 
 
 def test_snr_sweep_monotone():

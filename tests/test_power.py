@@ -33,6 +33,12 @@ def test_budget_pr_examples():
         ratio_point(PowerBudget("adb", 10.0, 4), 0.0)
 
 
+def test_ratio_point_underflow_is_numerical_failure():
+    # 1e-323 total power: pr is the smallest subnormal and ps rounds to 0
+    with pytest.raises(OptimizationError):
+        ratio_point(PowerBudget("adb", 1e-323, 4), 0.01)
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         PowerBudget("unknown", 10.0, 4)
@@ -163,7 +169,5 @@ def test_parameter_validation():
     ev = lambda ps, pr: _analytic(1.0)
     with pytest.raises(ValueError):
         maximize_throughput(budget, ev, tolerance=0.0)
-    with pytest.raises(ValueError):
-        maximize_throughput(budget, ev, ratio_bounds=(1.0, 0.5))
     with pytest.raises(ValueError):
         ratio_point(budget, 0.0)

@@ -18,7 +18,6 @@ from relaylab.simulate import (
     _relay_sum,
     _sfd_links,
     _sfd_stats,
-    adb_component_estimates,
     estimate,
 )
 
@@ -271,10 +270,27 @@ def test_se_shrinks_with_sqrt_slots():
 
 
 def test_adb_symmetric_half_terms_agree():
-    comps = adb_component_estimates(CFG, SIM, 3.0, 2.0)
+    comps = {}
+    for term in ("c11", "c22", "c21", "c12"):
+        est = estimate(term, CFG, SIM, 3.0, 2.0)
+        comps[term] = (est.value, est.std_error)
     v1, s1, _ = _min_of_means(comps["c11"], comps["c22"])
     v2, s2, _ = _min_of_means(comps["c21"], comps["c12"])
     assert abs(v1 - v2) <= 3 * math.hypot(s1, s2)
+
+
+def test_component_terms_rebuild_adb_estimate():
+    # the four term entries read adb's cached statistics and reduce them
+    # with adb's per-term helper, so they recombine to adb's value exactly
+    cfg = ChannelConfig(L=5, M=2, N_R=2, noise_r=2.0)
+    sim = SimConfig(slots=20_000, seed=3)
+    terms = {t: estimate(t, cfg, sim, 3.0, 2.0) for t in ("c11", "c22", "c21", "c12")}
+    for t in terms:
+        assert simulate._stats(t, cfg, sim) is simulate._stats("adb", cfg, sim)
+    pair = {t: (e.value, e.std_error) for t, e in terms.items()}
+    v1, _, _ = _min_of_means(pair["c11"], pair["c22"])
+    v2, _, _ = _min_of_means(pair["c21"], pair["c12"])
+    assert estimate("adb", cfg, sim, 3.0, 2.0).value == 0.5 * (v1 + v2)
 
 
 def test_estimates_nonnegative_and_power_monotone():
