@@ -7,17 +7,14 @@ deterministic experiment harness.
 """
 
 from .analytic import (
-    AdbClosedForm,
     adb_closed,
     c11_closed,
     c22_closed,
 )
 from .channel import (
     ChannelConfig,
-    erlang_cdf,
     min_erlang_cdf,
     nakagami_sum_cdf,
-    nakagami_sum_pdf,
     sample_gains,
 )
 from .experiments import (
@@ -29,7 +26,6 @@ from .experiments import (
     SweepRow,
     emit,
     load_spec,
-    parse_csv,
     resolve_spec,
     run_experiment,
     write_csv,

@@ -20,33 +20,17 @@ positive and correctly rounded.
 """
 
 import math
-from dataclasses import dataclass
 
 from .channel import ChannelConfig
 from .specfun import exp_scaled_en
 
 __all__ = [
-    "AdbClosedForm",
     "c11_closed",
     "c22_closed",
     "adb_closed",
 ]
 
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class AdbClosedForm:
-    """The four closed-form rate terms (bps/Hz), their min-combination
-    c_adb = 0.5*min(c11, c22) + 0.5*min(c21, c12), and the branch taken,
-    e.g. "c11+c12" when c11 <= c22 and c12 < c21."""
-
-    c11: float
-    c12: float
-    c21: float
-    c22: float
-    c_adb: float
-    branch: str
 
 
 def _check_term_args(power, group_size, shape, sigma2):
@@ -94,7 +78,8 @@ def c11_closed(ps: float, group_size: int, shape: int, sigma_g2: float) -> float
     """
     _check_term_args(ps, group_size, shape, sigma_g2)
     group_size, shape = int(group_size), int(shape)
-    x = group_size / (2.0 * ps * sigma_g2)
+    scale = 2.0 * ps * sigma_g2
+    x = group_size / scale if scale else math.inf
     if not 0 < x < math.inf:  # ps so large or small that x over/underflows
         raise ArithmeticError(f"c11 argument x={x!r} out of range at ps={ps!r}")
     return math.fsum(
@@ -113,7 +98,8 @@ def c22_closed(pr: float, group_size: int, shape: int, sigma_h2: float) -> float
     """
     _check_term_args(pr, group_size, shape, sigma_h2)
     group_size, shape = int(group_size), int(shape)
-    x = 1.0 / (2.0 * pr * group_size * sigma_h2)
+    scale = 2.0 * pr * group_size * sigma_h2
+    x = 1.0 / scale if scale else math.inf
     if not 0 < x < math.inf:
         raise ArithmeticError(f"c22 argument x={x!r} out of range at pr={pr!r}")
     return math.fsum(
@@ -121,8 +107,9 @@ def c22_closed(pr: float, group_size: int, shape: int, sigma_h2: float) -> float
     ) / _LN2
 
 
-def adb_closed(ps: float, pr: float, cfg: ChannelConfig) -> AdbClosedForm:
-    """All four closed-form terms for cfg and their throughput combination.
+def adb_closed(ps: float, pr: float, cfg: ChannelConfig) -> float:
+    """Closed-form throughput of the alternating scheme for cfg,
+    0.5*min(c11, c22) + 0.5*min(c21, c12).
 
     Source-side terms see ps/noise_r, destination-side terms pr/noise_d.
     Group one (size M) contributes c11/c22, group two (size L-M) c21/c12.
@@ -133,10 +120,4 @@ def adb_closed(ps: float, pr: float, cfg: ChannelConfig) -> AdbClosedForm:
     c21 = c11_closed(a, cfg.L - cfg.M, cfg.N_R, cfg.sigma_g2)
     c22 = c22_closed(b, cfg.M, cfg.N_R, cfg.sigma_h2)
     c12 = c22_closed(b, cfg.L - cfg.M, cfg.N_R, cfg.sigma_h2)
-    first = "c11" if c11 <= c22 else "c22"
-    second = "c21" if c21 <= c12 else "c12"
-    value = 0.5 * min(c11, c22) + 0.5 * min(c21, c12)
-    return AdbClosedForm(
-        c11=c11, c12=c12, c21=c21, c22=c22,
-        c_adb=value, branch=f"{first}+{second}",
-    )
+    return 0.5 * min(c11, c22) + 0.5 * min(c21, c12)

@@ -20,9 +20,7 @@ from numpy.random import Philox
 __all__ = [
     "ChannelConfig",
     "sample_gains",
-    "erlang_cdf",
     "min_erlang_cdf",
-    "nakagami_sum_pdf",
     "nakagami_sum_cdf",
 ]
 
@@ -101,13 +99,14 @@ def sample_gains(cfg: ChannelConfig, seed: int, start_slot: int, count: int):
     return sr, np.sqrt(rd2)
 
 
-def _check_scalar_args(x, shape, sigma2, name):
-    if int(shape) != shape or shape < 1:
-        raise ValueError(f"shape must be a positive integer, got {shape!r}")
+def _check_cdf_args(z, group_size, shape, sigma2):
+    for name, v in (("group_size", group_size), ("shape", shape)):
+        if int(v) != v or v < 1:
+            raise ValueError(f"{name} must be a positive integer, got {v!r}")
     if not sigma2 > 0:
         raise ValueError(f"sigma2 must be > 0, got {sigma2!r}")
-    if x < 0:
-        raise ValueError(f"{name} must be >= 0, got {x!r}")
+    if z < 0:
+        raise ValueError(f"z must be >= 0, got {z!r}")
 
 
 def _poisson_tail(x: float, n: int) -> float:
@@ -120,55 +119,19 @@ def _poisson_tail(x: float, n: int) -> float:
     )
 
 
-def erlang_cdf(t: float, shape: int, sigma2: float) -> float:
-    """CDF of an Erlang(shape) gain with mean 2*shape*sigma2 at t >= 0.
-
-    This is the distribution of a squared N_R-antenna channel norm with
-    shape = N_R: F(t) = 1 - e^{-t/2s2} * sum_{r<shape} (t/2s2)^r / r!.
-    """
-    _check_scalar_args(t, shape, sigma2, "t")
-    s = _poisson_tail(t / (2.0 * sigma2), int(shape))
-    return min(max(1.0 - s, 0.0), 1.0)
-
-
 def min_erlang_cdf(z: float, group_size: int, shape: int, sigma2: float) -> float:
-    """CDF of the minimum of group_size i.i.d. Erlang(shape) gains."""
-    if int(group_size) != group_size or group_size < 1:
-        raise ValueError(f"group_size must be a positive integer, got {group_size!r}")
-    _check_scalar_args(z, shape, sigma2, "z")
+    """CDF of the minimum of group_size i.i.d. Erlang(shape) gains, each the
+    squared norm of a shape-antenna channel with mean 2*shape*sigma2."""
+    _check_cdf_args(z, group_size, shape, sigma2)
     survival = _poisson_tail(z / (2.0 * sigma2), int(shape))
     return min(max(1.0 - survival ** int(group_size), 0.0), 1.0)
 
 
-def nakagami_sum_pdf(z: float, group_size: int, shape: int, sigma2: float) -> float:
-    """Moment-matched Nakagami density approximating a sum of group_size
-    i.i.d. channel norms (each Nakagami with shape antennas).
-
-    Exact at group_size = 1. pdf(z) = 2 mu^nm z^(2nm-1) e^(-mu z^2)/(nm-1)!
-    with nm = shape*group_size and mu = 1/(2*group_size*sigma2).
-    """
-    if int(group_size) != group_size or group_size < 1:
-        raise ValueError(f"group_size must be a positive integer, got {group_size!r}")
-    _check_scalar_args(z, shape, sigma2, "z")
-    if z == 0.0:
-        return 0.0
-    nm = int(shape) * int(group_size)
-    mu = 1.0 / (2.0 * group_size * sigma2)
-    logp = (
-        math.log(2.0)
-        + nm * math.log(mu)
-        + (2 * nm - 1) * math.log(z)
-        - mu * z * z
-        - math.lgamma(nm)
-    )
-    return math.exp(logp)
-
-
 def nakagami_sum_cdf(z: float, group_size: int, shape: int, sigma2: float) -> float:
-    """CDF paired with nakagami_sum_pdf (integral of the density)."""
-    if int(group_size) != group_size or group_size < 1:
-        raise ValueError(f"group_size must be a positive integer, got {group_size!r}")
-    _check_scalar_args(z, shape, sigma2, "z")
+    """Moment-matched Nakagami CDF of a sum of group_size i.i.d. channel norms
+    (shape antennas each), exact at group_size = 1: the squared sum is taken
+    as gamma(shape*group_size) of rate 1/(2*group_size*sigma2)."""
+    _check_cdf_args(z, group_size, shape, sigma2)
     nm = int(shape) * int(group_size)
     s = _poisson_tail(z * z / (2.0 * group_size * sigma2), nm)
     return min(max(1.0 - s, 0.0), 1.0)

@@ -7,7 +7,6 @@ byte-identical files. A JSON sidecar records the fully resolved spec, the
 package version and the experiment's summary.
 """
 
-import csv
 import json
 import logging
 import math
@@ -49,7 +48,6 @@ __all__ = [
     "run_experiment",
     "write_csv",
     "write_summary",
-    "parse_csv",
     "emit",
 ]
 
@@ -313,12 +311,12 @@ def _closed_form(label, cfg, ps, pr) -> ThroughputEstimate:
     group two (size L - M)."""
     size = cfg.M if label in ("c11", "c22") else cfg.L - cfg.M
     if label == "adb":
-        value = adb_closed(ps, pr, cfg).c_adb
+        value = adb_closed(ps, pr, cfg)
     elif label in ("c11", "c21"):
         value = c11_closed(ps / cfg.noise_r, size, cfg.N_R, cfg.sigma_g2)
     else:
         value = c22_closed(pr / cfg.noise_d, size, cfg.N_R, cfg.sigma_h2)
-    return ThroughputEstimate(value, 0.0, "analytic", 0)
+    return ThroughputEstimate(value, 0.0, "analytic")
 
 
 def _row(label, cfg, snr_db, point, est) -> SweepRow:
@@ -465,29 +463,6 @@ def write_csv(result: SweepResult, path: str):
         for row in result.rows:
             rec = asdict(row)
             fh.write(",".join(_format_cell(rec[c]) for c in CSV_COLUMNS) + "\n")
-
-
-def parse_csv(path: str) -> List[SweepRow]:
-    """Read back a sweep CSV into rows (exact round-trip of write_csv)."""
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-            raise ConfigError(f"unexpected CSV header in {path}")
-        for rec in reader:
-            rows.append(SweepRow(
-                protocol=rec["protocol"],
-                L=int(rec["L"]),
-                M=int(rec["M"]),
-                N_R=int(rec["N_R"]),
-                snr_db=float(rec["snr_db"]),
-                ps=float(rec["ps"]),
-                pr=float(rec["pr"]),
-                throughput=float(rec["throughput"]),
-                std_error=float(rec["std_error"]),
-                method=rec["method"],
-            ))
-    return rows
 
 
 def _version_info() -> dict:

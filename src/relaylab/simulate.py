@@ -14,6 +14,7 @@ results are bit-identical at any parallelism level.
 """
 
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ _INV_LN2 = 1.0 / math.log(2.0)
 @dataclass(frozen=True)
 class SimConfig:
     """Monte Carlo run settings. workers > 1 parallelizes block sampling
-    across threads without changing any estimate."""
+    across at most os.cpu_count() threads without changing any estimate."""
 
     slots: int = 1_000_000
     seed: int = 42
@@ -69,7 +70,6 @@ class ThroughputEstimate:
     value: float
     std_error: float
     method: str
-    slots_used: int
     boundary_ambiguous: bool = False
 
     def __post_init__(self):
@@ -94,8 +94,9 @@ def _sample(cfg: ChannelConfig, sim: SimConfig):
         rd[:, start:start + n] = block_rd.T
 
     starts = range(0, slots, _BLOCK)
-    if sim.workers > 1:
-        with ThreadPoolExecutor(max_workers=sim.workers) as pool:
+    workers = min(sim.workers, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, starts))
     else:
         for s in starts:
@@ -348,4 +349,4 @@ def estimate(
         mean, se, ambiguous = reduce(
             _stats(label, cfg, sim), ps / cfg.noise_r, pr / cfg.noise_d
         )
-    return ThroughputEstimate(mean, se, "monte-carlo", sim.slots, ambiguous)
+    return ThroughputEstimate(mean, se, "monte-carlo", ambiguous)

@@ -1,13 +1,18 @@
-"""Shared Monte Carlo oracles for the tests.
+"""Shared oracles for the tests.
 
-Everything here samples through numpy's default generator, a code path
+The samplers here draw through numpy's default generator, a code path
 disjoint from the package's counter-based sampler, so agreement between the
-two is evidence rather than tautology.
+two is evidence rather than tautology. The rest are plain-Python references
+the package itself has no use for: the Nakagami density behind
+nakagami_sum_cdf, the scalar sfd-mmrs rule, and a CSV reader.
 """
 
+import csv
 import math
 
 import numpy as np
+
+from relaylab.experiments import CSV_COLUMNS, SweepRow
 
 
 def min_erlang_samples(rng, n, group_size, shape, sigma2=1.0):
@@ -59,3 +64,45 @@ def select_sfd(sr_gain, rd_norm, ps, pr):
     if min(g_sr[r2], g_rd[t1]) >= min(g_sr[r1], g_rd[t2]):
         return r2, t1
     return r1, t2
+
+
+def nakagami_sum_pdf(z, group_size, shape, sigma2):
+    """Moment-matched Nakagami density approximating a sum of group_size
+    i.i.d. channel norms (each Nakagami with shape antennas), the density
+    of relaylab.channel.nakagami_sum_cdf. Exact at group_size = 1.
+    pdf(z) = 2 mu^nm z^(2nm-1) e^(-mu z^2)/(nm-1)! with nm = shape*group_size
+    and mu = 1/(2*group_size*sigma2)."""
+    if z == 0.0:
+        return 0.0
+    nm = shape * group_size
+    mu = 1.0 / (2.0 * group_size * sigma2)
+    return math.exp(
+        math.log(2.0)
+        + nm * math.log(mu)
+        + (2 * nm - 1) * math.log(z)
+        - mu * z * z
+        - math.lgamma(nm)
+    )
+
+
+def parse_csv(path):
+    """Read a sweep CSV back into SweepRows (exact round trip of
+    relaylab.experiments.write_csv)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames or ()) == CSV_COLUMNS
+        return [
+            SweepRow(
+                protocol=rec["protocol"],
+                L=int(rec["L"]),
+                M=int(rec["M"]),
+                N_R=int(rec["N_R"]),
+                snr_db=float(rec["snr_db"]),
+                ps=float(rec["ps"]),
+                pr=float(rec["pr"]),
+                throughput=float(rec["throughput"]),
+                std_error=float(rec["std_error"]),
+                method=rec["method"],
+            )
+            for rec in reader
+        ]

@@ -31,9 +31,9 @@ def _gains(cfg, sim):
     return _stream(cfg.L, cfg.N_R, cfg.sigma_g2, cfg.sigma_h2, sim.slots, sim.seed)
 
 
-def _estimate(mean_se_pair, sim):
+def _estimate(mean_se_pair):
     mean, se = mean_se_pair
-    return ThroughputEstimate(mean, se, "monte-carlo", sim.slots)
+    return ThroughputEstimate(mean, se, "monte-carlo")
 
 
 def adb_stats(sr, rd, m):
@@ -84,7 +84,6 @@ def sim_adb(cfg, sim, ps, pr):
         value=0.5 * (v1 + v2),
         std_error=0.5 * math.hypot(s1, s2),
         method="monte-carlo",
-        slots_used=sim.slots,
         boundary_ambiguous=amb1 or amb2,
     )
 
@@ -92,13 +91,13 @@ def sim_adb(cfg, sim, ps, pr):
 def sim_crs(cfg, sim, ps, pr):
     sr, rd = _gains(cfg, sim)
     best = np.minimum((ps / cfg.noise_r) * sr, (pr / cfg.noise_d) * rd**2).max(axis=1)
-    return _estimate(_mean_se(0.5 * _rate(best)), sim)
+    return _estimate(_mean_se(0.5 * _rate(best)))
 
 
 def sim_df(cfg, sim, ps, pr):
     min_all, beam_all = df_stats(*_gains(cfg, sim))
     gain = np.minimum((ps / cfg.noise_r) * min_all, (pr / cfg.noise_d) * beam_all)
-    return _estimate(_mean_se(0.5 * _rate(gain)), sim)
+    return _estimate(_mean_se(0.5 * _rate(gain)))
 
 
 def sim_sfd_mmrs(cfg, sim, ps, pr):
@@ -111,7 +110,7 @@ def sim_sfd_mmrs(cfg, sim, ps, pr):
     c_sr = _mean_se(_rate(np.where(demote_recv, g_sr2, g_sr1)))
     c_rd = _mean_se(_rate(np.where(demote_trans, g_rd2, g_rd1)))
     value, se, ambiguous = _min_of_means(c_sr, c_rd)
-    return ThroughputEstimate(value, se, "monte-carlo", sim.slots, ambiguous)
+    return ThroughputEstimate(value, se, "monte-carlo", ambiguous)
 
 
 SIMULATORS = {

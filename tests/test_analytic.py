@@ -89,12 +89,12 @@ def test_numerical_stability_extremes():
 
 
 def test_out_of_range_argument_is_arithmetic_error():
-    # 2*power*sigma2 overflows (x = 0) or underflows far enough that x = inf
-    for fn in (c11_closed, c22_closed):
-        with pytest.raises(ArithmeticError, match="out of range"):
-            fn(1e308, 1, 2, 1.0)
-        with pytest.raises(ArithmeticError, match="out of range"):
-            fn(1e-310, 1, 2, 1e-10)
+    # 2*power*sigma2 overflows (x = 0), underflows far enough that x = inf,
+    # or underflows to 0 itself, which must not become a ZeroDivisionError
+    for name, fn in (("c11", c11_closed), ("c22", c22_closed)):
+        for power, sigma2 in ((1e308, 1.0), (1e-310, 1e-10), (5e-324, 1e-10)):
+            with pytest.raises(ArithmeticError, match=f"{name} argument .* out of range"):
+                fn(power, 1, 1, sigma2)
 
 
 def test_box_counts_match_brute_force():
@@ -175,44 +175,50 @@ def test_power_validation():
         c22_closed(1.0, 2, 2, 0.0)
 
 
+def _terms(ps, pr, cfg):
+    """c11, c22, c21, c12 of cfg, straight from the term functions."""
+    a, b, n = ps / cfg.noise_r, pr / cfg.noise_d, cfg.N_R
+    return (
+        c11_closed(a, cfg.M, n, cfg.sigma_g2),
+        c22_closed(b, cfg.M, n, cfg.sigma_h2),
+        c11_closed(a, cfg.L - cfg.M, n, cfg.sigma_g2),
+        c22_closed(b, cfg.L - cfg.M, n, cfg.sigma_h2),
+    )
+
+
 def test_adb_closed_symmetric_config():
     cfg = ChannelConfig(L=4, M=2, N_R=3)
-    form = adb_closed(5.0, 2.0, cfg)
-    assert form.c11 == form.c21
-    assert form.c22 == form.c12
-    assert form.c_adb == pytest.approx(min(form.c11, form.c22), rel=1e-15)
+    c11, c22, c21, c12 = _terms(5.0, 2.0, cfg)
+    assert c11 == c21
+    assert c22 == c12
+    assert adb_closed(5.0, 2.0, cfg) == pytest.approx(min(c11, c22), rel=1e-15)
 
 
 def test_adb_closed_branch_consistency():
     cfg = ChannelConfig(L=5, M=2, N_R=2)
     for ps, pr in ((0.1, 10.0), (10.0, 0.1), (3.0, 3.0), (100.0, 0.01)):
-        form = adb_closed(ps, pr, cfg)
-        first = "c11" if form.c11 <= form.c22 else "c22"
-        second = "c21" if form.c21 <= form.c12 else "c12"
-        assert form.branch == f"{first}+{second}"
-        assert form.c_adb == pytest.approx(
-            0.5 * min(form.c11, form.c22) + 0.5 * min(form.c21, form.c12), rel=1e-15
-        )
-        assert min(form.c11, form.c12, form.c21, form.c22) >= 0.0
+        c11, c22, c21, c12 = _terms(ps, pr, cfg)
+        assert adb_closed(ps, pr, cfg) == 0.5 * min(c11, c22) + 0.5 * min(c21, c12)
+        assert min(c11, c12, c21, c22) >= 0.0
 
 
 def test_adb_closed_relay_limited_regime():
     cfg = ChannelConfig(L=4, M=2, N_R=2)
-    form = adb_closed(1e4, 1e-3, cfg)
-    assert form.branch == "c22+c12"
-    assert form.c_adb == pytest.approx(0.5 * (form.c22 + form.c12), rel=1e-12)
+    c11, c22, c21, c12 = _terms(1e4, 1e-3, cfg)
+    assert c22 < c11 and c12 < c21
+    assert adb_closed(1e4, 1e-3, cfg) == pytest.approx(0.5 * (c22 + c12), rel=1e-12)
 
 
 def test_adb_closed_noise_scaling():
     quiet = ChannelConfig(L=4, M=2, N_R=2)
     loud = ChannelConfig(L=4, M=2, N_R=2, noise_r=2.0, noise_d=4.0)
-    assert adb_closed(3.0, 2.0, loud).c_adb == pytest.approx(
-        adb_closed(1.5, 0.5, quiet).c_adb, rel=1e-12
+    assert adb_closed(3.0, 2.0, loud) == pytest.approx(
+        adb_closed(1.5, 0.5, quiet), rel=1e-12
     )
 
 
 def test_adb_closed_tracks_simulation():
     cfg = ChannelConfig(L=4, M=2, N_R=3)
     est = estimate("adb", cfg, SimConfig(slots=200_000, seed=42), 6.0, 2.0)
-    form = adb_closed(6.0, 2.0, cfg)
-    assert abs(form.c_adb - est.value) / est.value <= 0.05
+    closed = adb_closed(6.0, 2.0, cfg)
+    assert abs(closed - est.value) / est.value <= 0.05

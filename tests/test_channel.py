@@ -6,14 +6,18 @@ from scipy import integrate
 
 from relaylab.channel import (
     ChannelConfig,
-    erlang_cdf,
     min_erlang_cdf,
     nakagami_sum_cdf,
-    nakagami_sum_pdf,
     sample_gains,
 )
 
-from _oracles import dkw_band, empirical_cdf, min_erlang_samples, norm_sum_samples
+from _oracles import (
+    dkw_band,
+    empirical_cdf,
+    min_erlang_samples,
+    nakagami_sum_pdf,
+    norm_sum_samples,
+)
 
 
 def test_config_rejects_degenerate_groups():
@@ -93,11 +97,12 @@ def test_slot_autocorrelation_negligible():
 
 
 def test_erlang_cdf_values():
-    assert erlang_cdf(0.0, 1, 1.0) == 0.0
-    assert erlang_cdf(2.0, 1, 1.0) == pytest.approx(1 - math.exp(-1), abs=1e-12)
-    assert erlang_cdf(2.0, 2, 1.0) == pytest.approx(1 - 2 * math.exp(-1), abs=1e-12)
+    # a single Erlang gain is the minimum over a group of one
+    assert min_erlang_cdf(0.0, 1, 1, 1.0) == 0.0
+    assert min_erlang_cdf(2.0, 1, 1, 1.0) == pytest.approx(1 - math.exp(-1), abs=1e-12)
+    assert min_erlang_cdf(2.0, 1, 2, 1.0) == pytest.approx(1 - 2 * math.exp(-1), abs=1e-12)
     with pytest.raises(ValueError):
-        erlang_cdf(-0.1, 1, 1.0)
+        min_erlang_cdf(-0.1, 1, 1, 1.0)
 
 
 def test_min_erlang_cdf_values():
@@ -130,7 +135,7 @@ def test_min_erlang_cdf_dkw_band_package_sampler():
 def test_cdfs_monotone_bounded():
     grid = np.linspace(0.0, 40.0, 200)
     for fn in (
-        lambda t: erlang_cdf(float(t), 3, 0.8),
+        lambda t: min_erlang_cdf(float(t), 1, 3, 0.8),
         lambda t: min_erlang_cdf(float(t), 3, 2, 1.2),
         lambda t: nakagami_sum_cdf(float(t), 2, 3, 1.0),
     ):
@@ -145,8 +150,8 @@ def test_nakagami_sum_pdf_single_group_exact():
     shape, sigma2 = 3, 1.0
     for z in (0.3, 1.0, 2.5):
         step = 1e-6
-        exact = (erlang_cdf((z + step) ** 2, shape, sigma2)
-                 - erlang_cdf((z - step) ** 2, shape, sigma2)) / (2 * step)
+        exact = (min_erlang_cdf((z + step) ** 2, 1, shape, sigma2)
+                 - min_erlang_cdf((z - step) ** 2, 1, shape, sigma2)) / (2 * step)
         assert nakagami_sum_pdf(z, 1, shape, sigma2) == pytest.approx(exact, rel=1e-6)
 
 

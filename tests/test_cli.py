@@ -122,20 +122,26 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("experiment, payload, flags", [
-    # 1e308 linear: the closed form's x = g/(2*ps*sigma_g2) overflows to 0
-    ("snr-sweep", {"grid": [3080]}, []),
+@pytest.mark.parametrize("experiment, payload, flags, names", [
+    # 1e308 linear: at the first probe, ratio 1e-2, 2*pr*g*sigma_h2
+    # overflows, so the closed form's x is 0
+    ("snr-sweep", {"grid": [3080]}, [], "c22 argument"),
     # 1e-323 linear: the budget split rounds ps to 0
-    ("snr-sweep", {"grid": [-3230]}, []),
+    ("snr-sweep", {"grid": [-3230]}, [], "power split underflows"),
     # a fixed split whose Monte Carlo rates overflow is not skipped
-    ("ratio-sweep", {"snr_db": 3080}, ["--mc-only"]),
-], ids=["snr-grid-3080", "snr-grid-minus-3230", "ratio-snr_db-3080-mc"])
-def test_extreme_snr_exits_2_with_one_line(tmp_path, capsys, recwarn, experiment, payload, flags):
+    ("ratio-sweep", {"snr_db": 3080}, ["--mc-only"], "objective returned"),
+    # 2*ps*sigma_g2 itself underflows to 0: named, not a bare division error
+    ("validate", {"grid": [[1, 1, 5e-324]], "channel": {"sigma_g2": 1e-10}}, [], "c11 argument"),
+], ids=["snr-grid-3080", "snr-grid-minus-3230", "ratio-snr_db-3080-mc", "validate-c11-scale-underflow"])
+def test_extreme_snr_exits_2_with_one_line(
+    tmp_path, capsys, recwarn, experiment, payload, flags, names
+):
     cfg = _write(tmp_path / "cfg.json", {"experiment": experiment, "sim": {"slots": 1000}, **payload})
     out = tmp_path / "x.csv"
     assert main([experiment, "--config", cfg, "--output", str(out), *flags]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("relaylab: numerical failure:")
+    assert names in lines[0]
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 

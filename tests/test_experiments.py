@@ -13,12 +13,13 @@ from relaylab.experiments import (
     SweepRow,
     emit,
     load_spec,
-    parse_csv,
     resolve_spec,
     run_experiment,
     write_csv,
 )
 from relaylab.simulate import SimConfig
+
+from _oracles import parse_csv
 
 FAST_SIM = {"sim": {"slots": 30_000}}
 

@@ -17,7 +17,7 @@ from relaylab.simulate import SimConfig, ThroughputEstimate, estimate
 
 
 def _analytic(value):
-    return ThroughputEstimate(value, 0.0, "analytic", 0)
+    return ThroughputEstimate(value, 0.0, "analytic")
 
 
 def test_budget_pr_examples():
@@ -76,7 +76,7 @@ def test_maximize_interior_peak_beats_extremes():
     budget = PowerBudget("adb", 10.0, cfg.L)
 
     def evaluator(ps, pr):
-        return _analytic(adb_closed(ps, pr, cfg).c_adb)
+        return _analytic(adb_closed(ps, pr, cfg))
 
     point, est = maximize_throughput(budget, evaluator, tolerance=1e-3)
     for extreme in (1e-2, 1e2):
@@ -88,7 +88,7 @@ def test_maximize_interior_peak_beats_extremes():
 def test_maximize_matches_dense_grid():
     cfg = ChannelConfig(L=4, M=2, N_R=3)
     for protocol, evaluator in (
-        ("adb", lambda ps, pr: _analytic(adb_closed(ps, pr, cfg).c_adb)),
+        ("adb", lambda ps, pr: _analytic(adb_closed(ps, pr, cfg))),
         ("crs", lambda ps, pr: estimate("crs", cfg, SimConfig(slots=50_000, seed=42), ps, pr)),
     ):
         budget = PowerBudget(protocol, 10.0, cfg.L)
@@ -106,7 +106,7 @@ def test_mc_and_analytic_optima_agree():
     sim = SimConfig(slots=200_000, seed=42)
     pt_mc, _ = maximize_throughput(budget, lambda ps, pr: estimate("adb", cfg, sim, ps, pr))
     pt_an, _ = maximize_throughput(
-        budget, lambda ps, pr: _analytic(adb_closed(ps, pr, cfg).c_adb)
+        budget, lambda ps, pr: _analytic(adb_closed(ps, pr, cfg))
     )
     assert abs(math.log(pt_mc.ps / pt_mc.pr) - math.log(pt_an.ps / pt_an.pr)) <= math.log(1.10)
 
@@ -115,7 +115,7 @@ def test_cmax_nondecreasing_in_budget():
     cfg = ChannelConfig(L=4, M=2, N_R=2)
     sim = SimConfig(slots=50_000, seed=42)
     for protocol, evaluator in (
-        ("adb", lambda ps, pr: _analytic(adb_closed(ps, pr, cfg).c_adb)),
+        ("adb", lambda ps, pr: _analytic(adb_closed(ps, pr, cfg))),
         ("crs", lambda ps, pr: estimate("crs", cfg, sim, ps, pr)),
     ):
         values = []
@@ -150,7 +150,7 @@ def test_multimodal_fallback_finds_global_peak():
         u = math.log(ps / pr)
         a = 1.00 * math.exp(-((u + 2.3) ** 2) / 0.05)
         b = 1.02 * math.exp(-((u - 2.3) ** 2) / 0.05)
-        return ThroughputEstimate(a + b, 0.01, "monte-carlo", 1)
+        return ThroughputEstimate(a + b, 0.01, "monte-carlo")
 
     point, est = maximize_throughput(budget, two_peaks, tolerance=1e-3)
     assert math.log(point.ps / point.pr) == pytest.approx(2.3, abs=0.01)

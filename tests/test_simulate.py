@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -40,11 +41,11 @@ def test_sim_config_validation():
 
 def test_estimate_validation():
     with pytest.raises(ValueError):
-        ThroughputEstimate(-0.1, 0.0, "monte-carlo", 1)
+        ThroughputEstimate(-0.1, 0.0, "monte-carlo")
     with pytest.raises(ValueError):
-        ThroughputEstimate(1.0, 0.1, "analytic", 0)
+        ThroughputEstimate(1.0, 0.1, "analytic")
     with pytest.raises(ValueError):
-        ThroughputEstimate(1.0, 0.0, "guess", 1)
+        ThroughputEstimate(1.0, 0.0, "guess")
 
 
 def _slot_rate(protocol, sr_gain, rd_norm, ps, pr, m=None):
@@ -127,10 +128,12 @@ def test_estimators_deterministic():
         assert a == b
 
 
-def test_worker_count_does_not_change_values():
+def test_worker_count_does_not_change_values(monkeypatch):
     # workers is not part of the cache key, so the cache is cleared before
     # each run to make the threaded fill actually run; 70k slots leave a
-    # partial last block
+    # partial last block. The pool is capped at the CPU count, so four CPUs
+    # are reported to get four threads on any host.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     gains, estimates = [], []
     for workers in (1, 4):
         sim = SimConfig(slots=70_000, seed=9, workers=workers)
@@ -139,6 +142,36 @@ def test_worker_count_does_not_change_values():
         estimates.append([estimate(p, CFG, sim, 3.0, 2.0) for p in PROTOCOLS])
     assert gains[0] == gains[1]
     assert estimates[0] == estimates[1]
+
+
+@pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
+def test_sampling_threads_capped_at_cpu_count(monkeypatch, cpus, pools):
+    # the fake pool records its requested size and fills blocks inline, so
+    # an absurd worker count starts no thread; 70k slots make three blocks
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    gains = []
+    for workers in (10**6, 1):
+        simulate._cache.clear()
+        sim = SimConfig(slots=70_000, seed=9, workers=workers)
+        gains.append([a.tobytes() for a in simulate._cache.gains(CFG, sim)])
+    assert sizes == pools
+    assert gains[0] == gains[1]
 
 
 @pytest.mark.parametrize("n", [*range(1, 21), 64, 129, 300])
