@@ -12,12 +12,13 @@ import logging
 import math
 import os
 import subprocess
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
+from . import __version__
 from .analytic import adb_closed, c11_closed, c22_closed
 from .channel import ChannelConfig
 from .power import (
@@ -33,6 +34,7 @@ from .simulate import (
     SimConfig,
     ThroughputEstimate,
     estimate,
+    stream_bytes,
 )
 
 __all__ = [
@@ -84,11 +86,11 @@ class ExperimentSpec:
     channel: ChannelConfig
     sim: SimConfig
     grid: tuple
-    snr_db: float = 10.0
-    total_antennas: int = 48
-    tolerance: float = 1e-3
-    methods: tuple = METHODS
-    output_path: str = ""
+    snr_db: float
+    total_antennas: int
+    tolerance: float
+    methods: tuple
+    output_path: str
 
 
 @dataclass(frozen=True)
@@ -109,24 +111,25 @@ class SweepRow:
 class SweepResult:
     spec: ExperimentSpec
     rows: List[SweepRow]
-    summary: dict = field(default_factory=dict)
+    summary: dict
 
 
 def _snr_linear(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
 
 
-def _reject_unknown(raw: dict, allowed, where: str):
-    unknown = sorted(set(raw) - set(allowed))
+def _reject_unknown(raw: dict, cls, where: str):
+    """Reject keys of raw that name no field of the dataclass cls."""
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
-def _section(raw: dict, name: str, allowed) -> dict:
+def _section(raw: dict, name: str, cls) -> dict:
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be a JSON object, got {section!r}")
-    _reject_unknown(section, allowed, name)
+    _reject_unknown(section, cls, name)
     return section
 
 
@@ -154,6 +157,19 @@ def _default_grid(experiment: str, channel: ChannelConfig) -> tuple:
         for s in (1, 2, 3)
         for p in (0.1, 1.0, 10.0)
     )
+
+
+def _check_memory(sim: SimConfig, methods: tuple, entries: int, channels):
+    """Raise ConfigError when a sweep of grid entries over the fading streams
+    of channels would need more than physical memory: 8 KiB per entry (four
+    points of two rows; a point with its row measured about 700 bytes) plus,
+    for Monte Carlo, the largest stream."""
+    need = entries * 8192
+    if "monte-carlo" in methods:
+        need += max(stream_bytes(cfg, sim) for cfg in channels)
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > limit:
+        raise ConfigError(f"sweep needs about {need >> 20} MiB; physical memory is {limit >> 20} MiB")
 
 
 def _is_int(v) -> bool:
@@ -224,27 +240,18 @@ def resolve_spec(raw: dict) -> ExperimentSpec:
 
     Unknown keys anywhere are rejected; omitted sections fall back to the
     defaults (L=4, M=2, N_R=3 channel; 10^6 slots, seed 42; per-experiment
-    grid)."""
-    _reject_unknown(
-        raw,
-        (
-            "experiment", "channel", "sim", "grid", "snr_db",
-            "total_antennas", "tolerance", "methods", "output_path",
-        ),
-        "config",
-    )
+    grid). A sweep estimated to need more than physical memory is rejected
+    before any of it is built."""
+    _reject_unknown(raw, ExperimentSpec, "config")
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(
             f"experiment must be one of {', '.join(EXPERIMENTS)}; got {experiment!r}"
         )
 
-    channel_raw = _section(
-        raw, "channel", ("L", "M", "N_R", "sigma_g2", "sigma_h2", "noise_r", "noise_d")
-    )
-    channel_raw = {"L": 4, "M": 2, "N_R": 3, **channel_raw}
+    channel_raw = {"L": 4, "M": 2, "N_R": 3, **_section(raw, "channel", ChannelConfig)}
     channel = _build(ChannelConfig, channel_raw, "channel")
-    sim = _build(SimConfig, _section(raw, "sim", ("slots", "seed", "workers")), "sim")
+    sim = _build(SimConfig, _section(raw, "sim", SimConfig), "sim")
 
     methods = raw.get("methods", list(METHODS))
     if isinstance(methods, str):
@@ -272,6 +279,9 @@ def resolve_spec(raw: dict) -> ExperimentSpec:
     if not isinstance(output_path, str) or not output_path:
         raise ConfigError("output_path must be a non-empty string")
 
+    if "grid" not in raw and experiment == "grouping-sweep":
+        # bound its L - 1 default entries before building them
+        _check_memory(sim, methods, channel.L - 1, [channel])
     spec = ExperimentSpec(
         experiment=experiment,
         channel=channel,
@@ -283,7 +293,9 @@ def resolve_spec(raw: dict) -> ExperimentSpec:
         methods=methods,
         output_path=output_path,
     )
-    return replace(spec, grid=_validate_grid(spec))
+    spec = replace(spec, grid=_validate_grid(spec))
+    _check_memory(sim, methods, len(spec.grid), {_channel(spec, e) for e in spec.grid})
+    return spec
 
 
 def read_config(path: str) -> dict:
@@ -350,6 +362,23 @@ def _evaluators(spec, label, cfg):
     return out
 
 
+def _channel(spec: ExperimentSpec, entry) -> ChannelConfig:
+    """The channel of one grid entry."""
+    base, exp = spec.channel, spec.experiment
+    if exp == "validate":
+        # each (g, s) is one two-group channel
+        g, s, _ = entry
+        return replace(base, L=2 * g, M=g, N_R=s)
+    if exp == "antenna-sweep":
+        return replace(base, N_R=entry)
+    if exp == "grouping-sweep":
+        return replace(base, M=entry)
+    if exp == "relay-sweep":
+        # a fixed antenna total split over L relays, M = L/2
+        return replace(base, L=entry, M=entry // 2, N_R=spec.total_antennas // entry)
+    return base
+
+
 def _points(spec: ExperimentSpec) -> list:
     """(label, cfg, snr_db, split) of every sweep point, in row order. split
     is a fixed PowerPoint, or None where the split is optimised."""
@@ -361,24 +390,15 @@ def _points(spec: ExperimentSpec) -> list:
             for p in PROTOCOLS for r in spec.grid
         ]
     if exp == "validate":
-        # term-major in name order; each (g, s) is one two-group channel
+        # term-major in name order
         return [
-            (term, replace(base, L=2 * g, M=g, N_R=s), 10.0 * math.log10(p), PowerPoint(p, p))
-            for term in sorted(TERMS) for g, s, p in spec.grid
+            (term, _channel(spec, e), 10.0 * math.log10(e[2]), PowerPoint(e[2], e[2]))
+            for term in sorted(TERMS) for e in spec.grid
         ]
     if exp == "snr-sweep":
         return [(p, base, snr_db, None) for p in PROTOCOLS for snr_db in spec.grid]
-    if exp == "antenna-sweep":
-        return [
-            (p, replace(base, N_R=n), spec.snr_db, None) for p in PROTOCOLS for n in spec.grid
-        ]
-    if exp == "grouping-sweep":
-        return [("adb", replace(base, M=m), spec.snr_db, None) for m in spec.grid]
-    # relay-sweep: a fixed antenna total split over L relays, M = L/2
-    return [
-        ("adb", replace(base, L=L, M=L // 2, N_R=spec.total_antennas // L), spec.snr_db, None)
-        for L in spec.grid
-    ]
+    labels = PROTOCOLS if exp == "antenna-sweep" else ("adb",)
+    return [(p, _channel(spec, e), spec.snr_db, None) for p in labels for e in spec.grid]
 
 
 def _peaks(spec: ExperimentSpec, rows: list) -> dict:
@@ -467,11 +487,6 @@ def write_csv(result: SweepResult, path: str):
 
 def _version_info() -> dict:
     try:
-        from importlib.metadata import version
-        pkg = version("relaylab")
-    except Exception:
-        pkg = "unknown"
-    try:
         described = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             cwd=os.path.dirname(os.path.abspath(__file__)),
@@ -479,7 +494,7 @@ def _version_info() -> dict:
         ).stdout.strip() or None
     except Exception:
         described = None
-    return {"package": pkg, "git": described}
+    return {"package": __version__, "git": described}
 
 
 def write_summary(result: SweepResult, path: str):
@@ -496,9 +511,9 @@ def write_summary(result: SweepResult, path: str):
         fh.write("\n")
 
 
-def emit(result: SweepResult, output_path: Optional[str] = None) -> Tuple[str, str]:
+def emit(result: SweepResult) -> Tuple[str, str]:
     """Write the CSV and its sidecar; returns both paths."""
-    path = output_path or result.spec.output_path
+    path = result.spec.output_path
     stem = os.path.splitext(path)[0]
     summary_path = stem + ".summary.json"
     write_csv(result, path)

@@ -30,6 +30,7 @@ __all__ = [
     "SimConfig",
     "ThroughputEstimate",
     "estimate",
+    "stream_bytes",
 ]
 
 _BLOCK = 1 << 15
@@ -79,6 +80,17 @@ class ThroughputEstimate:
             raise ValueError(f"unknown method tag {self.method!r}")
         if self.method == "analytic" and self.std_error != 0.0:
             raise ValueError("analytic estimates carry no standard error")
+
+
+def stream_bytes(cfg: ChannelConfig, sim: SimConfig) -> int:
+    """Upper estimate, in bytes, of what the cached fading stream of (cfg,
+    sim) holds at its peak: the two (L, slots) gain arrays; crs's (L, slots)
+    square plus 17 slot-long rows of statistics and probe temporaries (16.4
+    measured); one sampling block per thread at 4 float64 copies per draw
+    (3.5 measured)."""
+    threads = min(sim.workers, os.cpu_count() or 1)
+    block = min(_BLOCK, sim.slots) * 2 * cfg.L * cfg.N_R * 4
+    return 8 * (sim.slots * (3 * cfg.L + 17) + threads * block)
 
 
 def _sample(cfg: ChannelConfig, sim: SimConfig):

@@ -7,6 +7,8 @@ here is a deterministic pure function; no numpy required.
 import math
 import sys
 
+__all__ = ["exp_integral_e1", "exp_scaled_e1", "exp_scaled_en"]
+
 EULER_GAMMA = 0.5772156649015328606
 
 _EPS = 0.5 * sys.float_info.epsilon

@@ -178,13 +178,18 @@ def test_argparse_rejections():
     {"grid": [4000]},
     {"snr_db": -4000},
     {"snr_db": 4000},
+    # estimated memory beyond the machine's, rejected before any work
+    {"sim": {"slots": 10**12}, "methods": "monte-carlo"},
+    {"experiment": "grouping-sweep", "channel": {"L": 10**30, "M": 1}},
+    {"experiment": "grouping-sweep", "channel": {"L": 10**30, "M": 1}, "methods": "analytic"},
 ], ids=[
     "channel-number", "channel-list", "sim-string", "grid-number",
     "methods-number", "L-overflow", "slots-float", "slots-bool",
     "seed-float", "workers-float", "sigma_g2-inf", "sigma_h2-nan",
     "noise_d-inf", "M-bool", "noise_r-bool", "snr_db-bool", "snr-grid-bool",
     "ratio-grid-bool", "snr-grid-underflow", "snr-grid-overflow",
-    "snr_db-underflow", "snr_db-overflow",
+    "snr_db-underflow", "snr_db-overflow", "slots-memory",
+    "grouping-grid-memory", "grouping-grid-memory-analytic",
 ])
 def test_malformed_config_exits_1_with_one_line(tmp_path, capsys, payload):
     payload = {"experiment": "snr-sweep", **payload}

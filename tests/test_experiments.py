@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import _slot_major
+import relaylab
 from relaylab import experiments, simulate
 from relaylab.channel import ChannelConfig
 from relaylab.experiments import (
     CSV_COLUMNS,
+    EXPERIMENTS,
     ConfigError,
     SweepRow,
     emit,
@@ -84,6 +87,45 @@ def test_invalid_specs_rejected():
         resolve_spec({"experiment": "ratio-sweep", "tolerance": 2.0})
     with pytest.raises(ConfigError):
         resolve_spec({"experiment": "ratio-sweep", "output_path": ""})
+
+
+_KEY_PATHS = [
+    (key,) for key in (
+        "experiment", "channel", "sim", "grid", "snr_db",
+        "total_antennas", "tolerance", "methods", "output_path",
+    )
+] + [
+    ("channel", key)
+    for key in ("L", "M", "N_R", "sigma_g2", "sigma_h2", "noise_r", "noise_d")
+] + [("sim", key) for key in ("slots", "seed", "workers")]
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 64)
+    | st.sampled_from([2**63, 10**30, -(10**30)])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+@settings(derandomize=True, deadline=None)
+@given(path=st.sampled_from(_KEY_PATHS), value=_JSON_VALUES)
+@example(path=("channel", "L"), value=10**30)
+def test_any_single_key_value_resolves_or_is_config_error(experiment, path, value):
+    raw = {"experiment": experiment}
+    if len(path) == 2:
+        raw[path[0]] = {path[1]: value}
+    else:
+        raw[path[0]] = value
+    try:
+        resolve_spec(raw)
+    except ConfigError:
+        pass
 
 
 def test_relay_sweep_requires_divisible_antennas():
@@ -259,7 +301,7 @@ def test_emit_sidecar_reproduces_spec(tmp_path):
     payload = json.loads((tmp_path / "v.summary.json").read_text())
     assert payload["row_count"] == len(result.rows)
     assert payload["spec"]["sim"]["seed"] == 42
-    assert "package" in payload["version"]
+    assert payload["version"]["package"] == relaylab.__version__
     # the sidecar spec resolves back to the identical ExperimentSpec
     assert resolve_spec(payload["spec"]) == spec
 
