@@ -71,6 +71,35 @@ def _draws_per_slot(cfg: ChannelConfig) -> int:
     return -(-need // _WORDS_PER_TICK) * _WORDS_PER_TICK
 
 
+def _pairwise_sum(rows):
+    """Sum over axis 0 in the order numpy's pairwise summation adds the same
+    values along a contiguous axis, so it equals ``.sum(axis=-1)`` of the
+    transposed layout bit for bit: left to right below 8 terms, eight
+    strided accumulators up to 128, halves split at a multiple of 8 above.
+    A left-to-right sum differs from 8 terms on. Each step is one long
+    elementwise pass, which beats numpy's reduction over a short axis."""
+    n = rows.shape[0]
+    if n < 8:
+        out = rows[0].copy()
+        for row in rows[1:]:
+            out += row
+        return out
+    if n <= 128:
+        acc = rows[:8].copy()
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            acc += rows[i:i + 8]
+        out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
+            (acc[4] + acc[5]) + (acc[6] + acc[7])
+        )
+        for row in rows[tail:]:
+            out += row
+        return out
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
+
+
 def sample_gains(cfg: ChannelConfig, seed: int, start_slot: int, count: int):
     """Draw fading for slots [start_slot, start_slot + count).
 
@@ -87,16 +116,21 @@ def sample_gains(cfg: ChannelConfig, seed: int, start_slot: int, count: int):
         key=seed,
         counter=[start_slot * (per_slot // _WORDS_PER_TICK), 0, 0, 0],
     )
-    raw = bits.random_raw(count * per_slot).reshape(count, per_slot)[:, :need]
-    # 53-bit uniform strictly inside (0,1): -log stays finite.
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    e = -np.log(u)
-    half = cfg.L * cfg.N_R
-    sr = e[:, :half].reshape(count, cfg.L, cfg.N_R).sum(axis=2)
-    sr *= 2.0 * cfg.sigma_g2
-    rd2 = e[:, half:].reshape(count, cfg.L, cfg.N_R).sum(axis=2)
-    rd2 *= 2.0 * cfg.sigma_h2
-    return sr, np.sqrt(rd2)
+    raw = bits.random_raw(count * per_slot).reshape(count, per_slot)
+    # 53-bit uniform strictly inside (0,1): log stays finite. Each step
+    # works in place; negating after the antenna sum, folded into the
+    # scale, gives the same bits as summing negated logs, because rounding
+    # is symmetric in sign.
+    np.right_shift(raw, 11, out=raw)
+    u = raw[:, :need].astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    np.log(u, out=u)
+    # Each link's N_R logs are contiguous: sum the strided antenna columns.
+    links = _pairwise_sum(u.reshape(-1, cfg.N_R).T).reshape(count, 2 * cfg.L)
+    sr = links[:, :cfg.L] * (-2.0 * cfg.sigma_g2)
+    rd2 = links[:, cfg.L:] * (-2.0 * cfg.sigma_h2)
+    return sr, np.sqrt(rd2, out=rd2)
 
 
 def _check_cdf_args(z, group_size, shape, sigma2):

@@ -12,7 +12,7 @@ import logging
 import math
 import os
 import subprocess
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import List, Tuple
 
@@ -105,6 +105,9 @@ class SweepRow:
     throughput: float
     std_error: float
     method: str
+    # sidecar only, not a CSV column (see ThroughputEstimate), so rows that
+    # round-trip through the CSV compare equal
+    boundary_ambiguous: bool = field(default=False, compare=False)
 
 
 @dataclass
@@ -347,18 +350,21 @@ def _row(label, cfg, snr_db, point, est) -> SweepRow:
         throughput=est.value,
         std_error=est.std_error,
         method=est.method,
+        boundary_ambiguous=est.boundary_ambiguous,
     )
 
 
 def _evaluators(spec, label, cfg):
-    """Evaluators for one label in method order, for the methods the spec
-    asks for; the selection and decode-forward baselines have no closed
-    form."""
+    """(evaluator, means) for one label in method order, for the methods the
+    spec asks for; the selection and decode-forward baselines have no closed
+    form. means gives a Monte Carlo value without its standard error, for
+    the split search to compare; a closed form has none to skip."""
     out = []
     if "analytic" in spec.methods and label not in ("crs", "df", "sfd-mmrs"):
-        out.append(partial(_closed_form, label, cfg))
+        out.append((partial(_closed_form, label, cfg), None))
     if "monte-carlo" in spec.methods:
-        out.append(partial(_SIMULATORS[label], cfg, spec.sim))
+        mc = partial(_SIMULATORS[label], cfg, spec.sim)
+        out.append((mc, partial(mc, std_error=False)))
     return out
 
 
@@ -455,10 +461,12 @@ def run_experiment(spec: ExperimentSpec) -> SweepResult:
     rows = [[] for _ in points]
     for i in sorted(range(len(points)), key=lambda i: first[points[i][1]]):
         label, cfg, snr_db, split = points[i]
-        for evaluate in _evaluators(spec, label, cfg):
+        for evaluate, means in _evaluators(spec, label, cfg):
             if split is None:
                 budget = PowerBudget(label, _snr_linear(snr_db), cfg.L)
-                point, est = maximize_throughput(budget, evaluate, spec.tolerance)
+                point, est = maximize_throughput(
+                    budget, evaluate, spec.tolerance, means
+                )
             else:
                 point, est = split, evaluate_split(evaluate, split)
             rows[i].append(_row(label, cfg, snr_db, point, est))
@@ -497,14 +505,26 @@ def _version_info() -> dict:
     return {"package": __version__, "git": described}
 
 
+def _ambiguous_rows(rows) -> list:
+    """Index and key columns of each row whose value min-combines two means
+    that lie within one standard error of each other."""
+    keys = [c for c in CSV_COLUMNS if c not in ("throughput", "std_error")]
+    return [
+        {"row": i, **{c: getattr(row, c) for c in keys}}
+        for i, row in enumerate(rows) if row.boundary_ambiguous
+    ]
+
+
 def write_summary(result: SweepResult, path: str):
-    """JSON sidecar with the resolved spec, version, and run summary."""
+    """JSON sidecar with the resolved spec, version, run summary and the
+    boundary-ambiguous rows."""
     payload = {
         "experiment": result.spec.experiment,
         "spec": asdict(result.spec),
         "version": _version_info(),
         "row_count": len(result.rows),
         "summary": result.summary,
+        "boundary_ambiguous_rows": _ambiguous_rows(result.rows),
     }
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -10,7 +10,7 @@ search is one-dimensional in the ratio ps/pr.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 from .simulate import PROTOCOLS, ThroughputEstimate
 
@@ -89,32 +89,29 @@ def ratio_point(budget: PowerBudget, ratio: float) -> PowerPoint:
 Evaluator = Callable[[float, float], ThroughputEstimate]
 
 
+def _finite(value: float, point: PowerPoint) -> float:
+    if not math.isfinite(value):
+        raise OptimizationError(
+            f"objective returned {value!r} at ps={point.ps}, pr={point.pr}"
+        )
+    return value
+
+
 def evaluate_split(evaluator: Evaluator, point: PowerPoint) -> ThroughputEstimate:
     """evaluator at a power split; a non-finite value is a numerical failure."""
     est = evaluator(point.ps, point.pr)
-    if not math.isfinite(est.value):
-        raise OptimizationError(
-            f"objective returned {est.value!r} at ps={point.ps}, pr={point.pr}"
-        )
+    _finite(est.value, point)
     return est
 
 
-def _probe(budget, evaluator, u, cache):
-    if u not in cache:
-        point = ratio_point(budget, math.exp(u))
-        est = evaluate_split(evaluator, point)
-        cache[u] = (est.value, point, est)
-    return cache[u]
-
-
-def _significant_maxima(us, vals, cache):
+def _significant_maxima(us, vals, estimate):
     """Indices of local maxima on the grid that rise above MC noise."""
     best = max(range(len(us)), key=vals.__getitem__)
-    best_se = cache[us[best]][2].std_error
+    best_se = estimate(us[best]).std_error
     found = []
     for i in range(1, len(us) - 1):
         if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]:
-            se = math.hypot(cache[us[i]][2].std_error, best_se)
+            se = math.hypot(estimate(us[i]).std_error, best_se)
             if vals[i] >= vals[best] - 3.0 * se:
                 found.append(i)
     return found or [best]
@@ -124,6 +121,7 @@ def maximize_throughput(
     budget: PowerBudget,
     evaluator: Evaluator,
     tolerance: float = 1e-3,
+    means: Optional[Callable[[float, float], float]] = None,
 ) -> Tuple[PowerPoint, ThroughputEstimate]:
     """Maximize evaluator(ps, pr) along the budget-equality curve.
 
@@ -132,18 +130,41 @@ def maximize_throughput(
     relative ratio tolerance. If the coarse grid shows several local maxima
     beyond combined Monte Carlo noise, a 200-point grid re-locates the peak
     first. Returns the best probed point and its estimate.
+
+    means(ps, pr), if given, must return evaluator's value alone, more
+    cheaply (a Monte Carlo mean without its standard error). The search
+    then compares those values, and calls evaluator only at the points
+    whose standard error it reads: the coarse-grid maxima and the returned
+    point. The result is the same either way.
     """
     if not tolerance > 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
-    cache = {}
+    cache = {}  # ln(ratio) -> [value, point, full estimate once read]
+
+    def probe(u):
+        if u not in cache:
+            point = ratio_point(budget, math.exp(u))
+            if means is None:
+                est = evaluate_split(evaluator, point)
+                cache[u] = [est.value, point, est]
+            else:
+                cache[u] = [_finite(means(point.ps, point.pr), point), point, None]
+        return cache[u][0]
+
+    def estimate(u):
+        entry = cache[u]
+        if entry[2] is None:
+            entry[2] = evaluate_split(evaluator, entry[1])
+        return entry[2]
+
     ulo, uhi = (math.log(r) for r in _RATIO_BOUNDS)
     step = (uhi - ulo) / (_COARSE_POINTS - 1)
     us = [ulo + i * step for i in range(_COARSE_POINTS)]
-    vals = [_probe(budget, evaluator, u, cache)[0] for u in us]
-    if len(_significant_maxima(us, vals, cache)) > 1:
+    vals = [probe(u) for u in us]
+    if len(_significant_maxima(us, vals, estimate)) > 1:
         step = (uhi - ulo) / 199
         us = [ulo + i * step for i in range(200)]
-        vals = [_probe(budget, evaluator, u, cache)[0] for u in us]
+        vals = [probe(u) for u in us]
     best = max(range(len(us)), key=vals.__getitem__)
     a = us[max(best - 1, 0)]
     b = us[min(best + 1, len(us) - 1)]
@@ -151,17 +172,16 @@ def maximize_throughput(
     width_goal = math.log1p(tolerance)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc = _probe(budget, evaluator, c, cache)[0]
-    fd = _probe(budget, evaluator, d, cache)[0]
+    fc = probe(c)
+    fd = probe(d)
     while (b - a) > width_goal:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = _probe(budget, evaluator, c, cache)[0]
+            fc = probe(c)
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = _probe(budget, evaluator, d, cache)[0]
+            fd = probe(d)
     u_best = max(cache, key=lambda u: cache[u][0])
-    _, point, est = cache[u_best]
-    return point, est
+    return cache[u_best][1], estimate(u_best)

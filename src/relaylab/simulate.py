@@ -8,9 +8,10 @@ stream at a time, relay-major with shape (L, slots), so every reduction over
 relays is a sweep over contiguous rows; sums over relays keep numpy's
 pairwise order, so the statistics match a slot-major reduction bit for bit.
 
-Slots are sampled in fixed-size blocks addressed by absolute slot index; the
-worker count only changes how blocks are dispatched, never any value, so
-results are bit-identical at any parallelism level.
+Slots are sampled in draw-sized blocks (about 2^17 draws each, so a block's
+temporaries stay near cache) addressed by absolute slot index; the block
+size and the worker count only change how slots are dispatched, never any
+value, so results are bit-identical at any parallelism level.
 """
 
 import math
@@ -19,10 +20,11 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from typing import Union
 
 import numpy as np
 
-from .channel import ChannelConfig, sample_gains
+from .channel import ChannelConfig, _pairwise_sum, sample_gains
 
 __all__ = [
     "PROTOCOLS",
@@ -33,7 +35,8 @@ __all__ = [
     "stream_bytes",
 ]
 
-_BLOCK = 1 << 15
+# Draws per sampling block: 2^16 to 2^18 measured alike, 2^19 slower.
+_BLOCK_DRAWS = 1 << 17
 _INV_LN2 = 1.0 / math.log(2.0)
 
 
@@ -82,30 +85,37 @@ class ThroughputEstimate:
             raise ValueError("analytic estimates carry no standard error")
 
 
+def _block_slots(cfg: ChannelConfig) -> int:
+    """Slots per sampling block: _BLOCK_DRAWS draws, at least one slot."""
+    return max(1, _BLOCK_DRAWS // (2 * cfg.L * cfg.N_R))
+
+
 def stream_bytes(cfg: ChannelConfig, sim: SimConfig) -> int:
     """Upper estimate, in bytes, of what the cached fading stream of (cfg,
     sim) holds at its peak: the two (L, slots) gain arrays; crs's (L, slots)
-    square plus 17 slot-long rows of statistics and probe temporaries (16.4
-    measured); one sampling block per thread at 4 float64 copies per draw
-    (3.5 measured)."""
+    square plus 17 slot-long rows of statistics and probe temporaries (16.0
+    measured at L >= 8, from df's relay sum beside adb's statistics; 15.0
+    below); one sampling block per thread at 4 float64 copies per draw (2
+    measured)."""
     threads = min(sim.workers, os.cpu_count() or 1)
-    block = min(_BLOCK, sim.slots) * 2 * cfg.L * cfg.N_R * 4
+    block = min(_block_slots(cfg), sim.slots) * 2 * cfg.L * cfg.N_R * 4
     return 8 * (sim.slots * (3 * cfg.L + 17) + threads * block)
 
 
 def _sample(cfg: ChannelConfig, sim: SimConfig):
     """Sampled (sr_gain, rd_norm) arrays of shape (L, slots), read-only."""
     slots = sim.slots
+    block = _block_slots(cfg)
     sr = np.empty((cfg.L, slots))
     rd = np.empty((cfg.L, slots))
 
     def fill(start):
-        n = min(_BLOCK, slots - start)
+        n = min(block, slots - start)
         block_sr, block_rd = sample_gains(cfg, sim.seed, start, n)
         sr[:, start:start + n] = block_sr.T
         rd[:, start:start + n] = block_rd.T
 
-    starts = range(0, slots, _BLOCK)
+    starts = range(0, slots, block)
     workers = min(sim.workers, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -162,34 +172,6 @@ class _GainCache:
 _cache = _GainCache()
 
 
-def _relay_sum(rows):
-    """Sum of relay rows (axis 0) in the order numpy's pairwise summation
-    adds the same values along a contiguous axis, so it equals the
-    slot-major ``.sum(axis=1)`` bit for bit: left to right below 8 terms,
-    eight strided accumulators up to 128, halves split at a multiple of 8
-    above. A left-to-right sum differs from 8 terms on."""
-    n = rows.shape[0]
-    if n < 8:
-        out = rows[0].copy()
-        for row in rows[1:]:
-            out += row
-        return out
-    if n <= 128:
-        acc = rows[:8].copy()
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            acc += rows[i:i + 8]
-        out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
-            (acc[4] + acc[5]) + (acc[6] + acc[7])
-        )
-        for row in rows[tail:]:
-            out += row
-        return out
-    half = n // 2
-    half -= half % 8
-    return _relay_sum(rows[:half]) + _relay_sum(rows[half:])
-
-
 def _top2(rows):
     """Per-slot largest and second-largest values over the relay rows, and
     the row of the largest; ties go to the lowest index, as argmax gives."""
@@ -209,9 +191,9 @@ def _top2(rows):
 def _adb_stats(sr, rd, m):
     return (
         sr[:m].min(axis=0),
-        _relay_sum(rd[:m]) ** 2,
+        _pairwise_sum(rd[:m]) ** 2,
         sr[m:].min(axis=0),
-        _relay_sum(rd[m:]) ** 2,
+        _pairwise_sum(rd[m:]) ** 2,
     )
 
 
@@ -220,25 +202,35 @@ def _crs_stats(sr, rd):
 
 
 def _df_stats(sr, rd):
-    return sr.min(axis=0), _relay_sum(rd) ** 2
+    return sr.min(axis=0), _pairwise_sum(rd) ** 2
 
 
 def _sfd_stats(sr, rd):
-    """Power-independent selection statistics: best/second-best source-side
-    gains, best/second-best destination-side squared norms, collision mask."""
+    """Power-independent selection statistics: the best source-side gains
+    and destination-side squared norms, the slots where one relay is best
+    on both sides, and the second-best of each side on those slots only."""
     sr1, sr2, r1 = _top2(sr)
     rd1, rd2, t1 = _top2(rd)
-    return sr1, sr2, rd1**2, rd2**2, r1 == t1
+    collide = np.flatnonzero(r1 == t1)
+    return sr1, rd1**2, collide, sr2[collide], rd2[collide] ** 2
 
 
 def _rate(x):
-    """log2(1 + x) elementwise."""
-    return np.log1p(x) * _INV_LN2
+    """log2(1 + x) elementwise, in place: x must be a temporary. One
+    slot-long buffer per rate, not three, keeps probes off freshly mapped,
+    page-faulting memory."""
+    np.log1p(x, out=x)
+    x *= _INV_LN2
+    return x
 
 
-def _mean_se(x):
+def _mean_se(x, se=True):
+    """Mean of x and its standard error; the error is NaN when se is false,
+    which saves its second pass over x."""
     n = x.shape[0]
     mean = float(x.mean())
+    if not se:
+        return mean, math.nan
     if n < 2:
         return mean, 0.0
     return mean, float(x.std(ddof=1) / math.sqrt(n))
@@ -254,23 +246,23 @@ def _min_of_means(a, b):
     return value, se, ambiguous
 
 
-def _term_reduce(i, stats, a, b):
+def _term_reduce(i, stats, a, b, se):
     """Component rate i of _adb_stats: c11, c22 (group one), c21, c12 (group
     two); the broadcast rates (even i) see power a, the beamforming rates
     b."""
-    return (*_mean_se(_rate((b if i % 2 else a) * stats[i])), False)
+    return (*_mean_se(_rate((b if i % 2 else a) * stats[i]), se), False)
 
 
-def _adb_reduce(stats, a, b):
+def _adb_reduce(stats, a, b, se):
     """Alternating groups: the four component rates are averaged over slots,
     then 0.5*min(mean11, mean22) + 0.5*min(mean21, mean12)."""
-    e11, e22, e21, e12 = (_term_reduce(i, stats, a, b)[:2] for i in range(4))
+    e11, e22, e21, e12 = (_term_reduce(i, stats, a, b, se)[:2] for i in range(4))
     v1, s1, amb1 = _min_of_means(e11, e22)
     v2, s2, amb2 = _min_of_means(e21, e12)
     return 0.5 * (v1 + v2), 0.5 * math.hypot(s1, s2), amb1 or amb2
 
 
-def _crs_reduce(stats, a, b):
+def _crs_reduce(stats, a, b, se):
     """Best-relay selection: half the capacity of the strongest end-to-end
     min link."""
     sr, rd2 = stats
@@ -282,14 +274,20 @@ def _crs_reduce(stats, a, b):
         np.multiply(b, rd2_row, out=other)
         np.minimum(link, other, out=link)
         np.maximum(best, link, out=best)
-    return (*_mean_se(0.5 * _rate(best)), False)
+    rate = _rate(best)
+    rate *= 0.5
+    return (*_mean_se(rate, se), False)
 
 
-def _df_reduce(stats, a, b):
+def _df_reduce(stats, a, b, se):
     """All-relay decode-and-forward: the weakest relay must decode, all
     relays beamform."""
     min_all, beam_all = stats
-    return (*_mean_se(0.5 * _rate(np.minimum(a * min_all, b * beam_all))), False)
+    link = a * min_all
+    np.minimum(link, b * beam_all, out=link)
+    rate = _rate(link)
+    rate *= 0.5
+    return (*_mean_se(rate, se), False)
 
 
 def _sfd_links(stats, a, b):
@@ -299,32 +297,34 @@ def _sfd_links(stats, a, b):
     Best receive and best transmit relays are chosen independently; on a
     collision the weaker of the two swap options is dropped: keep (r2, t1)
     if min(g_sr[r2], g_rd[t1]) >= min(g_sr[r1], g_rd[t2]), else (r1, t2).
-    Ties go to the lowest relay index.
+    Ties go to the lowest relay index. The rule only runs on the colliding
+    slots.
     """
-    sr1, sr2, rd1, rd2, collide = stats
-    g_sr1 = a * sr1
+    sr1, rd1, collide, sr2, rd2 = stats
+    recv = a * sr1
+    trans = b * rd1
+    g_sr1 = recv[collide]
+    g_rd1 = trans[collide]
     g_sr2 = a * sr2
-    g_rd1 = b * rd1
     g_rd2 = b * rd2
-    demote_recv = collide & (np.minimum(g_sr2, g_rd1) >= np.minimum(g_sr1, g_rd2))
-    demote_trans = collide & ~demote_recv
-    return (
-        np.where(demote_recv, g_sr2, g_sr1),
-        np.where(demote_trans, g_rd2, g_rd1),
-    )
+    demote_recv = np.minimum(g_sr2, g_rd1) >= np.minimum(g_sr1, g_rd2)
+    recv[collide] = np.where(demote_recv, g_sr2, g_sr1)
+    trans[collide] = np.where(demote_recv, g_rd1, g_rd2)
+    return recv, trans
 
 
-def _sfd_reduce(stats, a, b):
+def _sfd_reduce(stats, a, b, se):
     """Full-duplex-mimicking selection: the smaller of the mean receive-link
     and mean transmit-link capacities, no half prefactor."""
     recv, trans = _sfd_links(stats, a, b)
-    return _min_of_means(_mean_se(_rate(recv)), _mean_se(_rate(trans)))
+    return _min_of_means(_mean_se(_rate(recv), se), _mean_se(_rate(trans), se))
 
 
 # label -> (stats, ChannelConfig fields stats reads beyond the gains,
 # reduce). stats(sr_gain, rd_norm, *fields) gives the power-independent
-# per-slot arrays, cached with the stream; reduce(stats, a, b) gives (mean,
-# se, boundary_ambiguous) at a = ps/noise_r, b = pr/noise_d. The four
+# per-slot arrays, cached with the stream; reduce(stats, a, b, se) gives
+# (mean, se, boundary_ambiguous) at a = ps/noise_r, b = pr/noise_d, with
+# the standard error NaN, and the flag meaningless, if se is false. The four
 # protocols come first, in protocol (and row) order; the alternating
 # scheme's component rates follow, one per _adb_stats array, so they share
 # its statistics.
@@ -348,17 +348,22 @@ def _stats(label, cfg: ChannelConfig, sim: SimConfig):
 
 
 def estimate(
-    label: str, cfg: ChannelConfig, sim: SimConfig, ps, pr
-) -> ThroughputEstimate:
+    label: str, cfg: ChannelConfig, sim: SimConfig, ps, pr, std_error: bool = True
+) -> Union[ThroughputEstimate, float]:
     """Monte Carlo throughput of one protocol, or rate of one adb component
     term ("c11", "c22", "c21", "c12"), at source power ps and relay power
-    pr, from the shared fading stream of (cfg, sim)."""
+    pr, from the shared fading stream of (cfg, sim), as a
+    ThroughputEstimate. With std_error false only the value is computed, and
+    returned as a float, for searches that compare values: the standard
+    error takes a second pass over the slots."""
     if not ps > 0 or not pr > 0:
         raise ValueError(f"powers must be > 0, got ps={ps!r}, pr={pr!r}")
     reduce = _TABLE[label][2]
     # an overflowing rate shows as a non-finite value, which callers check
     with np.errstate(over="ignore", invalid="ignore"):
         mean, se, ambiguous = reduce(
-            _stats(label, cfg, sim), ps / cfg.noise_r, pr / cfg.noise_d
+            _stats(label, cfg, sim), ps / cfg.noise_r, pr / cfg.noise_d, std_error
         )
+    if not std_error:
+        return mean
     return ThroughputEstimate(mean, se, "monte-carlo", ambiguous)

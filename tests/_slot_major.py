@@ -113,9 +113,20 @@ def sim_sfd_mmrs(cfg, sim, ps, pr):
     return ThroughputEstimate(value, se, "monte-carlo", ambiguous)
 
 
+def _estimator(sim_fn):
+    """sim_fn with relaylab.simulate.estimate's calling convention: with
+    std_error false only the value is returned."""
+
+    def call(cfg, sim, ps, pr, std_error=True):
+        est = sim_fn(cfg, sim, ps, pr)
+        return est if std_error else est.value
+
+    return call
+
+
 SIMULATORS = {
-    "adb": sim_adb,
-    "crs": sim_crs,
-    "df": sim_df,
-    "sfd-mmrs": sim_sfd_mmrs,
+    "adb": _estimator(sim_adb),
+    "crs": _estimator(sim_crs),
+    "df": _estimator(sim_df),
+    "sfd-mmrs": _estimator(sim_sfd_mmrs),
 }

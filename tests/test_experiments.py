@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -306,6 +307,34 @@ def test_emit_sidecar_reproduces_spec(tmp_path):
     assert resolve_spec(payload["spec"]) == spec
 
 
+def test_sidecar_lists_boundary_ambiguous_rows(tmp_path):
+    # the flag rides on each row and is listed in the sidecar, never in the
+    # CSV: clearing it leaves the CSV bytes as they are
+    raw = {
+        "experiment": "relay-sweep",
+        "grid": [2, 4],
+        "sim": {"slots": 20_000},
+        "output_path": str(tmp_path / "r.csv"),
+    }
+    result = run_experiment(resolve_spec(raw))
+    flagged = [i for i, row in enumerate(result.rows) if row.boundary_ambiguous]
+    assert flagged
+    csv_path, summary_path = emit(result)
+    cleared = replace(
+        result, rows=[replace(row, boundary_ambiguous=False) for row in result.rows]
+    )
+    write_csv(cleared, str(tmp_path / "cleared.csv"))
+    with open(csv_path, "rb") as a, open(tmp_path / "cleared.csv", "rb") as b:
+        assert a.read() == b.read()
+    listed = json.loads((tmp_path / "r.summary.json").read_text())["boundary_ambiguous_rows"]
+    assert [entry["row"] for entry in listed] == flagged
+    row = result.rows[flagged[0]]
+    assert listed[0] == {
+        "row": flagged[0],
+        **{c: getattr(row, c) for c in CSV_COLUMNS if c not in ("throughput", "std_error")},
+    }
+
+
 def test_load_spec_errors(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -321,7 +350,8 @@ def test_load_spec_errors(tmp_path):
 
 def test_grouping_sweep_samples_each_stream_once(monkeypatch):
     # every group split and power probe reads one cached stream: the gain
-    # cache is keyed only on what sample_gains reads, not on M
+    # cache is keyed only on what sample_gains reads, not on M. The calls
+    # tile [0, slots) once, in contiguous blocks of 2^17 draws at most.
     calls = []
     sample_gains = simulate.sample_gains
 
@@ -338,8 +368,13 @@ def test_grouping_sweep_samples_each_stream_once(monkeypatch):
         "sim": {"slots": slots, "seed": 5},
         "methods": ["monte-carlo"],
     }))
-    assert len(calls) == -(-slots // 32_768)
-    assert sorted(calls) == [(0, 32_768), (32_768, 32_768), (65_536, 4_464)]
+    block = simulate._BLOCK_DRAWS // (2 * 6 * 2)
+    assert len(calls) == -(-slots // block)
+    end = 0
+    for start, count in sorted(calls):
+        assert start == end and 1 <= count <= block
+        end = start + count
+    assert end == slots
 
 
 def _mc_csv_bytes(tmp_path, name, raw):

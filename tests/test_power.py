@@ -1,8 +1,10 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from relaylab import simulate
 from relaylab.analytic import adb_closed
 from relaylab.channel import ChannelConfig
 from relaylab.power import (
@@ -18,6 +20,14 @@ from relaylab.simulate import SimConfig, ThroughputEstimate, estimate
 
 def _analytic(value):
     return ThroughputEstimate(value, 0.0, "analytic")
+
+
+def _two_peaks(ps, pr):
+    """Two near-equal narrow peaks with nonzero reported noise."""
+    u = math.log(ps / pr)
+    a = 1.00 * math.exp(-((u + 2.3) ** 2) / 0.05)
+    b = 1.02 * math.exp(-((u - 2.3) ** 2) / 0.05)
+    return ThroughputEstimate(a + b, 0.01, "monte-carlo")
 
 
 def test_budget_pr_examples():
@@ -147,10 +157,7 @@ def test_multimodal_fallback_finds_global_peak():
 
     def two_peaks(ps, pr):
         calls.append((ps, pr))
-        u = math.log(ps / pr)
-        a = 1.00 * math.exp(-((u + 2.3) ** 2) / 0.05)
-        b = 1.02 * math.exp(-((u - 2.3) ** 2) / 0.05)
-        return ThroughputEstimate(a + b, 0.01, "monte-carlo")
+        return _two_peaks(ps, pr)
 
     point, est = maximize_throughput(budget, two_peaks, tolerance=1e-3)
     assert math.log(point.ps / point.pr) == pytest.approx(2.3, abs=0.01)
@@ -171,3 +178,56 @@ def test_parameter_validation():
         maximize_throughput(budget, ev, tolerance=0.0)
     with pytest.raises(ValueError):
         ratio_point(budget, 0.0)
+
+
+@pytest.mark.parametrize("case", [*PROTOCOLS, "adb-analytic", "two-peaks"])
+def test_value_only_probes_give_the_same_optimum(monkeypatch, case):
+    # the search compares values from `means` and reads standard errors
+    # only at coarse-grid points and the returned point; it must return
+    # exactly what a search on full estimates returns
+    cfg = ChannelConfig(L=4, M=2, N_R=2)
+    protocol = case if case in PROTOCOLS else "adb"
+    if case in PROTOCOLS:
+        full = partial(estimate, case, cfg, SimConfig(slots=20_000, seed=11))
+        value = partial(full, std_error=False)
+    elif case == "adb-analytic":
+        full = lambda ps, pr: _analytic(adb_closed(ps, pr, cfg))
+        value = lambda ps, pr: adb_closed(ps, pr, cfg)
+    else:
+        full = _two_peaks
+        value = lambda ps, pr: _two_peaks(ps, pr).value
+    budget = PowerBudget(protocol, 10.0, cfg.L)
+    want_point, want = maximize_throughput(budget, full)
+
+    # log every call, and every standard error computed under it
+    calls, stds = [], []
+    mean_se = simulate._mean_se
+
+    def counting_mean_se(x, se=True):
+        if se:
+            stds.append(calls[-1])
+        return mean_se(x, se)
+
+    def logged(kind, fn):
+        def call(ps, pr):
+            calls.append((kind, ps, pr))
+            return fn(ps, pr)
+        return call
+
+    monkeypatch.setattr(simulate, "_mean_se", counting_mean_se)
+    point, got = maximize_throughput(
+        budget, logged("full", full), means=logged("value", value)
+    )
+    assert point == want_point
+    assert (got.value, got.std_error, got.boundary_ambiguous) == (
+        want.value, want.std_error, want.boundary_ambiguous
+    )
+    # the coarse grid is probed first; full estimates are made once each,
+    # on grid points or at the returned point, and only they compute a std
+    grid = {(ps, pr) for _, ps, pr in calls[:25]}
+    full_points = [(ps, pr) for kind, ps, pr in calls if kind == "full"]
+    assert full_points and len(set(full_points)) == len(full_points)
+    assert set(full_points) <= grid | {(point.ps, point.pr)}
+    assert all(kind == "full" for kind, _, _ in stds)
+    if case in PROTOCOLS:
+        assert len(stds) >= len(full_points)

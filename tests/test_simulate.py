@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import _slot_major
 from _oracles import select_sfd
 from relaylab import simulate
-from relaylab.channel import ChannelConfig, sample_gains
+from relaylab.channel import ChannelConfig, _pairwise_sum, sample_gains
 from relaylab.simulate import (
     PROTOCOLS,
     SimConfig,
@@ -16,10 +17,10 @@ from relaylab.simulate import (
     _adb_stats,
     _df_stats,
     _rate,
-    _relay_sum,
     _sfd_links,
     _sfd_stats,
     estimate,
+    stream_bytes,
 )
 
 CFG = ChannelConfig(L=4, M=2, N_R=3)
@@ -55,7 +56,7 @@ def _slot_rate(protocol, sr_gain, rd_norm, ps, pr, m=None):
     sr = np.asarray(sr_gain, dtype=np.float64).reshape(-1, 1)
     rd = np.asarray(rd_norm, dtype=np.float64).reshape(-1, 1)
     stats = build(sr, rd, *([m] if fields else []))
-    return reduce(stats, ps, pr)[0]
+    return reduce(stats, ps, pr, True)[0]
 
 
 def test_adb_hand_state():
@@ -147,7 +148,7 @@ def test_worker_count_does_not_change_values(monkeypatch):
 @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
 def test_sampling_threads_capped_at_cpu_count(monkeypatch, cpus, pools):
     # the fake pool records its requested size and fills blocks inline, so
-    # an absurd worker count starts no thread; 70k slots make three blocks
+    # an absurd worker count starts no thread; 70k slots make 13 blocks
     sizes = []
 
     class RecordingPool:
@@ -174,15 +175,35 @@ def test_sampling_threads_capped_at_cpu_count(monkeypatch, cpus, pools):
     assert gains[0] == gains[1]
 
 
+@pytest.mark.parametrize("L, N_R", [(2, 24), (12, 4), (4, 1)])
+def test_stream_bytes_bounds_traced_peak(L, N_R):
+    # sampling, every protocol's statistics and one probe each, measured by
+    # tracemalloc, which numpy reports its buffers to; at 150k slots the
+    # slot-long rows outweigh the sampling block, and the last block is
+    # partial
+    cfg = ChannelConfig(L=L, M=L // 2, N_R=N_R)
+    sim = SimConfig(slots=150_000, seed=1)
+    simulate._cache.clear()
+    tracemalloc.start()
+    try:
+        for protocol in PROTOCOLS:
+            estimate(protocol, cfg, sim, 2.0, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        simulate._cache.clear()
+    assert 2 * 8 * L * sim.slots < peak <= stream_bytes(cfg, sim)
+
+
 @pytest.mark.parametrize("n", [*range(1, 21), 64, 129, 300])
 def test_relay_sum_matches_slot_major_sum(n):
     # numpy sums a contiguous axis pairwise: left to right below 8 terms,
     # eight accumulators up to 128, split in halves above
     rng = np.random.default_rng(n)
     x = rng.exponential(size=(3_000, n)) * rng.exponential(1e3, size=(3_000, 1))
-    assert np.array_equal(_relay_sum(np.ascontiguousarray(x.T)), x.sum(axis=1))
+    assert np.array_equal(_pairwise_sum(np.ascontiguousarray(x.T)), x.sum(axis=1))
     m = n // 2
-    assert np.array_equal(_relay_sum(x.T[m:]), x[:, m:].sum(axis=1))
+    assert np.array_equal(_pairwise_sum(x.T[m:]), x[:, m:].sum(axis=1))
 
 
 def _same_bits(got, want):
@@ -201,10 +222,17 @@ def test_relay_major_statistics_match_slot_major():
             _adb_stats(rows_sr, rows_rd, m), _slot_major.adb_stats(sr, rd, m)
         )
     assert _same_bits(_df_stats(rows_sr, rows_rd), _slot_major.df_stats(sr, rd))
+    # sfd keeps the second-best gains on the colliding slots only
     for L in (2, 3, 20):
+        sr1, rd1, collide, sr2, rd2 = _sfd_stats(rows_sr[:L], rows_rd[:L])
+        o_sr1, o_sr2, o_rd1, o_rd2, o_collide = _slot_major.sfd_stats(
+            sr[:, :L], rd[:, :L]
+        )
+        want = np.flatnonzero(o_collide)
+        assert want.size > 0
         assert _same_bits(
-            _sfd_stats(rows_sr[:L], rows_rd[:L]),
-            _slot_major.sfd_stats(sr[:, :L], rd[:, :L]),
+            (sr1, rd1, collide, sr2, rd2),
+            (o_sr1, o_rd1, want, o_sr2[want], o_rd2[want]),
         )
 
 
@@ -218,7 +246,7 @@ def test_sfd_statistics_match_scalar_rule_with_ties(L):
     sr = rng.integers(1, 4, size=(L, n)).astype(np.float64)
     rd = np.sqrt(rng.integers(1, 4, size=(L, n)).astype(np.float64))
     stats = _sfd_stats(sr, rd)
-    assert stats[4].mean() > 0.2
+    assert stats[2].size > 0.2 * n
     for ps, pr in ((1.0, 1.0), (2.0, 0.5), (100.0, 1.0), (0.01, 3.0)):
         recv, trans = _sfd_links(stats, ps, pr)
         for i in range(n):
