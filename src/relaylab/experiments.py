@@ -11,6 +11,7 @@ import json
 import logging
 import math
 import os
+import resource
 import subprocess
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -33,8 +34,11 @@ from .simulate import (
     TERMS,
     SimConfig,
     ThroughputEstimate,
+    cache_info,
     estimate,
+    prepare,
     stream_bytes,
+    stream_key,
 )
 
 __all__ = [
@@ -115,6 +119,9 @@ class SweepResult:
     spec: ExperimentSpec
     rows: List[SweepRow]
     summary: dict
+    # how the run went (sampling passes, statistics bytes, peak RSS); the
+    # sidecar's diagnostics block, never a CSV byte
+    diagnostics: dict = field(default_factory=dict)
 
 
 def _snr_linear(snr_db: float) -> float:
@@ -162,14 +169,18 @@ def _default_grid(experiment: str, channel: ChannelConfig) -> tuple:
     )
 
 
-def _check_memory(sim: SimConfig, methods: tuple, entries: int, channels):
-    """Raise ConfigError when a sweep of grid entries over the fading streams
-    of channels would need more than physical memory: 8 KiB per entry (four
-    points of two rows; a point with its row measured about 700 bytes) plus,
-    for Monte Carlo, the largest stream."""
+def _check_memory(sim: SimConfig, methods: tuple, entries: int, requests):
+    """Raise ConfigError when a sweep of grid entries that estimates the
+    (label, cfg) pairs of requests would need more than physical memory: 8
+    KiB per entry (four points of two rows; a point with its row measured
+    about 700 bytes) plus, for Monte Carlo, the largest fading stream with
+    the statistics of all its requests."""
     need = entries * 8192
     if "monte-carlo" in methods:
-        need += max(stream_bytes(cfg, sim) for cfg in channels)
+        streams = {}
+        for label, cfg in requests:
+            streams.setdefault(stream_key(cfg, sim), []).append((label, cfg))
+        need += max(stream_bytes(group, sim) for group in streams.values())
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > limit:
         raise ConfigError(f"sweep needs about {need >> 20} MiB; physical memory is {limit >> 20} MiB")
@@ -284,7 +295,7 @@ def resolve_spec(raw: dict) -> ExperimentSpec:
 
     if "grid" not in raw and experiment == "grouping-sweep":
         # bound its L - 1 default entries before building them
-        _check_memory(sim, methods, channel.L - 1, [channel])
+        _check_memory(sim, methods, channel.L - 1, [("adb", channel)])
     spec = ExperimentSpec(
         experiment=experiment,
         channel=channel,
@@ -297,7 +308,8 @@ def resolve_spec(raw: dict) -> ExperimentSpec:
         output_path=output_path,
     )
     spec = replace(spec, grid=_validate_grid(spec))
-    _check_memory(sim, methods, len(spec.grid), {_channel(spec, e) for e in spec.grid})
+    requests = [(label, _channel(spec, e)) for label in _labels(experiment) for e in spec.grid]
+    _check_memory(sim, methods, len(spec.grid), requests)
     return spec
 
 
@@ -385,25 +397,36 @@ def _channel(spec: ExperimentSpec, entry) -> ChannelConfig:
     return base
 
 
+def _labels(experiment: str) -> tuple:
+    """The labels a sweep estimates, in row order: validate's terms in name
+    order, adb alone for the grouping and relay sweeps, else every
+    protocol."""
+    if experiment == "validate":
+        return tuple(sorted(TERMS))
+    if experiment in ("grouping-sweep", "relay-sweep"):
+        return ("adb",)
+    return PROTOCOLS
+
+
 def _points(spec: ExperimentSpec) -> list:
     """(label, cfg, snr_db, split) of every sweep point, in row order. split
     is a fixed PowerPoint, or None where the split is optimised."""
     base, exp = spec.channel, spec.experiment
+    labels = _labels(exp)
     if exp == "ratio-sweep":
         snr = _snr_linear(spec.snr_db)
         return [
             (p, base, spec.snr_db, ratio_point(PowerBudget(p, snr, base.L), r))
-            for p in PROTOCOLS for r in spec.grid
+            for p in labels for r in spec.grid
         ]
     if exp == "validate":
-        # term-major in name order
+        # label-major
         return [
             (term, _channel(spec, e), 10.0 * math.log10(e[2]), PowerPoint(e[2], e[2]))
-            for term in sorted(TERMS) for e in spec.grid
+            for term in labels for e in spec.grid
         ]
     if exp == "snr-sweep":
-        return [(p, base, snr_db, None) for p in PROTOCOLS for snr_db in spec.grid]
-    labels = PROTOCOLS if exp == "antenna-sweep" else ("adb",)
+        return [(p, base, snr_db, None) for p in labels for snr_db in spec.grid]
     return [(p, _channel(spec, e), spec.snr_db, None) for p in labels for e in spec.grid]
 
 
@@ -451,28 +474,52 @@ def run_experiment(spec: ExperimentSpec) -> SweepResult:
     """Evaluate every sweep point of spec by each method it asks for, at its
     fixed split or at the best split on the protocol's budget curve.
 
-    Points run grouped by ChannelConfig, in order of first appearance, so
-    each fading stream is sampled once and serves every label; rows are
-    emitted in point order, method-ordered within a point."""
+    Points run grouped by fading stream, in order of first appearance: for
+    Monte Carlo, one sampling pass builds the statistics of every label and
+    M value of a stream before its points run. Rows are emitted in point
+    order, method-ordered within a point."""
     points = _points(spec)
-    first = {}
-    for _, cfg, _, _ in points:
-        first.setdefault(cfg, len(first))
+    groups = {}
+    for i, (_, cfg, _, _) in enumerate(points):
+        groups.setdefault(stream_key(cfg, spec.sim), []).append(i)
     rows = [[] for _ in points]
-    for i in sorted(range(len(points)), key=lambda i: first[points[i][1]]):
-        label, cfg, snr_db, split = points[i]
-        for evaluate, means in _evaluators(spec, label, cfg):
-            if split is None:
-                budget = PowerBudget(label, _snr_linear(snr_db), cfg.L)
-                point, est = maximize_throughput(
-                    budget, evaluate, spec.tolerance, means
-                )
-            else:
-                point, est = split, evaluate_split(evaluate, split)
-            rows[i].append(_row(label, cfg, snr_db, point, est))
+    streams = []
+    monte_carlo = "monte-carlo" in spec.methods
+    for group in groups.values():
+        if monte_carlo:
+            passes = cache_info()["passes"]
+            prepare([points[i][:2] for i in group], spec.sim)
+        for i in group:
+            label, cfg, snr_db, split = points[i]
+            for evaluate, means in _evaluators(spec, label, cfg):
+                if split is None:
+                    budget = PowerBudget(label, _snr_linear(snr_db), cfg.L)
+                    point, est = maximize_throughput(
+                        budget, evaluate, spec.tolerance, means
+                    )
+                else:
+                    point, est = split, evaluate_split(evaluate, split)
+                rows[i].append(_row(label, cfg, snr_db, point, est))
+        if monte_carlo:
+            info = cache_info()
+            cfg = points[group[0]][1]
+            streams.append({
+                "L": cfg.L,
+                "N_R": cfg.N_R,
+                "sampling_passes": info["passes"] - passes,
+                "stats_bytes": info["stats_bytes"],
+            })
     rows = [row for point_rows in rows for row in point_rows]
     summarize = {"ratio-sweep": _peaks, "validate": _gaps}.get(spec.experiment)
-    return SweepResult(spec, rows, summarize(spec, rows) if summarize else {})
+    diagnostics = {
+        "streams": streams,
+        "max_stats_bytes": max((s["stats_bytes"] for s in streams), default=0),
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+    return SweepResult(
+        spec, rows, summarize(spec, rows) if summarize else {}, diagnostics
+    )
 
 
 def _format_cell(value) -> str:
@@ -516,8 +563,8 @@ def _ambiguous_rows(rows) -> list:
 
 
 def write_summary(result: SweepResult, path: str):
-    """JSON sidecar with the resolved spec, version, run summary and the
-    boundary-ambiguous rows."""
+    """JSON sidecar with the resolved spec, version, run summary, the
+    boundary-ambiguous rows and the run's diagnostics."""
     payload = {
         "experiment": result.spec.experiment,
         "spec": asdict(result.spec),
@@ -525,6 +572,7 @@ def write_summary(result: SweepResult, path: str):
         "row_count": len(result.rows),
         "summary": result.summary,
         "boundary_ambiguous_rows": _ambiguous_rows(result.rows),
+        "diagnostics": result.diagnostics,
     }
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -1,17 +1,18 @@
 """Monte Carlo throughput estimators for the four relaying protocols.
 
-All estimators share one fading sequence per (cfg, slots, seed): the sampled
-gain arrays are cached and each protocol reduces them to its own per-slot
-sufficient statistics, so protocol comparisons are paired (common random
-numbers) and repeated power points reuse the same draws. The cache holds one
-stream at a time, relay-major with shape (L, slots), so every reduction over
-relays is a sweep over contiguous rows; sums over relays keep numpy's
-pairwise order, so the statistics match a slot-major reduction bit for bit.
-
-Slots are sampled in draw-sized blocks (about 2^17 draws each, so a block's
-temporaries stay near cache) addressed by absolute slot index; the block
-size and the worker count only change how slots are dispatched, never any
-value, so results are bit-identical at any parallelism level.
+All estimators share one fading sequence per (cfg, slots, seed), so protocol
+comparisons are paired (common random numbers) and repeated power points
+reuse the same draws. The gains are never held whole. Slots are sampled in
+draw-sized blocks (about 2^17 draws each, so a block's temporaries stay near
+cache) addressed by absolute slot index; each block is turned relay-major,
+with shape (L, block slots), and reduced at once to every requested
+protocol's power-independent per-slot statistics, which are all the cache
+holds, one stream at a time. Reductions over relays sweep contiguous rows,
+and sums over relays keep numpy's pairwise order, so the statistics match a
+slot-major reduction of the whole stream bit for bit. Every statistic is per
+slot, so the block size and the worker count only change how slots are
+dispatched, never any value: results are bit-identical at any parallelism
+level.
 """
 
 import math
@@ -31,13 +32,27 @@ __all__ = [
     "TERMS",
     "SimConfig",
     "ThroughputEstimate",
+    "cache_info",
     "estimate",
+    "prepare",
     "stream_bytes",
+    "stream_key",
 ]
 
 # Draws per sampling block: 2^16 to 2^18 measured alike, 2^19 slower.
 _BLOCK_DRAWS = 1 << 17
+# Slots per probe chunk: a chunk's few rows stay in cache; 2^12 to 2^14
+# measured alike for df, 2^14 best for crs.
+_CHUNK = 1 << 14
 _INV_LN2 = 1.0 / math.log(2.0)
+
+# glibc gives a freed heap top above its trim threshold back to the OS, so
+# sampling blocks and probes whose temporaries outgrew it page-faulted them
+# in afresh every time (92k minor faults in relay-sweep's first stream at
+# 200k slots). The threshold rises to the largest mapping freed, up to 32
+# MiB, and never falls: freeing one untouched 16 MiB mapping here keeps
+# their memory mapped for the life of the process.
+np.empty(1 << 21)
 
 
 @dataclass(frozen=True)
@@ -90,86 +105,141 @@ def _block_slots(cfg: ChannelConfig) -> int:
     return max(1, _BLOCK_DRAWS // (2 * cfg.L * cfg.N_R))
 
 
-def stream_bytes(cfg: ChannelConfig, sim: SimConfig) -> int:
-    """Upper estimate, in bytes, of what the cached fading stream of (cfg,
-    sim) holds at its peak: the two (L, slots) gain arrays; crs's (L, slots)
-    square plus 17 slot-long rows of statistics and probe temporaries (16.0
-    measured at L >= 8, from df's relay sum beside adb's statistics; 15.0
-    below); one sampling block per thread at 4 float64 copies per draw (2
-    measured)."""
+def stream_key(cfg: ChannelConfig, sim: SimConfig) -> tuple:
+    """What identifies the fading stream of (cfg, sim): exactly what
+    sample_gains reads. M, the noise powers and the worker count never
+    change a draw."""
+    return (cfg.L, cfg.N_R, cfg.sigma_g2, cfg.sigma_h2, sim.slots, sim.seed)
+
+
+def _statistic(label, cfg: ChannelConfig):
+    """The (build, args) statistic that estimate(label, cfg, ...) reads."""
+    build, fields, _ = _TABLE[label]
+    return build, tuple(getattr(cfg, f) for f in fields)
+
+
+def stream_bytes(requests, sim: SimConfig) -> int:
+    """Upper estimate, in bytes, of what one fading stream needs at its peak
+    while the statistics of the (label, cfg) pairs of requests, all on that
+    stream, are built and probed. In slot-long float64 rows: the
+    statistics (adb and its terms 4 per M value, crs 2L, df 2, sfd-mmrs 8:
+    2, and up to 3 of collision indices and second-bests, doubled while the
+    blocks' parts are joined) and 6 rows of probe temporaries (5.1 measured
+    for sfd-mmrs at L = 2, 2.0 for the others); beside them one sampling
+    block per thread at 5 float64 copies per draw (4.1 measured)."""
+    requests = list(requests)
+    cfg = requests[0][1]
+    rows = {_adb_stats: 4, _crs_stats: 2 * cfg.L, _df_stats: 2, _sfd_stats: 8}
+    held = sum(rows[build] for build, _ in {_statistic(*r) for r in requests})
     threads = min(sim.workers, os.cpu_count() or 1)
-    block = min(_block_slots(cfg), sim.slots) * 2 * cfg.L * cfg.N_R * 4
-    return 8 * (sim.slots * (3 * cfg.L + 17) + threads * block)
+    block = min(_block_slots(cfg), sim.slots) * 2 * cfg.L * cfg.N_R * 5
+    return 8 * (sim.slots * (held + 6) + threads * block)
 
 
-def _sample(cfg: ChannelConfig, sim: SimConfig):
-    """Sampled (sr_gain, rd_norm) arrays of shape (L, slots), read-only."""
-    slots = sim.slots
-    block = _block_slots(cfg)
-    sr = np.empty((cfg.L, slots))
-    rd = np.empty((cfg.L, slots))
-
-    def fill(start):
-        n = min(block, slots - start)
-        block_sr, block_rd = sample_gains(cfg, sim.seed, start, n)
-        sr[:, start:start + n] = block_sr.T
-        rd[:, start:start + n] = block_rd.T
-
+def _stream(cfg: ChannelConfig, sim: SimConfig, statistics):
+    """Build each (build, args) of statistics over the whole stream of (cfg,
+    sim) in one sampling pass: each block is sampled, turned relay-major
+    while it is still in cache and reduced by every build, whose per-slot
+    outputs are written straight into their slot-long arrays. The gains are
+    never held beyond one block per thread; each thread writes its own
+    blocks' slices. build(sr_gain, rd_norm, *args) takes a relay-major block
+    and gives (per_slot, sparse): arrays whose last axis is the block's
+    slots, and either nothing or (slot indices in the block, values at those
+    slots...), which are joined in slot order after the pass."""
+    slots, block = sim.slots, _block_slots(cfg)
     starts = range(0, slots, block)
+    dense = {}
+    sparse = {key: [None] * len(starts) for key in statistics}
+
+    def fill(i):
+        start = starts[i]
+        n = min(block, slots - start)
+        sr, rd = sample_gains(cfg, sim.seed, start, n)
+        sr, rd = np.ascontiguousarray(sr.T), np.ascontiguousarray(rd.T)
+        for key in statistics:
+            build, args = key
+            per_slot, part = build(sr, rd, *args)
+            if i == 0:
+                dense[key] = tuple(
+                    np.empty(a.shape[:-1] + (slots,), a.dtype) for a in per_slot
+                )
+            for out, a in zip(dense[key], per_slot):
+                out[..., start:start + n] = a
+            if part:
+                np.add(part[0], start, out=part[0])
+            sparse[key][i] = part
+
+    # the first block alone allocates the outputs; the rest may run in
+    # threads
+    fill(0)
+    rest = range(1, len(starts))
     workers = min(sim.workers, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
+            list(pool.map(fill, rest))
     else:
-        for s in starts:
-            fill(s)
-    sr.setflags(write=False)
-    rd.setflags(write=False)
-    return sr, rd
+        for i in rest:
+            fill(i)
+    return {
+        key: dense[key] + tuple(np.concatenate(c) for c in zip(*sparse[key]))
+        for key in statistics
+    }
 
 
-class _GainCache:
-    """Single-entry cache: the relay-major gains of one fading stream and,
-    beside them, each protocol's power-independent statistics. Moving to
-    another stream evicts all of them together."""
+class _StatsCache:
+    """The statistics of one fading stream, keyed (build, args), so several
+    M values of one stream are held together; moving to another stream
+    evicts them all. passes counts the sampling passes made."""
 
     def __init__(self):
         self._lock = threading.RLock()
+        self.passes = 0
         self.clear()
 
     def clear(self):
         with self._lock:
-            self._key = None
-            self._gains = None
+            self._stream = None
             self._stats = {}
 
-    def gains(self, cfg: ChannelConfig, sim: SimConfig):
-        """(sr_gain, rd_norm) of shape (L, slots) for this stream."""
-        # Exactly what sample_gains reads: M, the noise powers and the
-        # worker count never change a draw.
-        key = (cfg.L, cfg.N_R, cfg.sigma_g2, cfg.sigma_h2, sim.slots, sim.seed)
+    def get(self, cfg: ChannelConfig, sim: SimConfig, statistics):
+        """The (build, args) statistics for the stream of (cfg, sim), read-only;
+        those not held yet are built together in one sampling pass."""
+        stream = stream_key(cfg, sim)
         with self._lock:
-            if key != self._key:
+            if stream != self._stream:
                 self.clear()
-                self._gains = _sample(cfg, sim)
-                self._key = key
-            return self._gains
+                self._stream = stream
+            missing = [k for k in dict.fromkeys(statistics) if k not in self._stats]
+            if missing:
+                self.passes += 1
+                for key, out in _stream(cfg, sim, missing).items():
+                    for a in out:
+                        a.setflags(write=False)
+                    self._stats[key] = out
+            return [self._stats[k] for k in statistics]
 
-    def stats(self, build, cfg: ChannelConfig, sim: SimConfig, *args):
-        """build(sr_gain, rd_norm, *args) for this stream, computed once per
-        args and returned read-only."""
+    def nbytes(self) -> int:
         with self._lock:
-            sr, rd = self.gains(cfg, sim)
-            hit = self._stats.get(build)
-            if hit is None or hit[0] != args:
-                out = build(sr, rd, *args)
-                for a in out:
-                    a.setflags(write=False)
-                hit = self._stats[build] = (args, out)
-            return hit[1]
+            return sum(a.nbytes for out in self._stats.values() for a in out)
 
 
-_cache = _GainCache()
+_cache = _StatsCache()
+
+
+def prepare(requests, sim: SimConfig):
+    """Build, in one sampling pass, the statistics that estimate() reads
+    for each (label, cfg) of requests, which must share one fading stream,
+    and cache them."""
+    requests = list(requests)
+    if len({stream_key(cfg, sim) for _, cfg in requests}) != 1:
+        raise ValueError("prepare needs requests on exactly one fading stream")
+    _cache.get(requests[0][1], sim, [_statistic(label, cfg) for label, cfg in requests])
+
+
+def cache_info() -> dict:
+    """Sampling passes this process has made, and the bytes of statistics
+    held for the current stream."""
+    return {"passes": _cache.passes, "stats_bytes": _cache.nbytes()}
 
 
 def _top2(rows):
@@ -194,15 +264,15 @@ def _adb_stats(sr, rd, m):
         _pairwise_sum(rd[:m]) ** 2,
         sr[m:].min(axis=0),
         _pairwise_sum(rd[m:]) ** 2,
-    )
+    ), ()
 
 
 def _crs_stats(sr, rd):
-    return sr, rd**2
+    return (sr, rd**2), ()
 
 
 def _df_stats(sr, rd):
-    return sr.min(axis=0), _pairwise_sum(rd) ** 2
+    return (sr.min(axis=0), _pairwise_sum(rd) ** 2), ()
 
 
 def _sfd_stats(sr, rd):
@@ -212,7 +282,7 @@ def _sfd_stats(sr, rd):
     sr1, sr2, r1 = _top2(sr)
     rd1, rd2, t1 = _top2(rd)
     collide = np.flatnonzero(r1 == t1)
-    return sr1, rd1**2, collide, sr2[collide], rd2[collide] ** 2
+    return (sr1, rd1**2), (collide, sr2[collide], rd2[collide] ** 2)
 
 
 def _rate(x):
@@ -262,32 +332,52 @@ def _adb_reduce(stats, a, b, se):
     return 0.5 * (v1 + v2), 0.5 * math.hypot(s1, s2), amb1 or amb2
 
 
+def _half_rate(n, snr):
+    """0.5 * log2(1 + x) of n per-slot SNRs, in one slot-long buffer:
+    snr(out, s) writes the SNRs of slots s:s + out.size into out, one
+    cache-sized chunk at a time, so a probe's temporaries are chunk-sized."""
+    rate = np.empty(n)
+    for s in range(0, n, _CHUNK):
+        out = rate[s:s + _CHUNK]
+        snr(out, s)
+        _rate(out)
+        out *= 0.5
+    return rate
+
+
 def _crs_reduce(stats, a, b, se):
     """Best-relay selection: half the capacity of the strongest end-to-end
     min link."""
     sr, rd2 = stats
-    best = np.full(sr.shape[1], -np.inf)
-    link = np.empty(sr.shape[1])
-    other = np.empty(sr.shape[1])
-    for sr_row, rd2_row in zip(sr, rd2):
-        np.multiply(a, sr_row, out=link)
-        np.multiply(b, rd2_row, out=other)
-        np.minimum(link, other, out=link)
-        np.maximum(best, link, out=best)
-    rate = _rate(best)
-    rate *= 0.5
-    return (*_mean_se(rate, se), False)
+    link, other = np.empty((2, min(sr.shape[1], _CHUNK)))
+
+    def snr(best, s):
+        e = s + best.size
+        x, y = link[:best.size], other[:best.size]
+        best.fill(-np.inf)
+        for sr_row, rd2_row in zip(sr[:, s:e], rd2[:, s:e]):
+            np.multiply(a, sr_row, out=x)
+            np.multiply(b, rd2_row, out=y)
+            np.minimum(x, y, out=x)
+            np.maximum(best, x, out=best)
+
+    return (*_mean_se(_half_rate(sr.shape[1], snr), se), False)
 
 
 def _df_reduce(stats, a, b, se):
     """All-relay decode-and-forward: the weakest relay must decode, all
     relays beamform."""
     min_all, beam_all = stats
-    link = a * min_all
-    np.minimum(link, b * beam_all, out=link)
-    rate = _rate(link)
-    rate *= 0.5
-    return (*_mean_se(rate, se), False)
+    other = np.empty(min(min_all.shape[0], _CHUNK))
+
+    def snr(link, s):
+        e = s + link.size
+        y = other[:link.size]
+        np.multiply(a, min_all[s:e], out=link)
+        np.multiply(b, beam_all[s:e], out=y)
+        np.minimum(link, y, out=link)
+
+    return (*_mean_se(_half_rate(min_all.shape[0], snr), se), False)
 
 
 def _sfd_links(stats, a, b):
@@ -322,7 +412,8 @@ def _sfd_reduce(stats, a, b, se):
 
 # label -> (stats, ChannelConfig fields stats reads beyond the gains,
 # reduce). stats(sr_gain, rd_norm, *fields) gives the power-independent
-# per-slot arrays, cached with the stream; reduce(stats, a, b, se) gives
+# per-slot arrays of one relay-major block, as _stream describes; joined
+# over the stream they are cached with it, and reduce(stats, a, b, se) gives
 # (mean, se, boundary_ambiguous) at a = ps/noise_r, b = pr/noise_d, with
 # the standard error NaN, and the flag meaningless, if se is false. The four
 # protocols come first, in protocol (and row) order; the alternating
@@ -342,11 +433,6 @@ PROTOCOLS = tuple(_TABLE)[:4]
 TERMS = tuple(_TABLE)[4:]
 
 
-def _stats(label, cfg: ChannelConfig, sim: SimConfig):
-    build, fields, _ = _TABLE[label]
-    return _cache.stats(build, cfg, sim, *(getattr(cfg, f) for f in fields))
-
-
 def estimate(
     label: str, cfg: ChannelConfig, sim: SimConfig, ps, pr, std_error: bool = True
 ) -> Union[ThroughputEstimate, float]:
@@ -362,7 +448,8 @@ def estimate(
     # an overflowing rate shows as a non-finite value, which callers check
     with np.errstate(over="ignore", invalid="ignore"):
         mean, se, ambiguous = reduce(
-            _stats(label, cfg, sim), ps / cfg.noise_r, pr / cfg.noise_d, std_error
+            _cache.get(cfg, sim, [_statistic(label, cfg)])[0],
+            ps / cfg.noise_r, pr / cfg.noise_d, std_error
         )
     if not std_error:
         return mean

@@ -1,10 +1,11 @@
 """Slot-major reference estimators for the four protocols.
 
-The package caches gains relay-major, with shape (L, slots), and reduces
-over relays row by row. These oracles draw the same stream slot-major, with
-shape (slots, L), in one sample_gains call, and reduce along axis 1 with
-plain numpy, the layout and order the relay-major statistics must reproduce
-bit for bit.
+The package builds each protocol's statistics block by block, from
+relay-major blocks of shape (L, block slots), reducing over relays row by
+row, and never holds the whole stream's gains. These oracles draw the same
+stream slot-major, with shape (slots, L), in one sample_gains call, and
+reduce along axis 1 with plain numpy, the layout and order the streamed
+statistics must reproduce bit for bit.
 """
 
 import math
@@ -12,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from relaylab import simulate
 from relaylab.channel import ChannelConfig, sample_gains
 from relaylab.simulate import (
     ThroughputEstimate,
@@ -29,6 +31,19 @@ def _stream(L, N_R, sigma_g2, sigma_h2, slots, seed):
 
 def _gains(cfg, sim):
     return _stream(cfg.L, cfg.N_R, cfg.sigma_g2, cfg.sigma_h2, sim.slots, sim.seed)
+
+
+def _whole_gains(sr, rd):
+    """A statistic that keeps a relay-major block's gains as they are."""
+    return (sr, rd), ()
+
+
+def streamed_gains(cfg, sim):
+    """The (L, slots) gains as the package's block streaming assembles
+    statistics, through a statistic that keeps every block whole (the
+    package builds none that does)."""
+    key = (_whole_gains, ())
+    return simulate._stream(cfg, sim, [key])[key]
 
 
 def _estimate(mean_se_pair):

@@ -14,7 +14,7 @@ from relaylab.channel import (
     nakagami_sum_cdf,
     sample_gains,
 )
-from relaylab.simulate import SimConfig, _sample
+from relaylab.simulate import SimConfig
 
 from _oracles import (
     dkw_band,
@@ -23,6 +23,7 @@ from _oracles import (
     nakagami_sum_pdf,
     norm_sum_samples,
 )
+from _slot_major import streamed_gains
 
 
 def test_config_rejects_degenerate_groups():
@@ -116,7 +117,7 @@ def test_sample_blocks_match_one_call(monkeypatch, L, N_R, slots, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = ChannelConfig(L=L, M=1, N_R=N_R)
     want = sample_gains(cfg, 13, 0, slots)
-    got = _sample(cfg, SimConfig(slots=slots, seed=13, workers=workers))
+    got = streamed_gains(cfg, SimConfig(slots=slots, seed=13, workers=workers))
     for g, w in zip(got, want):
         assert g.tobytes() == np.ascontiguousarray(w.T).tobytes()
 

@@ -335,6 +335,36 @@ def test_sidecar_lists_boundary_ambiguous_rows(tmp_path):
     }
 
 
+@pytest.mark.parametrize("raw, streams", [
+    # three M values of one stream, built in one pass: 3 x 4 slot-long rows
+    (
+        {"experiment": "grouping-sweep", "channel": {"L": 4, "M": 2, "N_R": 2}},
+        [(4, 2, 12)],
+    ),
+    # one stream a relay count, adb's 4 rows each
+    ({"experiment": "relay-sweep", "grid": [2, 4]}, [(2, 24, 4), (4, 12, 4)]),
+], ids=["grouping", "relay"])
+def test_sidecar_diagnostics(tmp_path, raw, streams):
+    # sampling passes and statistics bytes per stream, and the peak RSS, go
+    # to the sidecar, never to the CSV: clearing them leaves its bytes
+    slots = 20_000
+    raw = {**raw, "sim": {"slots": slots}, "output_path": str(tmp_path / "d.csv")}
+    simulate._cache.clear()
+    result = run_experiment(resolve_spec(raw))
+    csv_path, summary_path = emit(result)
+    diagnostics = json.loads((tmp_path / "d.summary.json").read_text())["diagnostics"]
+    assert set(diagnostics) == {"streams", "max_stats_bytes", "peak_rss_mb"}
+    assert diagnostics["streams"] == [
+        {"L": L, "N_R": N_R, "sampling_passes": 1, "stats_bytes": rows * 8 * slots}
+        for L, N_R, rows in streams
+    ]
+    assert diagnostics["max_stats_bytes"] == max(rows for *_, rows in streams) * 8 * slots
+    assert diagnostics["peak_rss_mb"] > 0
+    write_csv(replace(result, diagnostics={}), str(tmp_path / "cleared.csv"))
+    with open(csv_path, "rb") as a, open(tmp_path / "cleared.csv", "rb") as b:
+        assert a.read() == b.read()
+
+
 def test_load_spec_errors(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

@@ -1,12 +1,14 @@
 import math
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import _slot_major
 from _oracles import select_sfd
+from _slot_major import streamed_gains
 from relaylab import simulate
 from relaylab.channel import ChannelConfig, _pairwise_sum, sample_gains
 from relaylab.simulate import (
@@ -19,6 +21,7 @@ from relaylab.simulate import (
     _rate,
     _sfd_links,
     _sfd_stats,
+    cache_info,
     estimate,
     stream_bytes,
 )
@@ -49,13 +52,19 @@ def test_estimate_validation():
         ThroughputEstimate(1.0, 0.0, "guess")
 
 
+def _whole(build, sr, rd, *args):
+    """build's statistics of relay-major gains taken as a single block."""
+    per_slot, sparse = build(sr, rd, *args)
+    return per_slot + sparse
+
+
 def _slot_rate(protocol, sr_gain, rd_norm, ps, pr, m=None):
     """One slot's rate through the protocol table: stats on (L, 1) arrays,
     reduced at powers ps, pr (unit noise)."""
     build, fields, reduce = simulate._TABLE[protocol]
     sr = np.asarray(sr_gain, dtype=np.float64).reshape(-1, 1)
     rd = np.asarray(rd_norm, dtype=np.float64).reshape(-1, 1)
-    stats = build(sr, rd, *([m] if fields else []))
+    stats = _whole(build, sr, rd, *([m] if fields else []))
     return reduce(stats, ps, pr, True)[0]
 
 
@@ -95,7 +104,7 @@ def _sfd_pair(sr_gain, rd_norm, ps, pr):
     r, t = select_sfd(sr_gain, rd_norm, ps, pr)
     sr = np.asarray(sr_gain, dtype=np.float64).reshape(-1, 1)
     rd = np.asarray(rd_norm, dtype=np.float64).reshape(-1, 1)
-    recv, trans = _sfd_links(_sfd_stats(sr, rd), ps, pr)
+    recv, trans = _sfd_links(_whole(_sfd_stats, sr, rd), ps, pr)
     assert recv[0] == ps * sr[r, 0]
     assert trans[0] == pr * rd[t, 0] ** 2
     return r, t
@@ -138,8 +147,8 @@ def test_worker_count_does_not_change_values(monkeypatch):
     gains, estimates = [], []
     for workers in (1, 4):
         sim = SimConfig(slots=70_000, seed=9, workers=workers)
+        gains.append([a.tobytes() for a in streamed_gains(CFG, sim)])
         simulate._cache.clear()
-        gains.append([a.tobytes() for a in simulate._cache.gains(CFG, sim)])
         estimates.append([estimate(p, CFG, sim, 3.0, 2.0) for p in PROTOCOLS])
     assert gains[0] == gains[1]
     assert estimates[0] == estimates[1]
@@ -168,31 +177,53 @@ def test_sampling_threads_capped_at_cpu_count(monkeypatch, cpus, pools):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     gains = []
     for workers in (10**6, 1):
-        simulate._cache.clear()
         sim = SimConfig(slots=70_000, seed=9, workers=workers)
-        gains.append([a.tobytes() for a in simulate._cache.gains(CFG, sim)])
+        gains.append([a.tobytes() for a in streamed_gains(CFG, sim)])
     assert sizes == pools
     assert gains[0] == gains[1]
 
 
-@pytest.mark.parametrize("L, N_R", [(2, 24), (12, 4), (4, 1)])
-def test_stream_bytes_bounds_traced_peak(L, N_R):
+@pytest.mark.parametrize("L, N_R, slots", [
+    (2, 24, 150_000),
+    (12, 4, 150_000),
+    (4, 1, 150_000),
+    # crs's 2L rows dominate; fewer slots keep the test small
+    (48, 1, 30_000),
+], ids=["2-24", "12-4", "4-1", "48-1"])
+def test_stream_bytes_bounds_traced_peak(L, N_R, slots):
     # sampling, every protocol's statistics and one probe each, measured by
-    # tracemalloc, which numpy reports its buffers to; at 150k slots the
-    # slot-long rows outweigh the sampling block, and the last block is
-    # partial
+    # tracemalloc, which numpy reports its buffers to; the slot-long rows
+    # outweigh the sampling block, and the last block is partial
     cfg = ChannelConfig(L=L, M=L // 2, N_R=N_R)
-    sim = SimConfig(slots=150_000, seed=1)
+    sim = SimConfig(slots=slots, seed=1)
     simulate._cache.clear()
     tracemalloc.start()
     try:
         for protocol in PROTOCOLS:
             estimate(protocol, cfg, sim, 2.0, 1.5)
         peak = tracemalloc.get_traced_memory()[1]
+        held = cache_info()["stats_bytes"]
     finally:
         tracemalloc.stop()
         simulate._cache.clear()
-    assert 2 * 8 * L * sim.slots < peak <= stream_bytes(cfg, sim)
+    assert held < peak <= stream_bytes([(p, cfg) for p in PROTOCOLS], sim)
+
+
+def test_adb_holds_no_gain_array():
+    # only crs keeps per-relay rows: adb and its terms, at the relay
+    # sweep's widest shape, peak below a single (L, slots) array
+    cfg = ChannelConfig(L=12, M=6, N_R=4)
+    sim = SimConfig(slots=150_000, seed=1)
+    simulate._cache.clear()
+    tracemalloc.start()
+    try:
+        for label in ("adb", "c11", "c22", "c21", "c12"):
+            estimate(label, cfg, sim, 2.0, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        simulate._cache.clear()
+    assert peak < 8 * cfg.L * sim.slots
 
 
 @pytest.mark.parametrize("n", [*range(1, 21), 64, 129, 300])
@@ -208,7 +239,8 @@ def test_relay_sum_matches_slot_major_sum(n):
 
 def _same_bits(got, want):
     return len(got) == len(want) and all(
-        g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want)
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want)
     )
 
 
@@ -219,12 +251,14 @@ def test_relay_major_statistics_match_slot_major():
     rows_sr, rows_rd = np.ascontiguousarray(sr.T), np.ascontiguousarray(rd.T)
     for m in range(1, 20):
         assert _same_bits(
-            _adb_stats(rows_sr, rows_rd, m), _slot_major.adb_stats(sr, rd, m)
+            _whole(_adb_stats, rows_sr, rows_rd, m), _slot_major.adb_stats(sr, rd, m)
         )
-    assert _same_bits(_df_stats(rows_sr, rows_rd), _slot_major.df_stats(sr, rd))
+    assert _same_bits(
+        _whole(_df_stats, rows_sr, rows_rd), _slot_major.df_stats(sr, rd)
+    )
     # sfd keeps the second-best gains on the colliding slots only
     for L in (2, 3, 20):
-        sr1, rd1, collide, sr2, rd2 = _sfd_stats(rows_sr[:L], rows_rd[:L])
+        sr1, rd1, collide, sr2, rd2 = _whole(_sfd_stats, rows_sr[:L], rows_rd[:L])
         o_sr1, o_sr2, o_rd1, o_rd2, o_collide = _slot_major.sfd_stats(
             sr[:, :L], rd[:, :L]
         )
@@ -233,6 +267,50 @@ def test_relay_major_statistics_match_slot_major():
         assert _same_bits(
             (sr1, rd1, collide, sr2, rd2),
             (o_sr1, o_rd1, want, o_sr2[want], o_rd2[want]),
+        )
+
+
+@pytest.mark.parametrize("L, N_R, slots, workers, seed, straddle", [
+    # 1638-slot blocks, the last one partial; every M value of one stream
+    (20, 2, 5_000, 1, 21, False),
+    (20, 2, 5_000, 2, 21, False),
+    # 32768-slot blocks; half the slots collide
+    (2, 1, 70_000, 1, 10, True),
+    # 131076 draws a slot exceed a block's 2^17: one slot per block
+    (3, 21846, 8, 1, 3, True),
+], ids=["partial-block", "two-workers", "sfd-boundary", "one-slot-blocks"])
+def test_streamed_statistics_match_whole_stream(
+    monkeypatch, L, N_R, slots, workers, seed, straddle
+):
+    # one sampling pass builds every builder's statistics, adb's at every M
+    # value, block by block; each must equal the slot-major reduction of the
+    # stream drawn in one sample_gains call
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = ChannelConfig(L=L, M=1, N_R=N_R)
+    sim = SimConfig(slots=slots, seed=seed, workers=workers)
+    requests = [("adb", replace(cfg, M=m)) for m in range(1, L)]
+    requests += [(p, cfg) for p in ("crs", "df", "sfd-mmrs")]
+    simulate._cache.clear()
+    passes = cache_info()["passes"]
+    simulate.prepare(requests, sim)
+    got = simulate._cache.get(cfg, sim, [simulate._statistic(*r) for r in requests])
+    simulate._cache.clear()
+    assert cache_info()["passes"] == passes + 1
+    sr, rd = sample_gains(cfg, seed, 0, slots)
+    for m, stats in zip(range(1, L), got):
+        assert _same_bits(stats, _slot_major.adb_stats(sr, rd, m))
+    crs, df, sfd = got[L - 1:]
+    rows_sr, rows_rd = np.ascontiguousarray(sr.T), np.ascontiguousarray(rd.T)
+    assert _same_bits(crs, (rows_sr, rows_rd**2))
+    assert _same_bits(df, _slot_major.df_stats(sr, rd))
+    o_sr1, o_sr2, o_rd1, o_rd2, o_collide = _slot_major.sfd_stats(sr, rd)
+    want = np.flatnonzero(o_collide)
+    assert _same_bits(sfd, (o_sr1, o_rd1, want, o_sr2[want], o_rd2[want]))
+    if straddle:
+        # colliding slots on both sides of a block boundary
+        block = simulate._block_slots(cfg)
+        assert any(
+            {b - 1, b} <= set(want.tolist()) for b in range(block, slots, block)
         )
 
 
@@ -245,7 +323,7 @@ def test_sfd_statistics_match_scalar_rule_with_ties(L):
     n = 2_000
     sr = rng.integers(1, 4, size=(L, n)).astype(np.float64)
     rd = np.sqrt(rng.integers(1, 4, size=(L, n)).astype(np.float64))
-    stats = _sfd_stats(sr, rd)
+    stats = _whole(_sfd_stats, sr, rd)
     assert stats[2].size > 0.2 * n
     for ps, pr in ((1.0, 1.0), (2.0, 0.5), (100.0, 1.0), (0.01, 3.0)):
         recv, trans = _sfd_links(stats, ps, pr)
@@ -346,8 +424,9 @@ def test_component_terms_rebuild_adb_estimate():
     cfg = ChannelConfig(L=5, M=2, N_R=2, noise_r=2.0)
     sim = SimConfig(slots=20_000, seed=3)
     terms = {t: estimate(t, cfg, sim, 3.0, 2.0) for t in ("c11", "c22", "c21", "c12")}
+    adb = simulate._cache.get(cfg, sim, [simulate._statistic("adb", cfg)])[0]
     for t in terms:
-        assert simulate._stats(t, cfg, sim) is simulate._stats("adb", cfg, sim)
+        assert simulate._cache.get(cfg, sim, [simulate._statistic(t, cfg)])[0] is adb
     pair = {t: (e.value, e.std_error) for t, e in terms.items()}
     v1, _, _ = _min_of_means(pair["c11"], pair["c22"])
     v2, _, _ = _min_of_means(pair["c21"], pair["c12"])
