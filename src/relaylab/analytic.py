@@ -21,7 +21,7 @@ positive and correctly rounded.
 
 import math
 
-from .channel import ChannelConfig
+from .channel import ChannelConfig, _check_group_args
 from .specfun import exp_scaled_en
 
 __all__ = [
@@ -36,11 +36,7 @@ _LN2 = math.log(2.0)
 def _check_term_args(power, group_size, shape, sigma2):
     if not power > 0:
         raise ValueError(f"power must be > 0, got {power!r}")
-    for name, v in (("group_size", group_size), ("shape", shape)):
-        if int(v) != v or v < 1:
-            raise ValueError(f"{name} must be a positive integer, got {v!r}")
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be > 0, got {sigma2!r}")
+    _check_group_args(group_size, shape, sigma2)
 
 
 def _box_counts(group_size: int, shape: int) -> list:

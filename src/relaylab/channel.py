@@ -133,12 +133,17 @@ def sample_gains(cfg: ChannelConfig, seed: int, start_slot: int, count: int):
     return sr, np.sqrt(rd2, out=rd2)
 
 
-def _check_cdf_args(z, group_size, shape, sigma2):
+# the group arguments of the gain distributions and of the closed forms
+def _check_group_args(group_size, shape, sigma2):
     for name, v in (("group_size", group_size), ("shape", shape)):
         if int(v) != v or v < 1:
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
     if not sigma2 > 0:
         raise ValueError(f"sigma2 must be > 0, got {sigma2!r}")
+
+
+def _check_cdf_args(z, group_size, shape, sigma2):
+    _check_group_args(group_size, shape, sigma2)
     if z < 0:
         raise ValueError(f"z must be >= 0, got {z!r}")
 

@@ -34,7 +34,6 @@ from .simulate import (
     TERMS,
     SimConfig,
     ThroughputEstimate,
-    cache_info,
     estimate,
     prepare,
     stream_bytes,
@@ -75,8 +74,9 @@ CSV_COLUMNS = (
 
 METHODS = ("analytic", "monte-carlo")
 
-# label (protocol or adb component term) -> callable(cfg, sim, ps, pr),
-# looked up as each sweep point builds its evaluators.
+# label (protocol or adb component term) -> callable(cfg, stats, ps, pr),
+# with stats what prepare returned for the point's stream, looked up as
+# each sweep point builds its evaluators.
 _SIMULATORS = {label: partial(estimate, label) for label in PROTOCOLS + TERMS}
 
 
@@ -119,7 +119,7 @@ class SweepResult:
     spec: ExperimentSpec
     rows: List[SweepRow]
     summary: dict
-    # how the run went (sampling passes, statistics bytes, peak RSS); the
+    # how the run went (statistics bytes per stream, peak RSS); the
     # sidecar's diagnostics block, never a CSV byte
     diagnostics: dict = field(default_factory=dict)
 
@@ -366,16 +366,17 @@ def _row(label, cfg, snr_db, point, est) -> SweepRow:
     )
 
 
-def _evaluators(spec, label, cfg):
+def _evaluators(spec, label, cfg, stats):
     """(evaluator, means) for one label in method order, for the methods the
     spec asks for; the selection and decode-forward baselines have no closed
-    form. means gives a Monte Carlo value without its standard error, for
-    the split search to compare; a closed form has none to skip."""
+    form. Monte Carlo reads stats, the statistics of the point's stream.
+    means gives a Monte Carlo value without its standard error, for the
+    split search to compare; a closed form has none to skip."""
     out = []
     if "analytic" in spec.methods and label not in ("crs", "df", "sfd-mmrs"):
         out.append((partial(_closed_form, label, cfg), None))
     if "monte-carlo" in spec.methods:
-        mc = partial(_SIMULATORS[label], cfg, spec.sim)
+        mc = partial(_SIMULATORS[label], cfg, stats)
         out.append((mc, partial(mc, std_error=False)))
     return out
 
@@ -470,45 +471,44 @@ def _gaps(spec: ExperimentSpec, rows: list) -> dict:
     return summary
 
 
+def _run_stream(spec: ExperimentSpec, points: list, group: list, rows: list):
+    """Run the points of one fading stream (indices group of points) into
+    their rows; for Monte Carlo, one sampling pass first builds the
+    statistics of every label and M value of the stream, which are freed
+    when this returns, before the next stream's are built. Gives the
+    stream's diagnostics, or None without Monte Carlo."""
+    mc = "monte-carlo" in spec.methods
+    stats = prepare([points[i][:2] for i in group], spec.sim) if mc else None
+    for i in group:
+        label, cfg, snr_db, split = points[i]
+        for evaluate, means in _evaluators(spec, label, cfg, stats):
+            if split is None:
+                budget = PowerBudget(label, _snr_linear(snr_db), cfg.L)
+                point, est = maximize_throughput(
+                    budget, evaluate, spec.tolerance, means
+                )
+            else:
+                point, est = split, evaluate_split(evaluate, split)
+            rows[i].append(_row(label, cfg, snr_db, point, est))
+    if mc:
+        nbytes = sum(a.nbytes for out in stats.values() for a in out)
+        return {"L": cfg.L, "N_R": cfg.N_R, "stats_bytes": nbytes}
+
+
 def run_experiment(spec: ExperimentSpec) -> SweepResult:
     """Evaluate every sweep point of spec by each method it asks for, at its
     fixed split or at the best split on the protocol's budget curve.
 
-    Points run grouped by fading stream, in order of first appearance: for
-    Monte Carlo, one sampling pass builds the statistics of every label and
-    M value of a stream before its points run. Rows are emitted in point
-    order, method-ordered within a point."""
+    Points run grouped by fading stream, in order of first appearance, one
+    stream's statistics held at a time. Rows are emitted in point order,
+    method-ordered within a point."""
     points = _points(spec)
     groups = {}
     for i, (_, cfg, _, _) in enumerate(points):
         groups.setdefault(stream_key(cfg, spec.sim), []).append(i)
     rows = [[] for _ in points]
-    streams = []
-    monte_carlo = "monte-carlo" in spec.methods
-    for group in groups.values():
-        if monte_carlo:
-            passes = cache_info()["passes"]
-            prepare([points[i][:2] for i in group], spec.sim)
-        for i in group:
-            label, cfg, snr_db, split = points[i]
-            for evaluate, means in _evaluators(spec, label, cfg):
-                if split is None:
-                    budget = PowerBudget(label, _snr_linear(snr_db), cfg.L)
-                    point, est = maximize_throughput(
-                        budget, evaluate, spec.tolerance, means
-                    )
-                else:
-                    point, est = split, evaluate_split(evaluate, split)
-                rows[i].append(_row(label, cfg, snr_db, point, est))
-        if monte_carlo:
-            info = cache_info()
-            cfg = points[group[0]][1]
-            streams.append({
-                "L": cfg.L,
-                "N_R": cfg.N_R,
-                "sampling_passes": info["passes"] - passes,
-                "stats_bytes": info["stats_bytes"],
-            })
+    streams = [_run_stream(spec, points, group, rows) for group in groups.values()]
+    streams = [s for s in streams if s is not None]
     rows = [row for point_rows in rows for row in point_rows]
     summarize = {"ratio-sweep": _peaks, "validate": _gaps}.get(spec.experiment)
     diagnostics = {

@@ -6,18 +6,17 @@ reuse the same draws. The gains are never held whole. Slots are sampled in
 draw-sized blocks (about 2^17 draws each, so a block's temporaries stay near
 cache) addressed by absolute slot index; each block is turned relay-major,
 with shape (L, block slots), and reduced at once to every requested
-protocol's power-independent per-slot statistics, which are all the cache
-holds, one stream at a time. Reductions over relays sweep contiguous rows,
-and sums over relays keep numpy's pairwise order, so the statistics match a
-slot-major reduction of the whole stream bit for bit. Every statistic is per
-slot, so the block size and the worker count only change how slots are
-dispatched, never any value: results are bit-identical at any parallelism
-level.
+protocol's power-independent per-slot statistics, all that is kept of a
+stream: prepare() returns them to its caller and estimate() reads them.
+Reductions over relays sweep contiguous rows, and sums over relays keep
+numpy's pairwise order, so the statistics match a slot-major reduction of
+the whole stream bit for bit. Every statistic is per slot, so the block
+size and the worker count only change how slots are dispatched, never any
+value: results are bit-identical at any parallelism level.
 """
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -32,7 +31,6 @@ __all__ = [
     "TERMS",
     "SimConfig",
     "ThroughputEstimate",
-    "cache_info",
     "estimate",
     "prepare",
     "stream_bytes",
@@ -124,8 +122,8 @@ def stream_bytes(requests, sim: SimConfig) -> int:
     stream, are built and probed. In slot-long float64 rows: the
     statistics (adb and its terms 4 per M value, crs 2L, df 2, sfd-mmrs 8:
     2, and up to 3 of collision indices and second-bests, doubled while the
-    blocks' parts are joined) and 6 rows of probe temporaries (5.1 measured
-    for sfd-mmrs at L = 2, 2.0 for the others); beside them one sampling
+    blocks' parts are joined) and 6 rows of probe temporaries (3.0 measured
+    for sfd-mmrs, 2.2 at most for the others); beside them one sampling
     block per thread at 5 float64 copies per draw (4.1 measured)."""
     requests = list(requests)
     cfg = requests[0][1]
@@ -186,60 +184,20 @@ def _stream(cfg: ChannelConfig, sim: SimConfig, statistics):
     }
 
 
-class _StatsCache:
-    """The statistics of one fading stream, keyed (build, args), so several
-    M values of one stream are held together; moving to another stream
-    evicts them all. passes counts the sampling passes made."""
-
-    def __init__(self):
-        self._lock = threading.RLock()
-        self.passes = 0
-        self.clear()
-
-    def clear(self):
-        with self._lock:
-            self._stream = None
-            self._stats = {}
-
-    def get(self, cfg: ChannelConfig, sim: SimConfig, statistics):
-        """The (build, args) statistics for the stream of (cfg, sim), read-only;
-        those not held yet are built together in one sampling pass."""
-        stream = stream_key(cfg, sim)
-        with self._lock:
-            if stream != self._stream:
-                self.clear()
-                self._stream = stream
-            missing = [k for k in dict.fromkeys(statistics) if k not in self._stats]
-            if missing:
-                self.passes += 1
-                for key, out in _stream(cfg, sim, missing).items():
-                    for a in out:
-                        a.setflags(write=False)
-                    self._stats[key] = out
-            return [self._stats[k] for k in statistics]
-
-    def nbytes(self) -> int:
-        with self._lock:
-            return sum(a.nbytes for out in self._stats.values() for a in out)
-
-
-_cache = _StatsCache()
-
-
-def prepare(requests, sim: SimConfig):
-    """Build, in one sampling pass, the statistics that estimate() reads
-    for each (label, cfg) of requests, which must share one fading stream,
-    and cache them."""
+def prepare(requests, sim: SimConfig) -> dict:
+    """The statistics that estimate() reads for each (label, cfg) of
+    requests, which must share one fading stream, built in one sampling
+    pass and returned read-only, keyed (build, args): several M values of a
+    stream are built together, and labels that read one statistic share
+    it."""
     requests = list(requests)
     if len({stream_key(cfg, sim) for _, cfg in requests}) != 1:
         raise ValueError("prepare needs requests on exactly one fading stream")
-    _cache.get(requests[0][1], sim, [_statistic(label, cfg) for label, cfg in requests])
-
-
-def cache_info() -> dict:
-    """Sampling passes this process has made, and the bytes of statistics
-    held for the current stream."""
-    return {"passes": _cache.passes, "stats_bytes": _cache.nbytes()}
+    stats = _stream(requests[0][1], sim, dict.fromkeys(_statistic(*r) for r in requests))
+    for out in stats.values():
+        for a in out:
+            a.setflags(write=False)
+    return stats
 
 
 def _top2(rows):
@@ -380,45 +338,55 @@ def _df_reduce(stats, a, b, se):
     return (*_mean_se(_half_rate(min_all.shape[0], snr), se), False)
 
 
-def _sfd_links(stats, a, b):
-    """Per-slot SNRs of the receive and transmit links chosen for
-    full-duplex mimicking, from _sfd_stats at normalized powers a and b.
+def _sfd_links(stats, a, b, s, recv, trans):
+    """Write into recv and trans the SNRs of the receive and transmit links
+    chosen for full-duplex mimicking on slots s:s + recv.size, from
+    _sfd_stats at normalized powers a and b.
 
     Best receive and best transmit relays are chosen independently; on a
     collision the weaker of the two swap options is dropped: keep (r2, t1)
     if min(g_sr[r2], g_rd[t1]) >= min(g_sr[r1], g_rd[t2]), else (r1, t2).
     Ties go to the lowest relay index. The rule only runs on the colliding
-    slots.
+    slots; collide is sorted, so the chunk's collisions are one slice.
     """
     sr1, rd1, collide, sr2, rd2 = stats
-    recv = a * sr1
-    trans = b * rd1
-    g_sr1 = recv[collide]
-    g_rd1 = trans[collide]
-    g_sr2 = a * sr2
-    g_rd2 = b * rd2
+    e = s + recv.size
+    np.multiply(a, sr1[s:e], out=recv)
+    np.multiply(b, rd1[s:e], out=trans)
+    lo, hi = np.searchsorted(collide, (s, e))
+    at = collide[lo:hi] - s
+    g_sr1 = recv[at]
+    g_rd1 = trans[at]
+    g_sr2 = a * sr2[lo:hi]
+    g_rd2 = b * rd2[lo:hi]
     demote_recv = np.minimum(g_sr2, g_rd1) >= np.minimum(g_sr1, g_rd2)
-    recv[collide] = np.where(demote_recv, g_sr2, g_sr1)
-    trans[collide] = np.where(demote_recv, g_rd1, g_rd2)
-    return recv, trans
+    recv[at] = np.where(demote_recv, g_sr2, g_sr1)
+    trans[at] = np.where(demote_recv, g_rd1, g_rd2)
 
 
 def _sfd_reduce(stats, a, b, se):
     """Full-duplex-mimicking selection: the smaller of the mean receive-link
-    and mean transmit-link capacities, no half prefactor."""
-    recv, trans = _sfd_links(stats, a, b)
-    return _min_of_means(_mean_se(_rate(recv), se), _mean_se(_rate(trans), se))
+    and mean transmit-link capacities, no half prefactor. The links are
+    computed, and turned into rates, one cache-sized chunk at a time."""
+    n = stats[0].shape[0]
+    recv, trans = np.empty((2, n))
+    for s in range(0, n, _CHUNK):
+        x, y = recv[s:s + _CHUNK], trans[s:s + _CHUNK]
+        _sfd_links(stats, a, b, s, x, y)
+        _rate(x)
+        _rate(y)
+    return _min_of_means(_mean_se(recv, se), _mean_se(trans, se))
 
 
 # label -> (stats, ChannelConfig fields stats reads beyond the gains,
 # reduce). stats(sr_gain, rd_norm, *fields) gives the power-independent
 # per-slot arrays of one relay-major block, as _stream describes; joined
-# over the stream they are cached with it, and reduce(stats, a, b, se) gives
-# (mean, se, boundary_ambiguous) at a = ps/noise_r, b = pr/noise_d, with
-# the standard error NaN, and the flag meaningless, if se is false. The four
-# protocols come first, in protocol (and row) order; the alternating
-# scheme's component rates follow, one per _adb_stats array, so they share
-# its statistics.
+# over the stream they are what prepare returns, and reduce(stats, a, b,
+# se) gives (mean, se, boundary_ambiguous) at a = ps/noise_r, b =
+# pr/noise_d, with the standard error NaN, and the flag meaningless, if se
+# is false. The four protocols come first, in protocol (and row) order;
+# the alternating scheme's component rates follow, one per _adb_stats
+# array, so they share its statistics.
 _TABLE = {
     "adb": (_adb_stats, ("M",), _adb_reduce),
     "crs": (_crs_stats, (), _crs_reduce),
@@ -434,21 +402,22 @@ TERMS = tuple(_TABLE)[4:]
 
 
 def estimate(
-    label: str, cfg: ChannelConfig, sim: SimConfig, ps, pr, std_error: bool = True
+    label: str, cfg: ChannelConfig, stats: dict, ps, pr, std_error: bool = True
 ) -> Union[ThroughputEstimate, float]:
     """Monte Carlo throughput of one protocol, or rate of one adb component
     term ("c11", "c22", "c21", "c12"), at source power ps and relay power
-    pr, from the shared fading stream of (cfg, sim), as a
-    ThroughputEstimate. With std_error false only the value is computed, and
-    returned as a float, for searches that compare values: the standard
-    error takes a second pass over the slots."""
+    pr, as a ThroughputEstimate, from stats, which prepare() built with
+    (label, cfg) among its requests; nothing is sampled here. With
+    std_error false only the value is computed, and returned as a float,
+    for searches that compare values: the standard error takes a second
+    pass over the slots."""
     if not ps > 0 or not pr > 0:
         raise ValueError(f"powers must be > 0, got ps={ps!r}, pr={pr!r}")
     reduce = _TABLE[label][2]
     # an overflowing rate shows as a non-finite value, which callers check
     with np.errstate(over="ignore", invalid="ignore"):
         mean, se, ambiguous = reduce(
-            _cache.get(cfg, sim, [_statistic(label, cfg)])[0],
+            stats[_statistic(label, cfg)],
             ps / cfg.noise_r, pr / cfg.noise_d, std_error
         )
     if not std_error:

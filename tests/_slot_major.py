@@ -128,20 +128,22 @@ def sim_sfd_mmrs(cfg, sim, ps, pr):
     return ThroughputEstimate(value, se, "monte-carlo", ambiguous)
 
 
-def _estimator(sim_fn):
-    """sim_fn with relaylab.simulate.estimate's calling convention: with
-    std_error false only the value is returned."""
+def simulators(sim):
+    """The oracles on the fading stream of sim, with
+    relaylab.simulate.estimate's calling convention: the prepared
+    statistics passed in are ignored, and with std_error false only the
+    value is returned."""
 
-    def call(cfg, sim, ps, pr, std_error=True):
-        est = sim_fn(cfg, sim, ps, pr)
-        return est if std_error else est.value
+    def bind(sim_fn):
+        def call(cfg, stats, ps, pr, std_error=True):
+            est = sim_fn(cfg, sim, ps, pr)
+            return est if std_error else est.value
 
-    return call
+        return call
 
-
-SIMULATORS = {
-    "adb": _estimator(sim_adb),
-    "crs": _estimator(sim_crs),
-    "df": _estimator(sim_df),
-    "sfd-mmrs": _estimator(sim_sfd_mmrs),
-}
+    return {
+        "adb": bind(sim_adb),
+        "crs": bind(sim_crs),
+        "df": bind(sim_df),
+        "sfd-mmrs": bind(sim_sfd_mmrs),
+    }

@@ -12,8 +12,8 @@ from relaylab.analytic import (
     c11_closed,
     c22_closed,
 )
-from relaylab.channel import ChannelConfig
-from relaylab.simulate import SimConfig, estimate
+from relaylab.channel import ChannelConfig, min_erlang_cdf, nakagami_sum_cdf
+from relaylab.simulate import SimConfig, estimate, prepare
 
 from _oracles import capacity_mean_se, min_erlang_samples, norm_sum_samples
 
@@ -175,6 +175,26 @@ def test_power_validation():
         c22_closed(1.0, 2, 2, 0.0)
 
 
+@pytest.mark.parametrize("fn, scalar, bad, message", [
+    (c11_closed, 1.0, 0.0, "power must be > 0"),
+    (c22_closed, 1.0, -1.0, "power must be > 0"),
+    (min_erlang_cdf, 0.5, -0.5, "z must be >= 0"),
+    (nakagami_sum_cdf, 0.5, -0.5, "z must be >= 0"),
+], ids=["c11", "c22", "min-erlang-cdf", "nakagami-sum-cdf"])
+def test_group_arguments_checked_alike(fn, scalar, bad, message):
+    # the closed forms and the gain CDFs share one check of the group
+    # arguments, and each keeps its own scalar check
+    for args, want in (
+        ((scalar, 0, 2, 1.0), "group_size must be a positive integer"),
+        ((scalar, 2, 1.5, 1.0), "shape must be a positive integer"),
+        ((scalar, 2, 2, 0.0), "sigma2 must be > 0"),
+        ((bad, 2, 2, 1.0), message),
+    ):
+        with pytest.raises(ValueError, match=want):
+            fn(*args)
+    assert math.isfinite(fn(scalar, 2, 2, 1.0))
+
+
 def _terms(ps, pr, cfg):
     """c11, c22, c21, c12 of cfg, straight from the term functions."""
     a, b, n = ps / cfg.noise_r, pr / cfg.noise_d, cfg.N_R
@@ -219,6 +239,7 @@ def test_adb_closed_noise_scaling():
 
 def test_adb_closed_tracks_simulation():
     cfg = ChannelConfig(L=4, M=2, N_R=3)
-    est = estimate("adb", cfg, SimConfig(slots=200_000, seed=42), 6.0, 2.0)
+    stats = prepare([("adb", cfg)], SimConfig(slots=200_000, seed=42))
+    est = estimate("adb", cfg, stats, 6.0, 2.0)
     closed = adb_closed(6.0, 2.0, cfg)
     assert abs(closed - est.value) / est.value <= 0.05

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -228,7 +231,6 @@ def test_validate_analytic_only_samples_nothing(monkeypatch):
         return sample_gains(*args)
 
     monkeypatch.setattr(simulate, "sample_gains", counting)
-    simulate._cache.clear()
     result = run_experiment(resolve_spec({"experiment": "validate", "methods": ["analytic"]}))
     assert len(result.rows) == 4 * 27
     assert calls == []
@@ -345,17 +347,16 @@ def test_sidecar_lists_boundary_ambiguous_rows(tmp_path):
     ({"experiment": "relay-sweep", "grid": [2, 4]}, [(2, 24, 4), (4, 12, 4)]),
 ], ids=["grouping", "relay"])
 def test_sidecar_diagnostics(tmp_path, raw, streams):
-    # sampling passes and statistics bytes per stream, and the peak RSS, go
-    # to the sidecar, never to the CSV: clearing them leaves its bytes
+    # statistics bytes per stream and the peak RSS go to the sidecar, never
+    # to the CSV: clearing them leaves its bytes
     slots = 20_000
     raw = {**raw, "sim": {"slots": slots}, "output_path": str(tmp_path / "d.csv")}
-    simulate._cache.clear()
     result = run_experiment(resolve_spec(raw))
     csv_path, summary_path = emit(result)
     diagnostics = json.loads((tmp_path / "d.summary.json").read_text())["diagnostics"]
     assert set(diagnostics) == {"streams", "max_stats_bytes", "peak_rss_mb"}
     assert diagnostics["streams"] == [
-        {"L": L, "N_R": N_R, "sampling_passes": 1, "stats_bytes": rows * 8 * slots}
+        {"L": L, "N_R": N_R, "stats_bytes": rows * 8 * slots}
         for L, N_R, rows in streams
     ]
     assert diagnostics["max_stats_bytes"] == max(rows for *_, rows in streams) * 8 * slots
@@ -379,8 +380,8 @@ def test_load_spec_errors(tmp_path):
 
 
 def test_grouping_sweep_samples_each_stream_once(monkeypatch):
-    # every group split and power probe reads one cached stream: the gain
-    # cache is keyed only on what sample_gains reads, not on M. The calls
+    # every group split and power probe reads one stream's statistics:
+    # streams are keyed only on what sample_gains reads, not on M. The calls
     # tile [0, slots) once, in contiguous blocks of 2^17 draws at most.
     calls = []
     sample_gains = simulate.sample_gains
@@ -390,7 +391,6 @@ def test_grouping_sweep_samples_each_stream_once(monkeypatch):
         return sample_gains(*args)
 
     monkeypatch.setattr(simulate, "sample_gains", counting)
-    simulate._cache.clear()
     slots = 70_000
     run_experiment(resolve_spec({
         "experiment": "grouping-sweep",
@@ -433,6 +433,58 @@ def _mc_csv_bytes(tmp_path, name, raw):
 ], ids=["grouping-L20", "antenna-L9"])
 def test_relay_major_sweep_matches_slot_major_oracle(tmp_path, monkeypatch, raw):
     fast = _mc_csv_bytes(tmp_path, "relay-major.csv", raw)
-    for protocol, fn in _slot_major.SIMULATORS.items():
+    for protocol, fn in _slot_major.simulators(SimConfig(**raw["sim"])).items():
         monkeypatch.setitem(experiments._SIMULATORS, protocol, fn)
     assert _mc_csv_bytes(tmp_path, "slot-major.csv", raw) == fast
+
+
+def test_each_stream_is_freed_before_the_next_is_built(monkeypatch):
+    # one stream's statistics are held at a time: when the next stream's
+    # prepare starts, a weak reference to an array of every earlier one
+    # is dead, without waiting for the garbage collector
+    held = []
+    prepare = experiments.prepare
+
+    def tracking(requests, sim):
+        assert all(ref() is None for ref in held)
+        stats = prepare(requests, sim)
+        held.append(weakref.ref(next(iter(stats.values()))[0]))
+        return stats
+
+    monkeypatch.setattr(experiments, "prepare", tracking)
+    run_experiment(resolve_spec({
+        "experiment": "relay-sweep",
+        "grid": [2, 4, 6],
+        "sim": {"slots": 5_000},
+    }))
+    assert len(held) == 3
+    assert all(ref() is None for ref in held)
+
+
+def test_worker_counts_are_compared_in_one_process(tmp_path, monkeypatch):
+    # criterion 9's runs at one and at several workers share a process;
+    # each must sample its own stream, the second on pool threads, and
+    # both must give the same CSV bytes
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    threads = []
+    sample_gains = simulate.sample_gains
+
+    def recording(*args):
+        threads.append(threading.current_thread())
+        return sample_gains(*args)
+
+    monkeypatch.setattr(simulate, "sample_gains", recording)
+    blobs, runs = [], []
+    for workers in (1, 2):
+        raw = {
+            "experiment": "ratio-sweep",
+            "grid": [0.5, 1.0, 2.0],
+            "sim": {"slots": 50_000, "workers": workers},
+        }
+        blobs.append(_mc_csv_bytes(tmp_path, f"w{workers}.csv", raw))
+        runs.append(threads[:])
+        threads.clear()
+    main = threading.main_thread()
+    assert runs[0] and all(t is main for t in runs[0])
+    assert runs[1] and any(t is not main for t in runs[1])
+    assert blobs[0] == blobs[1]

@@ -15,7 +15,7 @@ from relaylab.power import (
     maximize_throughput,
     ratio_point,
 )
-from relaylab.simulate import SimConfig, ThroughputEstimate, estimate
+from relaylab.simulate import SimConfig, ThroughputEstimate, estimate, prepare
 
 
 def _analytic(value):
@@ -97,9 +97,10 @@ def test_maximize_interior_peak_beats_extremes():
 
 def test_maximize_matches_dense_grid():
     cfg = ChannelConfig(L=4, M=2, N_R=3)
+    stats = prepare([("crs", cfg)], SimConfig(slots=50_000, seed=42))
     for protocol, evaluator in (
         ("adb", lambda ps, pr: _analytic(adb_closed(ps, pr, cfg))),
-        ("crs", lambda ps, pr: estimate("crs", cfg, SimConfig(slots=50_000, seed=42), ps, pr)),
+        ("crs", lambda ps, pr: estimate("crs", cfg, stats, ps, pr)),
     ):
         budget = PowerBudget(protocol, 10.0, cfg.L)
         _, est = maximize_throughput(budget, evaluator, tolerance=1e-3)
@@ -113,8 +114,8 @@ def test_maximize_matches_dense_grid():
 def test_mc_and_analytic_optima_agree():
     cfg = ChannelConfig(L=4, M=2, N_R=3)
     budget = PowerBudget("adb", 10.0, cfg.L)
-    sim = SimConfig(slots=200_000, seed=42)
-    pt_mc, _ = maximize_throughput(budget, lambda ps, pr: estimate("adb", cfg, sim, ps, pr))
+    stats = prepare([("adb", cfg)], SimConfig(slots=200_000, seed=42))
+    pt_mc, _ = maximize_throughput(budget, lambda ps, pr: estimate("adb", cfg, stats, ps, pr))
     pt_an, _ = maximize_throughput(
         budget, lambda ps, pr: _analytic(adb_closed(ps, pr, cfg))
     )
@@ -123,10 +124,10 @@ def test_mc_and_analytic_optima_agree():
 
 def test_cmax_nondecreasing_in_budget():
     cfg = ChannelConfig(L=4, M=2, N_R=2)
-    sim = SimConfig(slots=50_000, seed=42)
+    stats = prepare([("crs", cfg)], SimConfig(slots=50_000, seed=42))
     for protocol, evaluator in (
         ("adb", lambda ps, pr: _analytic(adb_closed(ps, pr, cfg))),
-        ("crs", lambda ps, pr: estimate("crs", cfg, sim, ps, pr)),
+        ("crs", lambda ps, pr: estimate("crs", cfg, stats, ps, pr)),
     ):
         values = []
         for snr in (1.0, 3.0, 10.0, 30.0, 100.0):
@@ -188,7 +189,8 @@ def test_value_only_probes_give_the_same_optimum(monkeypatch, case):
     cfg = ChannelConfig(L=4, M=2, N_R=2)
     protocol = case if case in PROTOCOLS else "adb"
     if case in PROTOCOLS:
-        full = partial(estimate, case, cfg, SimConfig(slots=20_000, seed=11))
+        stats = prepare([(case, cfg)], SimConfig(slots=20_000, seed=11))
+        full = partial(estimate, case, cfg, stats)
         value = partial(full, std_error=False)
     elif case == "adb-analytic":
         full = lambda ps, pr: _analytic(adb_closed(ps, pr, cfg))

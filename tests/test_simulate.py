@@ -21,13 +21,19 @@ from relaylab.simulate import (
     _rate,
     _sfd_links,
     _sfd_stats,
-    cache_info,
     estimate,
+    prepare,
     stream_bytes,
 )
 
 CFG = ChannelConfig(L=4, M=2, N_R=3)
 SIM = SimConfig(slots=100_000, seed=42)
+
+
+@pytest.fixture(scope="module")
+def stats():
+    """Every label's statistics of the stream of (CFG, SIM)."""
+    return prepare([(label, CFG) for label in simulate._TABLE], SIM)
 
 
 def test_sim_config_validation():
@@ -98,13 +104,22 @@ def test_df_single_relay_equals_crs():
     assert _slot_rate("df", sr, rd, 2.0, 3.0) == _slot_rate("crs", sr, rd, 2.0, 3.0)
 
 
+def _links(stats, ps, pr, chunk):
+    """The selected links' SNRs of every slot of the sfd statistics stats,
+    computed chunk slots at a time."""
+    recv, trans = np.empty((2, stats[0].size))
+    for s in range(0, stats[0].size, chunk):
+        _sfd_links(stats, ps, pr, s, recv[s:s + chunk], trans[s:s + chunk])
+    return recv, trans
+
+
 def _sfd_pair(sr_gain, rd_norm, ps, pr):
     """The oracle's (receive, transmit) relays for one slot, after checking
     that the table's selected links are exactly those relays' SNRs."""
     r, t = select_sfd(sr_gain, rd_norm, ps, pr)
     sr = np.asarray(sr_gain, dtype=np.float64).reshape(-1, 1)
     rd = np.asarray(rd_norm, dtype=np.float64).reshape(-1, 1)
-    recv, trans = _sfd_links(_whole(_sfd_stats, sr, rd), ps, pr)
+    recv, trans = _links(_whole(_sfd_stats, sr, rd), ps, pr, 1)
     assert recv[0] == ps * sr[r, 0]
     assert trans[0] == pr * rd[t, 0] ** 2
     return r, t
@@ -131,25 +146,24 @@ def test_select_sfd_power_dependence():
     assert _sfd_pair([5.0, 1.0], np.sqrt([4.0, 3.0]), 100.0, 1.0) == (1, 0)
 
 
-def test_estimators_deterministic():
+def test_estimators_deterministic(stats):
     for protocol in PROTOCOLS:
-        a = estimate(protocol, CFG, SIM, 3.0, 2.0)
-        b = estimate(protocol, CFG, SIM, 3.0, 2.0)
+        a = estimate(protocol, CFG, stats, 3.0, 2.0)
+        b = estimate(protocol, CFG, stats, 3.0, 2.0)
         assert a == b
 
 
 def test_worker_count_does_not_change_values(monkeypatch):
-    # workers is not part of the cache key, so the cache is cleared before
-    # each run to make the threaded fill actually run; 70k slots leave a
-    # partial last block. The pool is capped at the CPU count, so four CPUs
-    # are reported to get four threads on any host.
+    # each run builds its own statistics, the second in a thread pool; 70k
+    # slots leave a partial last block. The pool is capped at the CPU
+    # count, so four CPUs are reported to get four threads on any host.
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     gains, estimates = [], []
     for workers in (1, 4):
         sim = SimConfig(slots=70_000, seed=9, workers=workers)
         gains.append([a.tobytes() for a in streamed_gains(CFG, sim)])
-        simulate._cache.clear()
-        estimates.append([estimate(p, CFG, sim, 3.0, 2.0) for p in PROTOCOLS])
+        stats = prepare([(p, CFG) for p in PROTOCOLS], sim)
+        estimates.append([estimate(p, CFG, stats, 3.0, 2.0) for p in PROTOCOLS])
     assert gains[0] == gains[1]
     assert estimates[0] == estimates[1]
 
@@ -196,17 +210,17 @@ def test_stream_bytes_bounds_traced_peak(L, N_R, slots):
     # outweigh the sampling block, and the last block is partial
     cfg = ChannelConfig(L=L, M=L // 2, N_R=N_R)
     sim = SimConfig(slots=slots, seed=1)
-    simulate._cache.clear()
+    requests = [(p, cfg) for p in PROTOCOLS]
     tracemalloc.start()
     try:
+        stats = prepare(requests, sim)
         for protocol in PROTOCOLS:
-            estimate(protocol, cfg, sim, 2.0, 1.5)
+            estimate(protocol, cfg, stats, 2.0, 1.5)
         peak = tracemalloc.get_traced_memory()[1]
-        held = cache_info()["stats_bytes"]
     finally:
         tracemalloc.stop()
-        simulate._cache.clear()
-    assert held < peak <= stream_bytes([(p, cfg) for p in PROTOCOLS], sim)
+    held = sum(a.nbytes for out in stats.values() for a in out)
+    assert held < peak <= stream_bytes(requests, sim)
 
 
 def test_adb_holds_no_gain_array():
@@ -214,15 +228,15 @@ def test_adb_holds_no_gain_array():
     # sweep's widest shape, peak below a single (L, slots) array
     cfg = ChannelConfig(L=12, M=6, N_R=4)
     sim = SimConfig(slots=150_000, seed=1)
-    simulate._cache.clear()
+    labels = ("adb", "c11", "c22", "c21", "c12")
     tracemalloc.start()
     try:
-        for label in ("adb", "c11", "c22", "c21", "c12"):
-            estimate(label, cfg, sim, 2.0, 1.5)
+        stats = prepare([(label, cfg) for label in labels], sim)
+        for label in labels:
+            estimate(label, cfg, stats, 2.0, 1.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        simulate._cache.clear()
     assert peak < 8 * cfg.L * sim.slots
 
 
@@ -290,12 +304,15 @@ def test_streamed_statistics_match_whole_stream(
     sim = SimConfig(slots=slots, seed=seed, workers=workers)
     requests = [("adb", replace(cfg, M=m)) for m in range(1, L)]
     requests += [(p, cfg) for p in ("crs", "df", "sfd-mmrs")]
-    simulate._cache.clear()
-    passes = cache_info()["passes"]
-    simulate.prepare(requests, sim)
-    got = simulate._cache.get(cfg, sim, [simulate._statistic(*r) for r in requests])
-    simulate._cache.clear()
-    assert cache_info()["passes"] == passes + 1
+    passes = []
+    stream = simulate._stream
+    monkeypatch.setattr(
+        simulate, "_stream", lambda *args: passes.append(args) or stream(*args)
+    )
+    stats = prepare(requests, sim)
+    assert len(passes) == 1
+    assert not any(a.flags.writeable for out in stats.values() for a in out)
+    got = [stats[simulate._statistic(*r)] for r in requests]
     sr, rd = sample_gains(cfg, seed, 0, slots)
     for m, stats in zip(range(1, L), got):
         assert _same_bits(stats, _slot_major.adb_stats(sr, rd, m))
@@ -326,7 +343,8 @@ def test_sfd_statistics_match_scalar_rule_with_ties(L):
     stats = _whole(_sfd_stats, sr, rd)
     assert stats[2].size > 0.2 * n
     for ps, pr in ((1.0, 1.0), (2.0, 0.5), (100.0, 1.0), (0.01, 3.0)):
-        recv, trans = _sfd_links(stats, ps, pr)
+        # 7-slot chunks, the last one partial, split the collisions
+        recv, trans = _links(stats, ps, pr, 7)
         for i in range(n):
             r, t = select_sfd(sr[:, i], rd[:, i], ps, pr)
             assert recv[i] == ps * sr[r, i]
@@ -336,18 +354,18 @@ def test_sfd_statistics_match_scalar_rule_with_ties(L):
 def test_estimators_match_manual_reduction():
     # all four estimators must consume exactly the shared sampled sequence
     n = 20_000
-    sim = SimConfig(slots=n, seed=3)
+    stats = prepare([(p, CFG) for p in PROTOCOLS], SimConfig(slots=n, seed=3))
     sr, rd = sample_gains(CFG, 3, 0, n)
 
-    est = estimate("crs", CFG, sim, 2.0, 1.5)
+    est = estimate("crs", CFG, stats, 2.0, 1.5)
     manual = 0.5 * _rate(np.minimum(2.0 * sr, 1.5 * rd**2).max(axis=1))
     assert est.value == float(manual.mean())
 
-    est = estimate("df", CFG, sim, 2.0, 1.5)
+    est = estimate("df", CFG, stats, 2.0, 1.5)
     rate = 0.5 * np.log2(1 + np.minimum(2.0 * sr.min(1), 1.5 * rd.sum(1) ** 2))
     assert est.value == pytest.approx(float(rate.mean()), rel=1e-15)
 
-    est = estimate("adb", CFG, sim, 2.0, 1.5)
+    est = estimate("adb", CFG, stats, 2.0, 1.5)
     r11 = np.log2(1 + 2.0 * sr[:, :2].min(1)).mean()
     r22 = np.log2(1 + 1.5 * rd[:, :2].sum(1) ** 2).mean()
     r21 = np.log2(1 + 2.0 * sr[:, 2:].min(1)).mean()
@@ -355,7 +373,7 @@ def test_estimators_match_manual_reduction():
     expect = 0.5 * min(r11, r22) + 0.5 * min(r21, r12)
     assert est.value == pytest.approx(expect, rel=1e-12)
 
-    est = estimate("sfd-mmrs", CFG, sim, 2.0, 1.5)
+    est = estimate("sfd-mmrs", CFG, stats, 2.0, 1.5)
     c_sr, c_rd = [], []
     for i in range(n):
         recv, trans = select_sfd(sr[i], rd[i], 2.0, 1.5)
@@ -388,30 +406,33 @@ def test_sfd_symmetric_links_balanced():
         c_sr.std(ddof=1) / math.sqrt(n), c_rd.std(ddof=1) / math.sqrt(n)
     )
     assert abs(c_sr.mean() - c_rd.mean()) <= 3 * se
-    est = estimate("sfd-mmrs", cfg, SimConfig(slots=n, seed=17), 1.0, 1.0)
+    stats = prepare([("sfd-mmrs", cfg)], SimConfig(slots=n, seed=17))
+    est = estimate("sfd-mmrs", cfg, stats, 1.0, 1.0)
     assert est.value == pytest.approx(min(c_sr.mean(), c_rd.mean()), rel=1e-12)
 
 
-def test_sfd_has_no_half_prefactor():
+def test_sfd_has_no_half_prefactor(stats):
     # at generous symmetric powers the full-duplex-mimicking rate exceeds
     # the half-rate selection protocol roughly twofold
-    crs = estimate("crs", CFG, SIM, 10.0, 10.0)
-    sfd = estimate("sfd-mmrs", CFG, SIM, 10.0, 10.0)
+    crs = estimate("crs", CFG, stats, 10.0, 10.0)
+    sfd = estimate("sfd-mmrs", CFG, stats, 10.0, 10.0)
     assert sfd.value > 1.5 * crs.value
 
 
-def test_se_shrinks_with_sqrt_slots():
-    for protocol in ("adb", "crs", "df"):
-        small = estimate(protocol, CFG, SimConfig(slots=100_000, seed=42), 3.0, 2.0)
-        big = estimate(protocol, CFG, SimConfig(slots=200_000, seed=42), 3.0, 2.0)
+def test_se_shrinks_with_sqrt_slots(stats):
+    protocols = ("adb", "crs", "df")
+    doubled = prepare([(p, CFG) for p in protocols], SimConfig(slots=200_000, seed=42))
+    for protocol in protocols:
+        small = estimate(protocol, CFG, stats, 3.0, 2.0)
+        big = estimate(protocol, CFG, doubled, 3.0, 2.0)
         ratio = small.std_error / big.std_error
         assert math.sqrt(2) * 0.9 <= ratio <= math.sqrt(2) * 1.1
 
 
-def test_adb_symmetric_half_terms_agree():
+def test_adb_symmetric_half_terms_agree(stats):
     comps = {}
     for term in ("c11", "c22", "c21", "c12"):
-        est = estimate(term, CFG, SIM, 3.0, 2.0)
+        est = estimate(term, CFG, stats, 3.0, 2.0)
         comps[term] = (est.value, est.std_error)
     v1, s1, _ = _min_of_means(comps["c11"], comps["c22"])
     v2, s2, _ = _min_of_means(comps["c21"], comps["c12"])
@@ -419,24 +440,23 @@ def test_adb_symmetric_half_terms_agree():
 
 
 def test_component_terms_rebuild_adb_estimate():
-    # the four term entries read adb's cached statistics and reduce them
-    # with adb's per-term helper, so they recombine to adb's value exactly
+    # the four term entries read adb's statistics and reduce them with
+    # adb's per-term helper, so they recombine to adb's value exactly
     cfg = ChannelConfig(L=5, M=2, N_R=2, noise_r=2.0)
-    sim = SimConfig(slots=20_000, seed=3)
-    terms = {t: estimate(t, cfg, sim, 3.0, 2.0) for t in ("c11", "c22", "c21", "c12")}
-    adb = simulate._cache.get(cfg, sim, [simulate._statistic("adb", cfg)])[0]
-    for t in terms:
-        assert simulate._cache.get(cfg, sim, [simulate._statistic(t, cfg)])[0] is adb
+    labels = ("c11", "c22", "c21", "c12")
+    stats = prepare([(t, cfg) for t in labels], SimConfig(slots=20_000, seed=3))
+    assert list(stats) == [simulate._statistic("adb", cfg)]
+    terms = {t: estimate(t, cfg, stats, 3.0, 2.0) for t in labels}
     pair = {t: (e.value, e.std_error) for t, e in terms.items()}
     v1, _, _ = _min_of_means(pair["c11"], pair["c22"])
     v2, _, _ = _min_of_means(pair["c21"], pair["c12"])
-    assert estimate("adb", cfg, sim, 3.0, 2.0).value == 0.5 * (v1 + v2)
+    assert estimate("adb", cfg, stats, 3.0, 2.0).value == 0.5 * (v1 + v2)
 
 
-def test_estimates_nonnegative_and_power_monotone():
+def test_estimates_nonnegative_and_power_monotone(stats):
     for protocol in PROTOCOLS:
-        lo = estimate(protocol, CFG, SIM, 1.0, 0.5)
-        hi = estimate(protocol, CFG, SIM, 2.0, 1.0)
+        lo = estimate(protocol, CFG, stats, 1.0, 0.5)
+        hi = estimate(protocol, CFG, stats, 2.0, 1.0)
         assert lo.value >= 0.0
         assert hi.value > lo.value
 
@@ -448,9 +468,9 @@ def test_min_of_means_boundary_flag():
     assert (value, se, amb) == (1.0, 0.02, False)
 
 
-def test_power_validation():
+def test_power_validation(stats):
     for protocol in PROTOCOLS:
         with pytest.raises(ValueError):
-            estimate(protocol, CFG, SIM, 0.0, 1.0)
+            estimate(protocol, CFG, stats, 0.0, 1.0)
         with pytest.raises(ValueError):
-            estimate(protocol, CFG, SIM, 1.0, -2.0)
+            estimate(protocol, CFG, stats, 1.0, -2.0)
