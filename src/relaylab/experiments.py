@@ -11,6 +11,7 @@ import json
 import logging
 import math
 import os
+import platform
 import resource
 import subprocess
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -78,6 +79,16 @@ METHODS = ("analytic", "monte-carlo")
 # with stats what prepare returned for the point's stream, looked up as
 # each sweep point builds its evaluators.
 _SIMULATORS = {label: partial(estimate, label) for label in PROTOCOLS + TERMS}
+# label -> closed form callable(cfg, ps, pr) of each label that has one,
+# calling this module's adb_closed, c11_closed or c22_closed, looked up at
+# call time. Group two's rates are group one's with the groups swapped.
+_CLOSED_FORMS = {
+    "adb": lambda cfg, ps, pr: adb_closed(ps, pr, cfg),
+    "c11": lambda cfg, ps, pr: c11_closed(ps / cfg.noise_r, cfg.M, cfg.N_R, cfg.sigma_g2),
+    "c22": lambda cfg, ps, pr: c22_closed(pr / cfg.noise_d, cfg.M, cfg.N_R, cfg.sigma_h2),
+    "c21": lambda cfg, ps, pr: _CLOSED_FORMS["c11"](replace(cfg, M=cfg.L - cfg.M), ps, pr),
+    "c12": lambda cfg, ps, pr: _CLOSED_FORMS["c22"](replace(cfg, M=cfg.L - cfg.M), ps, pr),
+}
 
 
 class ConfigError(ValueError):
@@ -332,20 +343,6 @@ def load_spec(path: str) -> ExperimentSpec:
     return resolve_spec(read_config(path))
 
 
-def _closed_form(label, cfg, ps, pr) -> ThroughputEstimate:
-    """Closed-form throughput of the alternating scheme, or of one of its
-    component rates: c11 and c22 for group one (size M), c21 and c12 for
-    group two (size L - M)."""
-    size = cfg.M if label in ("c11", "c22") else cfg.L - cfg.M
-    if label == "adb":
-        value = adb_closed(ps, pr, cfg)
-    elif label in ("c11", "c21"):
-        value = c11_closed(ps / cfg.noise_r, size, cfg.N_R, cfg.sigma_g2)
-    else:
-        value = c22_closed(pr / cfg.noise_d, size, cfg.N_R, cfg.sigma_h2)
-    return ThroughputEstimate(value, 0.0, "analytic")
-
-
 def _row(label, cfg, snr_db, point, est) -> SweepRow:
     log.info(
         "%s L=%d M=%d N_R=%d snr_db=%g %s %.6g",
@@ -367,14 +364,15 @@ def _row(label, cfg, snr_db, point, est) -> SweepRow:
 
 
 def _evaluators(spec, label, cfg, stats):
-    """(evaluator, means) for one label in method order, for the methods the
-    spec asks for; the selection and decode-forward baselines have no closed
-    form. Monte Carlo reads stats, the statistics of the point's stream.
-    means gives a Monte Carlo value without its standard error, for the
-    split search to compare; a closed form has none to skip."""
+    """(evaluator, value) for one label in method order, for the methods the
+    spec asks for that the label has: its closed form, if _CLOSED_FORMS has
+    one, and Monte Carlo from stats, the statistics of the point's stream.
+    value gives the evaluator's value alone, for the split search to
+    compare: a Monte Carlo value skips its standard error."""
     out = []
-    if "analytic" in spec.methods and label not in ("crs", "df", "sfd-mmrs"):
-        out.append((partial(_closed_form, label, cfg), None))
+    if "analytic" in spec.methods and label in _CLOSED_FORMS:
+        value = partial(_CLOSED_FORMS[label], cfg)
+        out.append((lambda ps, pr: ThroughputEstimate(value(ps, pr), 0.0, "analytic"), value))
     if "monte-carlo" in spec.methods:
         mc = partial(_SIMULATORS[label], cfg, stats)
         out.append((mc, partial(mc, std_error=False)))
@@ -481,15 +479,11 @@ def _run_stream(spec: ExperimentSpec, points: list, group: list, rows: list):
     stats = prepare([points[i][:2] for i in group], spec.sim) if mc else None
     for i in group:
         label, cfg, snr_db, split = points[i]
-        for evaluate, means in _evaluators(spec, label, cfg, stats):
-            if split is None:
-                budget = PowerBudget(label, _snr_linear(snr_db), cfg.L)
-                point, est = maximize_throughput(
-                    budget, evaluate, spec.tolerance, means
-                )
-            else:
-                point, est = split, evaluate_split(evaluate, split)
-            rows[i].append(_row(label, cfg, snr_db, point, est))
+        for evaluate, value in _evaluators(spec, label, cfg, stats):
+            point = split or maximize_throughput(
+                PowerBudget(label, _snr_linear(snr_db), cfg.L), value, evaluate, spec.tolerance
+            )
+            rows[i].append(_row(label, cfg, snr_db, point, evaluate_split(evaluate, point)))
     if mc:
         nbytes = sum(a.nbytes for out in stats.values() for a in out)
         return {"L": cfg.L, "N_R": cfg.N_R, "stats_bytes": nbytes}
@@ -549,7 +543,9 @@ def _version_info() -> dict:
         ).stdout.strip() or None
     except Exception:
         described = None
-    return {"package": __version__, "git": described}
+    # CSV bytes also depend on numpy's Philox and log, and on the platform
+    return {"package": __version__, "git": described,
+            "numpy": np.__version__, "platform": platform.platform()}
 
 
 def _ambiguous_rows(rows) -> list:

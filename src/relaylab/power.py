@@ -8,9 +8,10 @@ increasing in both powers, so the optimum sits on the equality curve and the
 search is one-dimensional in the ratio ps/pr.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable
 
 from .simulate import PROTOCOLS, ThroughputEstimate
 
@@ -104,14 +105,14 @@ def evaluate_split(evaluator: Evaluator, point: PowerPoint) -> ThroughputEstimat
     return est
 
 
-def _significant_maxima(us, vals, estimate):
+def _significant_maxima(us, vals, std_error):
     """Indices of local maxima on the grid that rise above MC noise."""
     best = max(range(len(us)), key=vals.__getitem__)
-    best_se = estimate(us[best]).std_error
+    best_se = std_error(us[best])
     found = []
     for i in range(1, len(us) - 1):
         if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]:
-            se = math.hypot(estimate(us[i]).std_error, best_se)
+            se = math.hypot(std_error(us[i]), best_se)
             if vals[i] >= vals[best] - 3.0 * se:
                 found.append(i)
     return found or [best]
@@ -119,49 +120,41 @@ def _significant_maxima(us, vals, estimate):
 
 def maximize_throughput(
     budget: PowerBudget,
+    value: Callable[[float, float], float],
     evaluator: Evaluator,
     tolerance: float = 1e-3,
-    means: Optional[Callable[[float, float], float]] = None,
-) -> Tuple[PowerPoint, ThroughputEstimate]:
-    """Maximize evaluator(ps, pr) along the budget-equality curve.
+) -> PowerPoint:
+    """The best split along the budget-equality curve by value(ps, pr).
 
     Log-spaced coarse grid over the ps/pr ratio, then golden-section
     refinement of ln(ratio) around the best grid point down to the given
     relative ratio tolerance. If the coarse grid shows several local maxima
     beyond combined Monte Carlo noise, a 200-point grid re-locates the peak
-    first. Returns the best probed point and its estimate.
+    first. Returns the first probed point of highest value.
 
-    means(ps, pr), if given, must return evaluator's value alone, more
-    cheaply (a Monte Carlo mean without its standard error). The search
-    then compares those values, and calls evaluator only at the points
-    whose standard error it reads: the coarse-grid maxima and the returned
-    point. The result is the same either way.
+    value must return evaluator's value alone (a Monte Carlo mean without
+    its standard error, say). The search compares values only, and calls
+    evaluator once at each coarse-grid maximum, for its standard error.
     """
     if not tolerance > 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
-    cache = {}  # ln(ratio) -> [value, point, full estimate once read]
+    probed = {}  # ln(ratio) -> (point, value)
 
     def probe(u):
-        if u not in cache:
+        if u not in probed:
             point = ratio_point(budget, math.exp(u))
-            if means is None:
-                est = evaluate_split(evaluator, point)
-                cache[u] = [est.value, point, est]
-            else:
-                cache[u] = [_finite(means(point.ps, point.pr), point), point, None]
-        return cache[u][0]
+            probed[u] = point, _finite(value(point.ps, point.pr), point)
+        return probed[u][1]
 
-    def estimate(u):
-        entry = cache[u]
-        if entry[2] is None:
-            entry[2] = evaluate_split(evaluator, entry[1])
-        return entry[2]
+    @functools.cache
+    def std_error(u):
+        return evaluate_split(evaluator, probed[u][0]).std_error
 
     ulo, uhi = (math.log(r) for r in _RATIO_BOUNDS)
     step = (uhi - ulo) / (_COARSE_POINTS - 1)
     us = [ulo + i * step for i in range(_COARSE_POINTS)]
     vals = [probe(u) for u in us]
-    if len(_significant_maxima(us, vals, estimate)) > 1:
+    if len(_significant_maxima(us, vals, std_error)) > 1:
         step = (uhi - ulo) / 199
         us = [ulo + i * step for i in range(200)]
         vals = [probe(u) for u in us]
@@ -172,8 +165,7 @@ def maximize_throughput(
     width_goal = math.log1p(tolerance)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc = probe(c)
-    fd = probe(d)
+    fc, fd = probe(c), probe(d)
     while (b - a) > width_goal:
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -183,5 +175,4 @@ def maximize_throughput(
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = probe(d)
-    u_best = max(cache, key=lambda u: cache[u][0])
-    return cache[u_best][1], estimate(u_best)
+    return max(probed.values(), key=lambda entry: entry[1])[0]

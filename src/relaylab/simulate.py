@@ -122,16 +122,17 @@ def stream_bytes(requests, sim: SimConfig) -> int:
     stream, are built and probed. In slot-long float64 rows: the
     statistics (adb and its terms 4 per M value, crs 2L, df 2, sfd-mmrs 8:
     2, and up to 3 of collision indices and second-bests, doubled while the
-    blocks' parts are joined) and 6 rows of probe temporaries (3.0 measured
-    for sfd-mmrs, 2.2 at most for the others); beside them one sampling
-    block per thread at 5 float64 copies per draw (4.1 measured)."""
+    blocks' parts are joined) and 3 rows of probe temporaries (3.0 measured
+    for sfd-mmrs, 2.0 to 2.2 for the others) plus two _CHUNK-long buffers
+    (crs's); beside them one sampling block per thread at 5 float64 copies
+    per draw (4.1 measured)."""
     requests = list(requests)
     cfg = requests[0][1]
     rows = {_adb_stats: 4, _crs_stats: 2 * cfg.L, _df_stats: 2, _sfd_stats: 8}
     held = sum(rows[build] for build, _ in {_statistic(*r) for r in requests})
     threads = min(sim.workers, os.cpu_count() or 1)
     block = min(_block_slots(cfg), sim.slots) * 2 * cfg.L * cfg.N_R * 5
-    return 8 * (sim.slots * (held + 6) + threads * block)
+    return 8 * (sim.slots * (held + 3) + 2 * _CHUNK + threads * block)
 
 
 def _stream(cfg: ChannelConfig, sim: SimConfig, statistics):

@@ -126,6 +126,9 @@ def test_stream_seed_validation():
     for seed in (-3, 2**64):
         with pytest.raises(ValueError):
             sample_gains(ChannelConfig(L=2, M=1), seed=seed, start_slot=0, count=1)
+    for start, count in ((-1, 1), (0, 0)):
+        with pytest.raises(ValueError):
+            sample_gains(ChannelConfig(L=2, M=1), seed=1, start_slot=start, count=count)
 
 
 def test_slot_autocorrelation_negligible():

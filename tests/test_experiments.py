@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import threading
 import weakref
 from dataclasses import replace
@@ -80,7 +81,13 @@ def test_invalid_specs_rejected():
     with pytest.raises(ConfigError):
         resolve_spec({"experiment": "relay-sweep", "grid": [10]})
     with pytest.raises(ConfigError):
+        resolve_spec({"experiment": "antenna-sweep", "grid": [2, 0]})
+    with pytest.raises(ConfigError):
         resolve_spec({"experiment": "validate", "grid": [[1, 2]]})
+    with pytest.raises(ConfigError):
+        resolve_spec({"experiment": "validate", "grid": [[0, 2, 1.0]]})
+    with pytest.raises(ConfigError):
+        resolve_spec({"experiment": "validate", "grid": [[1, 2, 0.0]]})
     with pytest.raises(ConfigError):
         resolve_spec({"experiment": "ratio-sweep", "methods": ["psychic"]})
     with pytest.raises(ConfigError):
@@ -305,6 +312,8 @@ def test_emit_sidecar_reproduces_spec(tmp_path):
     assert payload["row_count"] == len(result.rows)
     assert payload["spec"]["sim"]["seed"] == 42
     assert payload["version"]["package"] == relaylab.__version__
+    assert payload["version"]["numpy"] == np.__version__
+    assert payload["version"]["platform"] == platform.platform()
     # the sidecar spec resolves back to the identical ExperimentSpec
     assert resolve_spec(payload["spec"]) == spec
 

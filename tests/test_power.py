@@ -12,6 +12,7 @@ from relaylab.power import (
     OptimizationError,
     PowerBudget,
     PowerPoint,
+    evaluate_split,
     maximize_throughput,
     ratio_point,
 )
@@ -20,6 +21,15 @@ from relaylab.simulate import SimConfig, ThroughputEstimate, estimate, prepare
 
 def _analytic(value):
     return ThroughputEstimate(value, 0.0, "analytic")
+
+
+def _search(budget, evaluator, **kwargs):
+    """The split a search on evaluator's values returns, and its estimate
+    there."""
+    point = maximize_throughput(
+        budget, lambda ps, pr: evaluator(ps, pr).value, evaluator, **kwargs
+    )
+    return point, evaluate_split(evaluator, point)
 
 
 def _two_peaks(ps, pr):
@@ -76,7 +86,7 @@ def test_maximize_synthetic_unimodal():
     def evaluator(ps, pr):
         return _analytic(math.exp(-math.log(ps / pr) ** 2))
 
-    point, est = maximize_throughput(budget, evaluator, tolerance=1e-3)
+    point, est = _search(budget, evaluator, tolerance=1e-3)
     assert point.ps / point.pr == pytest.approx(1.0, abs=1e-3)
     assert est.value == pytest.approx(1.0, abs=1e-6)
 
@@ -88,7 +98,7 @@ def test_maximize_interior_peak_beats_extremes():
     def evaluator(ps, pr):
         return _analytic(adb_closed(ps, pr, cfg))
 
-    point, est = maximize_throughput(budget, evaluator, tolerance=1e-3)
+    point, est = _search(budget, evaluator, tolerance=1e-3)
     for extreme in (1e-2, 1e2):
         pt = ratio_point(budget, extreme)
         assert est.value > evaluator(pt.ps, pt.pr).value
@@ -103,7 +113,7 @@ def test_maximize_matches_dense_grid():
         ("crs", lambda ps, pr: estimate("crs", cfg, stats, ps, pr)),
     ):
         budget = PowerBudget(protocol, 10.0, cfg.L)
-        _, est = maximize_throughput(budget, evaluator, tolerance=1e-3)
+        _, est = _search(budget, evaluator, tolerance=1e-3)
         dense = 0.0
         for r in np.geomspace(1e-2, 1e2, 500):
             pt = ratio_point(budget, float(r))
@@ -115,10 +125,8 @@ def test_mc_and_analytic_optima_agree():
     cfg = ChannelConfig(L=4, M=2, N_R=3)
     budget = PowerBudget("adb", 10.0, cfg.L)
     stats = prepare([("adb", cfg)], SimConfig(slots=200_000, seed=42))
-    pt_mc, _ = maximize_throughput(budget, lambda ps, pr: estimate("adb", cfg, stats, ps, pr))
-    pt_an, _ = maximize_throughput(
-        budget, lambda ps, pr: _analytic(adb_closed(ps, pr, cfg))
-    )
+    pt_mc, _ = _search(budget, lambda ps, pr: estimate("adb", cfg, stats, ps, pr))
+    pt_an, _ = _search(budget, lambda ps, pr: _analytic(adb_closed(ps, pr, cfg)))
     assert abs(math.log(pt_mc.ps / pt_mc.pr) - math.log(pt_an.ps / pt_an.pr)) <= math.log(1.10)
 
 
@@ -131,7 +139,7 @@ def test_cmax_nondecreasing_in_budget():
     ):
         values = []
         for snr in (1.0, 3.0, 10.0, 30.0, 100.0):
-            _, est = maximize_throughput(PowerBudget(protocol, snr, cfg.L), evaluator)
+            _, est = _search(PowerBudget(protocol, snr, cfg.L), evaluator)
             values.append(est.value)
         assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -144,7 +152,7 @@ def test_optimizer_stays_feasible():
         seen.append((ps, pr))
         return _analytic(math.exp(-math.log(ps / pr) ** 2))
 
-    maximize_throughput(budget, evaluator)
+    _search(budget, evaluator)
     for ps, pr in seen:
         assert ps > 0 and pr > 0
         assert ps + budget.relay_weight * pr <= budget.total * (1 + 1e-12)
@@ -160,7 +168,7 @@ def test_multimodal_fallback_finds_global_peak():
         calls.append((ps, pr))
         return _two_peaks(ps, pr)
 
-    point, est = maximize_throughput(budget, two_peaks, tolerance=1e-3)
+    point, est = _search(budget, two_peaks, tolerance=1e-3)
     assert math.log(point.ps / point.pr) == pytest.approx(2.3, abs=0.01)
     assert est.value == pytest.approx(1.02, rel=1e-3)
     assert len(calls) > 200
@@ -169,23 +177,23 @@ def test_multimodal_fallback_finds_global_peak():
 def test_nonfinite_objective_raises():
     budget = PowerBudget("adb", 10.0, 4)
     with pytest.raises(OptimizationError):
-        maximize_throughput(budget, lambda ps, pr: _analytic(math.nan))
+        _search(budget, lambda ps, pr: _analytic(math.nan))
 
 
 def test_parameter_validation():
     budget = PowerBudget("adb", 10.0, 4)
     ev = lambda ps, pr: _analytic(1.0)
     with pytest.raises(ValueError):
-        maximize_throughput(budget, ev, tolerance=0.0)
+        _search(budget, ev, tolerance=0.0)
     with pytest.raises(ValueError):
         ratio_point(budget, 0.0)
 
 
 @pytest.mark.parametrize("case", [*PROTOCOLS, "adb-analytic", "two-peaks"])
 def test_value_only_probes_give_the_same_optimum(monkeypatch, case):
-    # the search compares values from `means` and reads standard errors
-    # only at coarse-grid points and the returned point; it must return
-    # exactly what a search on full estimates returns
+    # the search compares values alone and reads standard errors only at
+    # coarse-grid points; it must return exactly what a search on full
+    # estimates' values returns
     cfg = ChannelConfig(L=4, M=2, N_R=2)
     protocol = case if case in PROTOCOLS else "adb"
     if case in PROTOCOLS:
@@ -199,7 +207,7 @@ def test_value_only_probes_give_the_same_optimum(monkeypatch, case):
         full = _two_peaks
         value = lambda ps, pr: _two_peaks(ps, pr).value
     budget = PowerBudget(protocol, 10.0, cfg.L)
-    want_point, want = maximize_throughput(budget, full)
+    want, _ = _search(budget, full)
 
     # log every call, and every standard error computed under it
     calls, stds = [], []
@@ -217,19 +225,14 @@ def test_value_only_probes_give_the_same_optimum(monkeypatch, case):
         return call
 
     monkeypatch.setattr(simulate, "_mean_se", counting_mean_se)
-    point, got = maximize_throughput(
-        budget, logged("full", full), means=logged("value", value)
-    )
-    assert point == want_point
-    assert (got.value, got.std_error, got.boundary_ambiguous) == (
-        want.value, want.std_error, want.boundary_ambiguous
-    )
+    point = maximize_throughput(budget, logged("value", value), logged("full", full))
+    assert point == want
     # the coarse grid is probed first; full estimates are made once each,
-    # on grid points or at the returned point, and only they compute a std
+    # on coarse-grid points only, and only they compute a std
     grid = {(ps, pr) for _, ps, pr in calls[:25]}
     full_points = [(ps, pr) for kind, ps, pr in calls if kind == "full"]
     assert full_points and len(set(full_points)) == len(full_points)
-    assert set(full_points) <= grid | {(point.ps, point.pr)}
+    assert set(full_points) <= grid
     assert all(kind == "full" for kind, _, _ in stds)
     if case in PROTOCOLS:
         assert len(stds) >= len(full_points)

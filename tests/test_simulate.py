@@ -47,6 +47,10 @@ def test_sim_config_validation():
     for bad in ({"slots": 2000.5}, {"slots": True}, {"seed": 1.5}, {"workers": 2.5}):
         with pytest.raises(ValueError):
             SimConfig(**bad)
+    # one prepare call builds one fading stream
+    other = replace(CFG, N_R=CFG.N_R + 1)
+    with pytest.raises(ValueError):
+        prepare([("adb", CFG), ("adb", other)], SimConfig(slots=10))
 
 
 def test_estimate_validation():
@@ -207,7 +211,8 @@ def test_sampling_threads_capped_at_cpu_count(monkeypatch, cpus, pools):
 def test_stream_bytes_bounds_traced_peak(L, N_R, slots):
     # sampling, every protocol's statistics and one probe each, measured by
     # tracemalloc, which numpy reports its buffers to; the slot-long rows
-    # outweigh the sampling block, and the last block is partial
+    # outweigh the sampling block, and the last block is partial; the
+    # estimate bounds the peak and overcharges it by at most 60%
     cfg = ChannelConfig(L=L, M=L // 2, N_R=N_R)
     sim = SimConfig(slots=slots, seed=1)
     requests = [(p, cfg) for p in PROTOCOLS]
@@ -220,7 +225,7 @@ def test_stream_bytes_bounds_traced_peak(L, N_R, slots):
     finally:
         tracemalloc.stop()
     held = sum(a.nbytes for out in stats.values() for a in out)
-    assert held < peak <= stream_bytes(requests, sim)
+    assert held < peak <= stream_bytes(requests, sim) <= 1.6 * peak
 
 
 def test_adb_holds_no_gain_array():
