@@ -35,6 +35,7 @@ from .simulate import (
     TERMS,
     SimConfig,
     ThroughputEstimate,
+    _statistic,
     estimate,
     prepare,
     stream_bytes,
@@ -472,11 +473,17 @@ def _gaps(spec: ExperimentSpec, rows: list) -> dict:
 def _run_stream(spec: ExperimentSpec, points: list, group: list, rows: list):
     """Run the points of one fading stream (indices group of points) into
     their rows; for Monte Carlo, one sampling pass first builds the
-    statistics of every label and M value of the stream, which are freed
-    when this returns, before the next stream's are built. Gives the
-    stream's diagnostics, or None without Monte Carlo."""
-    mc = "monte-carlo" in spec.methods
-    stats = prepare([points[i][:2] for i in group], spec.sim) if mc else None
+    statistics of every label and M value of the stream, and each is freed
+    after the last point that reads it, so all are gone before the next
+    stream's are built. Gives the stream's diagnostics, or None without
+    Monte Carlo."""
+    stats = diagnostics = None
+    if "monte-carlo" in spec.methods:
+        stats = prepare([points[i][:2] for i in group], spec.sim)
+        cfg = points[group[0]][1]
+        nbytes = sum(a.nbytes for out in stats.values() for a in out)
+        diagnostics = {"L": cfg.L, "N_R": cfg.N_R, "stats_bytes": nbytes}
+        last = {_statistic(*points[i][:2]): i for i in group}
     for i in group:
         label, cfg, snr_db, split = points[i]
         for evaluate, value in _evaluators(spec, label, cfg, stats):
@@ -484,9 +491,10 @@ def _run_stream(spec: ExperimentSpec, points: list, group: list, rows: list):
                 PowerBudget(label, _snr_linear(snr_db), cfg.L), value, evaluate, spec.tolerance
             )
             rows[i].append(_row(label, cfg, snr_db, point, evaluate_split(evaluate, point)))
-    if mc:
-        nbytes = sum(a.nbytes for out in stats.values() for a in out)
-        return {"L": cfg.L, "N_R": cfg.N_R, "stats_bytes": nbytes}
+        key = _statistic(label, cfg)
+        if stats is not None and last[key] == i:
+            del stats[key]
+    return diagnostics
 
 
 def run_experiment(spec: ExperimentSpec) -> SweepResult:

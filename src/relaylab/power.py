@@ -105,17 +105,19 @@ def evaluate_split(evaluator: Evaluator, point: PowerPoint) -> ThroughputEstimat
     return est
 
 
-def _significant_maxima(us, vals, std_error):
-    """Indices of local maxima on the grid that rise above MC noise."""
+def _several_maxima(us, vals, std_error):
+    """Whether two or more interior local maxima of the grid rise within
+    combined Monte Carlo noise of its best value; with fewer than two no
+    standard error is read."""
+    peaks = [i for i in range(1, len(us) - 1) if vals[i - 1] <= vals[i] >= vals[i + 1]]
+    if len(peaks) < 2:
+        return False
     best = max(range(len(us)), key=vals.__getitem__)
     best_se = std_error(us[best])
-    found = []
-    for i in range(1, len(us) - 1):
-        if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]:
-            se = math.hypot(std_error(us[i]), best_se)
-            if vals[i] >= vals[best] - 3.0 * se:
-                found.append(i)
-    return found or [best]
+    return sum(
+        vals[i] >= vals[best] - 3.0 * math.hypot(std_error(us[i]), best_se)
+        for i in peaks
+    ) > 1
 
 
 def maximize_throughput(
@@ -133,8 +135,10 @@ def maximize_throughput(
     first. Returns the first probed point of highest value.
 
     value must return evaluator's value alone (a Monte Carlo mean without
-    its standard error, say). The search compares values only, and calls
-    evaluator once at each coarse-grid maximum, for its standard error.
+    its standard error, say). The search compares values only. Only when
+    the coarse grid has two or more interior local maxima does it call
+    evaluator, once at each of them and at the grid's best, for their
+    standard errors.
     """
     if not tolerance > 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
@@ -154,7 +158,7 @@ def maximize_throughput(
     step = (uhi - ulo) / (_COARSE_POINTS - 1)
     us = [ulo + i * step for i in range(_COARSE_POINTS)]
     vals = [probe(u) for u in us]
-    if len(_significant_maxima(us, vals, std_error)) > 1:
+    if _several_maxima(us, vals, std_error):
         step = (uhi - ulo) / 199
         us = [ulo + i * step for i in range(200)]
         vals = [probe(u) for u in us]

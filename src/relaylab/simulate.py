@@ -120,19 +120,21 @@ def stream_bytes(requests, sim: SimConfig) -> int:
     """Upper estimate, in bytes, of what one fading stream needs at its peak
     while the statistics of the (label, cfg) pairs of requests, all on that
     stream, are built and probed. In slot-long float64 rows: the
-    statistics (adb and its terms 4 per M value, crs 2L, df 2, sfd-mmrs 8:
-    2, and up to 3 of collision indices and second-bests, doubled while the
-    blocks' parts are joined) and 3 rows of probe temporaries (3.0 measured
-    for sfd-mmrs, 2.0 to 2.2 for the others) plus two _CHUNK-long buffers
-    (crs's); beside them one sampling block per thread at 5 float64 copies
-    per draw (4.1 measured)."""
+    statistics (adb and its terms 4 per M value, df 2, crs and sfd-mmrs
+    together 4, plus 3 per level, H_L - 2 + 1/L a slot, and 3 per
+    collision, 1/L a slot) and 3 rows of temporaries (2.2 measured for
+    sfd-mmrs's probe, 1.0 to 1.1 for the others) plus two _CHUNK-long
+    buffers (crs's); beside them one sampling block per thread at 5
+    float64 copies per draw (4.1 measured)."""
     requests = list(requests)
     cfg = requests[0][1]
-    rows = {_adb_stats: 4, _crs_stats: 2 * cfg.L, _df_stats: 2, _sfd_stats: 8}
+    # levels a slot, H_L - 2 + 1/L, through H_L < ln L + gamma + 1/(2L)
+    levels = math.log(cfg.L) + 0.5772156649015329 + 1.5 / cfg.L - 2
+    rows = {_adb_stats: 4, _df_stats: 2, _select_stats: 4 + 3 * levels + 3 / cfg.L}
     held = sum(rows[build] for build, _ in {_statistic(*r) for r in requests})
     threads = min(sim.workers, os.cpu_count() or 1)
     block = min(_block_slots(cfg), sim.slots) * 2 * cfg.L * cfg.N_R * 5
-    return 8 * (sim.slots * (held + 3) + 2 * _CHUNK + threads * block)
+    return math.ceil(8 * (sim.slots * (held + 3) + 2 * _CHUNK + threads * block))
 
 
 def _stream(cfg: ChannelConfig, sim: SimConfig, statistics):
@@ -143,12 +145,13 @@ def _stream(cfg: ChannelConfig, sim: SimConfig, statistics):
     never held beyond one block per thread; each thread writes its own
     blocks' slices. build(sr_gain, rd_norm, *args) takes a relay-major block
     and gives (per_slot, sparse): arrays whose last axis is the block's
-    slots, and either nothing or (slot indices in the block, values at those
-    slots...), which are joined in slot order after the pass."""
+    slots, and a tuple of sparse parts, each (slot indices in the block,
+    values at those slots...), whose arrays are joined in slot order after
+    the pass and follow the per-slot arrays in the result."""
     slots, block = sim.slots, _block_slots(cfg)
     starts = range(0, slots, block)
     dense = {}
-    sparse = {key: [None] * len(starts) for key in statistics}
+    sparse = {}  # key -> one list per sparse array, of its blocks' pieces
 
     def fill(i):
         start = starts[i]
@@ -157,16 +160,18 @@ def _stream(cfg: ChannelConfig, sim: SimConfig, statistics):
         sr, rd = np.ascontiguousarray(sr.T), np.ascontiguousarray(rd.T)
         for key in statistics:
             build, args = key
-            per_slot, part = build(sr, rd, *args)
+            per_slot, parts = build(sr, rd, *args)
             if i == 0:
                 dense[key] = tuple(
                     np.empty(a.shape[:-1] + (slots,), a.dtype) for a in per_slot
                 )
+                sparse[key] = [[None] * len(starts) for p in parts for _ in p]
             for out, a in zip(dense[key], per_slot):
                 out[..., start:start + n] = a
-            if part:
+            for part in parts:
                 np.add(part[0], start, out=part[0])
-            sparse[key][i] = part
+            for pieces, a in zip(sparse[key], (a for p in parts for a in p)):
+                pieces[i] = a
 
     # the first block alone allocates the outputs; the rest may run in
     # threads
@@ -179,10 +184,14 @@ def _stream(cfg: ChannelConfig, sim: SimConfig, statistics):
     else:
         for i in rest:
             fill(i)
-    return {
-        key: dense[key] + tuple(np.concatenate(c) for c in zip(*sparse[key]))
-        for key in statistics
-    }
+
+    def join(pieces):
+        # one sparse array is held twice at a time, not all of them
+        out = np.concatenate(pieces)
+        pieces.clear()
+        return out
+
+    return {key: dense[key] + tuple(map(join, sparse[key])) for key in statistics}
 
 
 def prepare(requests, sim: SimConfig) -> dict:
@@ -226,22 +235,43 @@ def _adb_stats(sr, rd, m):
     ), ()
 
 
-def _crs_stats(sr, rd):
-    return (sr, rd**2), ()
-
-
 def _df_stats(sr, rd):
     return (sr.min(axis=0), _pairwise_sum(rd) ** 2), ()
 
 
-def _sfd_stats(sr, rd):
-    """Power-independent selection statistics: the best source-side gains
-    and destination-side squared norms, the slots where one relay is best
-    on both sides, and the second-best of each side on those slots only."""
-    sr1, sr2, r1 = _top2(sr)
-    rd1, rd2, t1 = _top2(rd)
+def _select_stats(sr, rd):
+    """Power-independent statistics of crs and sfd-mmrs, in relay gains g =
+    sr and squared norms h = rd**2: per slot, (g, h) of the best source-side
+    relay r1 and of the best destination-side relay t1, ties to the lowest
+    index; sparse, in slot order, the levels, (slot, g, h) of every other
+    relay on the Pareto front of (g, h) (no relay matches or beats it on
+    both sides, an exact twin only from a lower index), and the collisions,
+    the slots where r1 is t1, with the second-best g and h there. Such a
+    relay, and any that beats it, beats t1 on g and r1 on h: only those
+    candidates are compared, each slot's with each other, d apart."""
+    L, n = sr.shape
+    h = rd**2
+    g1, g2nd, r1 = _top2(sr)
+    rd1, rd2nd, t1 = _top2(rd)
+    cols = np.arange(n)
+    h1, g2 = h.take(r1 * n + cols), sr.take(t1 * n + cols)
+    slot, relay = np.divmod(np.flatnonzero(((sr > g2) & (h > h1)).T), L)
+    at = relay * n + slot
+    g, hg = sr.take(at), h.take(at)
+    beaten = np.zeros(slot.size, dtype=bool)
+    for d in range(1, L - 2):
+        pair = slot[d:] == slot[:-d]
+        if not pair.any():
+            break
+        low = pair & (g[:-d] >= g[d:]) & (hg[:-d] >= hg[d:])
+        beaten[d:] |= low
+        beaten[:-d] |= pair & (g[d:] >= g[:-d]) & (hg[d:] >= hg[:-d]) & ~low
+    front = ~beaten
     collide = np.flatnonzero(r1 == t1)
-    return (sr1, rd1**2), (collide, sr2[collide], rd2[collide] ** 2)
+    return (g1, h1, g2, rd1**2), (
+        (slot[front], g[front], hg[front]),
+        (collide, g2nd[collide], rd2nd[collide] ** 2),
+    )
 
 
 def _rate(x):
@@ -255,14 +285,18 @@ def _rate(x):
 
 def _mean_se(x, se=True):
     """Mean of x and its standard error; the error is NaN when se is false,
-    which saves its second pass over x."""
+    which saves its second pass over x. x is consumed: the error is
+    computed in place, in numpy's own steps for x.std(ddof=1), so its bits
+    are the same."""
     n = x.shape[0]
     mean = float(x.mean())
     if not se:
         return mean, math.nan
     if n < 2:
         return mean, 0.0
-    return mean, float(x.std(ddof=1) / math.sqrt(n))
+    x -= mean
+    np.square(x, out=x)
+    return mean, math.sqrt(float(x.sum()) / (n - 1)) / math.sqrt(n)
 
 
 def _min_of_means(a, b):
@@ -304,23 +338,27 @@ def _half_rate(n, snr):
     return rate
 
 
+def _crs_snr(stats, a, b, best, s):
+    """Write into best the SNRs of the strongest end-to-end min links on
+    slots s:s + best.size, from _select_stats at powers a and b: r1's or
+    t1's, raised on the level slots. Rounding is monotone and max exact, so
+    a relay off the front never wins, and this is the max over all relays
+    bit for bit."""
+    g1, h1, g2, h2, level, g, h = stats[:7]
+    e = s + best.size
+    x, y = np.empty((2, best.size))
+    np.minimum(np.multiply(a, g1[s:e], out=best), np.multiply(b, h1[s:e], out=y), out=best)
+    np.minimum(np.multiply(a, g2[s:e], out=x), np.multiply(b, h2[s:e], out=y), out=x)
+    np.maximum(best, x, out=best)
+    lo, hi = np.searchsorted(level, (s, e))
+    np.maximum.at(best, level[lo:hi] - s, np.minimum(a * g[lo:hi], b * h[lo:hi]))
+
+
 def _crs_reduce(stats, a, b, se):
     """Best-relay selection: half the capacity of the strongest end-to-end
     min link."""
-    sr, rd2 = stats
-    link, other = np.empty((2, min(sr.shape[1], _CHUNK)))
-
-    def snr(best, s):
-        e = s + best.size
-        x, y = link[:best.size], other[:best.size]
-        best.fill(-np.inf)
-        for sr_row, rd2_row in zip(sr[:, s:e], rd2[:, s:e]):
-            np.multiply(a, sr_row, out=x)
-            np.multiply(b, rd2_row, out=y)
-            np.minimum(x, y, out=x)
-            np.maximum(best, x, out=best)
-
-    return (*_mean_se(_half_rate(sr.shape[1], snr), se), False)
+    n = stats[0].shape[0]
+    return (*_mean_se(_half_rate(n, partial(_crs_snr, stats, a, b)), se), False)
 
 
 def _df_reduce(stats, a, b, se):
@@ -342,7 +380,7 @@ def _df_reduce(stats, a, b, se):
 def _sfd_links(stats, a, b, s, recv, trans):
     """Write into recv and trans the SNRs of the receive and transmit links
     chosen for full-duplex mimicking on slots s:s + recv.size, from
-    _sfd_stats at normalized powers a and b.
+    _select_stats at normalized powers a and b.
 
     Best receive and best transmit relays are chosen independently; on a
     collision the weaker of the two swap options is dropped: keep (r2, t1)
@@ -350,7 +388,8 @@ def _sfd_links(stats, a, b, s, recv, trans):
     Ties go to the lowest relay index. The rule only runs on the colliding
     slots; collide is sorted, so the chunk's collisions are one slice.
     """
-    sr1, rd1, collide, sr2, rd2 = stats
+    sr1, rd1 = stats[0], stats[3]
+    collide, sr2, rd2 = stats[7:]
     e = s + recv.size
     np.multiply(a, sr1[s:e], out=recv)
     np.multiply(b, rd1[s:e], out=trans)
@@ -381,18 +420,19 @@ def _sfd_reduce(stats, a, b, se):
 
 # label -> (stats, ChannelConfig fields stats reads beyond the gains,
 # reduce). stats(sr_gain, rd_norm, *fields) gives the power-independent
-# per-slot arrays of one relay-major block, as _stream describes; joined
-# over the stream they are what prepare returns, and reduce(stats, a, b,
-# se) gives (mean, se, boundary_ambiguous) at a = ps/noise_r, b =
-# pr/noise_d, with the standard error NaN, and the flag meaningless, if se
-# is false. The four protocols come first, in protocol (and row) order;
-# the alternating scheme's component rates follow, one per _adb_stats
-# array, so they share its statistics.
+# per-slot arrays and sparse parts of one relay-major block, as _stream
+# describes; joined over the stream they are what prepare returns, and
+# reduce(stats, a, b, se) gives (mean, se, boundary_ambiguous) at a =
+# ps/noise_r, b = pr/noise_d, with the standard error NaN, and the flag
+# meaningless, if se is false. The four protocols come first, in protocol
+# (and row) order; crs and sfd-mmrs share one statistic, and the
+# alternating scheme's component rates follow, one per _adb_stats array,
+# so they share its statistics.
 _TABLE = {
     "adb": (_adb_stats, ("M",), _adb_reduce),
-    "crs": (_crs_stats, (), _crs_reduce),
+    "crs": (_select_stats, (), _crs_reduce),
     "df": (_df_stats, (), _df_reduce),
-    "sfd-mmrs": (_sfd_stats, (), _sfd_reduce),
+    "sfd-mmrs": (_select_stats, (), _sfd_reduce),
     "c11": (_adb_stats, ("M",), partial(_term_reduce, 0)),
     "c22": (_adb_stats, ("M",), partial(_term_reduce, 1)),
     "c21": (_adb_stats, ("M",), partial(_term_reduce, 2)),

@@ -85,6 +85,40 @@ def sfd_stats(sr, rd):
     )
 
 
+def select_stats(sr, rd):
+    """crs's and sfd-mmrs's shared statistics in the package's layout: the
+    (g, h) pairs of the best source-side relay r1 and the best
+    destination-side relay t1, the other Pareto-front relays' (slot, g, h)
+    and the collisions' (slot, second-best g, second-best h). The front is
+    found by sorting each slot's relays by g, then h, descending, then
+    index: a relay is on it when its h beats every h sorted before it."""
+    rows = np.arange(sr.shape[0])
+    r1 = sr.argmax(axis=1)
+    t1 = rd.argmax(axis=1)
+    h = rd**2
+    relays = np.broadcast_to(np.arange(sr.shape[1]), sr.shape)
+    order = np.lexsort((relays, -h, -sr), axis=1)
+    h_sorted = np.take_along_axis(h, order, axis=1)
+    above = h_sorted[:, 1:] > np.maximum.accumulate(h_sorted, axis=1)[:, :-1]
+    front = np.zeros(sr.shape, dtype=bool)
+    np.put_along_axis(front, order, np.column_stack([np.ones(len(rows), bool), above]), axis=1)
+    front[rows, r1] = front[rows, t1] = False
+    slot, relay = np.nonzero(front)
+    _, sr2, _, rd2, collide = sfd_stats(sr, rd)
+    collide = np.flatnonzero(collide)
+    return (
+        sr[rows, r1], h[rows, r1], sr[rows, t1], h[rows, t1],
+        slot, sr[slot, relay], h[slot, relay],
+        collide, sr2[collide], rd2[collide],
+    )
+
+
+def crs_snr(sr, rd, a, b):
+    """Per slot, the SNR of the strongest end-to-end min link over every
+    relay."""
+    return np.minimum(a * sr, b * rd**2).max(axis=1)
+
+
 def sim_adb(cfg, sim, ps, pr):
     min1, beam1, min2, beam2 = adb_stats(*_gains(cfg, sim), cfg.M)
     a = ps / cfg.noise_r
@@ -104,8 +138,7 @@ def sim_adb(cfg, sim, ps, pr):
 
 
 def sim_crs(cfg, sim, ps, pr):
-    sr, rd = _gains(cfg, sim)
-    best = np.minimum((ps / cfg.noise_r) * sr, (pr / cfg.noise_d) * rd**2).max(axis=1)
+    best = crs_snr(*_gains(cfg, sim), ps / cfg.noise_r, pr / cfg.noise_d)
     return _estimate(_mean_se(0.5 * _rate(best)))
 
 

@@ -470,6 +470,40 @@ def test_each_stream_is_freed_before_the_next_is_built(monkeypatch):
     assert all(ref() is None for ref in held)
 
 
+def test_each_statistic_is_freed_after_its_last_point(monkeypatch):
+    # an antenna-sweep stream runs adb, crs, df and sfd-mmrs in that order;
+    # adb's statistic is read by its own point alone, so it is dead before
+    # sfd-mmrs's first probe, while the statistic crs and sfd-mmrs share
+    # lives until then; the diagnostics still count every statistic
+    adb, shared, seen, sizes = [], [], [], []
+    prepare, sfd = experiments.prepare, experiments._SIMULATORS["sfd-mmrs"]
+
+    def tracking(requests, sim):
+        stats = prepare(requests, sim)
+        sizes.append(sum(a.nbytes for out in stats.values() for a in out))
+        cfg = requests[0][1]
+        adb.append(weakref.ref(stats[simulate._statistic("adb", cfg)][0]))
+        shared.append(weakref.ref(stats[simulate._statistic("crs", cfg)][0]))
+        return stats
+
+    def probing(*args, **kwargs):
+        seen.append((adb[-1]() is None, shared[-1]() is None))
+        return sfd(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "prepare", tracking)
+    monkeypatch.setitem(experiments._SIMULATORS, "sfd-mmrs", probing)
+    result = run_experiment(resolve_spec({
+        "experiment": "antenna-sweep",
+        "grid": [1, 2],
+        "sim": {"slots": 5_000},
+        "methods": ["monte-carlo"],
+    }))
+    assert len(adb) == 2 and seen
+    assert set(seen) == {(True, False)}
+    assert all(ref() is None for ref in adb + shared)
+    assert [s["stats_bytes"] for s in result.diagnostics["streams"]] == sizes
+
+
 def test_worker_counts_are_compared_in_one_process(tmp_path, monkeypatch):
     # criterion 9's runs at one and at several workers share a process;
     # each must sample its own stream, the second on pool threads, and

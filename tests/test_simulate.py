@@ -17,10 +17,12 @@ from relaylab.simulate import (
     ThroughputEstimate,
     _min_of_means,
     _adb_stats,
+    _crs_snr,
     _df_stats,
+    _mean_se,
     _rate,
+    _select_stats,
     _sfd_links,
-    _sfd_stats,
     estimate,
     prepare,
     stream_bytes,
@@ -65,7 +67,7 @@ def test_estimate_validation():
 def _whole(build, sr, rd, *args):
     """build's statistics of relay-major gains taken as a single block."""
     per_slot, sparse = build(sr, rd, *args)
-    return per_slot + sparse
+    return per_slot + tuple(a for part in sparse for a in part)
 
 
 def _slot_rate(protocol, sr_gain, rd_norm, ps, pr, m=None):
@@ -123,7 +125,7 @@ def _sfd_pair(sr_gain, rd_norm, ps, pr):
     r, t = select_sfd(sr_gain, rd_norm, ps, pr)
     sr = np.asarray(sr_gain, dtype=np.float64).reshape(-1, 1)
     rd = np.asarray(rd_norm, dtype=np.float64).reshape(-1, 1)
-    recv, trans = _links(_whole(_sfd_stats, sr, rd), ps, pr, 1)
+    recv, trans = _links(_whole(_select_stats, sr, rd), ps, pr, 1)
     assert recv[0] == ps * sr[r, 0]
     assert trans[0] == pr * rd[t, 0] ** 2
     return r, t
@@ -205,7 +207,8 @@ def test_sampling_threads_capped_at_cpu_count(monkeypatch, cpus, pools):
     (2, 24, 150_000),
     (12, 4, 150_000),
     (4, 1, 150_000),
-    # crs's 2L rows dominate; fewer slots keep the test small
+    # about 2.5 levels a slot, 3 rows each, outweigh the dense rows;
+    # fewer slots keep the test small
     (48, 1, 30_000),
 ], ids=["2-24", "12-4", "4-1", "48-1"])
 def test_stream_bytes_bounds_traced_peak(L, N_R, slots):
@@ -229,7 +232,7 @@ def test_stream_bytes_bounds_traced_peak(L, N_R, slots):
 
 
 def test_adb_holds_no_gain_array():
-    # only crs keeps per-relay rows: adb and its terms, at the relay
+    # no statistic keeps per-relay rows: adb and its terms, at the relay
     # sweep's widest shape, peak below a single (L, slots) array
     cfg = ChannelConfig(L=12, M=6, N_R=4)
     sim = SimConfig(slots=150_000, seed=1)
@@ -275,29 +278,27 @@ def test_relay_major_statistics_match_slot_major():
     assert _same_bits(
         _whole(_df_stats, rows_sr, rows_rd), _slot_major.df_stats(sr, rd)
     )
-    # sfd keeps the second-best gains on the colliding slots only
+    # crs and sfd-mmrs keep the two best relays' gains per slot, the other
+    # Pareto-front relays at their slots (none below three relays), and the
+    # second-best gains on the colliding slots only
     for L in (2, 3, 20):
-        sr1, rd1, collide, sr2, rd2 = _whole(_sfd_stats, rows_sr[:L], rows_rd[:L])
-        o_sr1, o_sr2, o_rd1, o_rd2, o_collide = _slot_major.sfd_stats(
-            sr[:, :L], rd[:, :L]
-        )
-        want = np.flatnonzero(o_collide)
-        assert want.size > 0
-        assert _same_bits(
-            (sr1, rd1, collide, sr2, rd2),
-            (o_sr1, o_rd1, want, o_sr2[want], o_rd2[want]),
-        )
+        got = _whole(_select_stats, rows_sr[:L], rows_rd[:L])
+        want = _slot_major.select_stats(sr[:, :L], rd[:, :L])
+        assert want[7].size > 0 and (want[4].size > 0) == (L > 2)
+        assert _same_bits(got, want)
 
 
 @pytest.mark.parametrize("L, N_R, slots, workers, seed, straddle", [
     # 1638-slot blocks, the last one partial; every M value of one stream
-    (20, 2, 5_000, 1, 21, False),
-    (20, 2, 5_000, 2, 21, False),
+    (20, 2, 5_000, 1, 21, ()),
+    (20, 2, 5_000, 2, 21, ()),
     # 32768-slot blocks; half the slots collide
-    (2, 1, 70_000, 1, 10, True),
+    (2, 1, 70_000, 1, 10, (7,)),
+    # 16384-slot blocks; a third of the slots have levels
+    (4, 1, 70_000, 1, 10, (4, 7)),
     # 131076 draws a slot exceed a block's 2^17: one slot per block
-    (3, 21846, 8, 1, 3, True),
-], ids=["partial-block", "two-workers", "sfd-boundary", "one-slot-blocks"])
+    (3, 21846, 8, 1, 3, (7,)),
+], ids=["partial-block", "two-workers", "sfd-boundary", "level-boundary", "one-slot-blocks"])
 def test_streamed_statistics_match_whole_stream(
     monkeypatch, L, N_R, slots, workers, seed, straddle
 ):
@@ -322,38 +323,97 @@ def test_streamed_statistics_match_whole_stream(
     for m, stats in zip(range(1, L), got):
         assert _same_bits(stats, _slot_major.adb_stats(sr, rd, m))
     crs, df, sfd = got[L - 1:]
-    rows_sr, rows_rd = np.ascontiguousarray(sr.T), np.ascontiguousarray(rd.T)
-    assert _same_bits(crs, (rows_sr, rows_rd**2))
+    assert crs is sfd
+    want = _slot_major.select_stats(sr, rd)
+    assert _same_bits(crs, want)
     assert _same_bits(df, _slot_major.df_stats(sr, rd))
-    o_sr1, o_sr2, o_rd1, o_rd2, o_collide = _slot_major.sfd_stats(sr, rd)
-    want = np.flatnonzero(o_collide)
-    assert _same_bits(sfd, (o_sr1, o_rd1, want, o_sr2[want], o_rd2[want]))
-    if straddle:
-        # colliding slots on both sides of a block boundary
-        block = simulate._block_slots(cfg)
-        assert any(
-            {b - 1, b} <= set(want.tolist()) for b in range(block, slots, block)
-        )
+    # level and colliding slots (indices 4 and 7) on both sides of a block
+    # boundary
+    assert all(_straddles(want[k], simulate._block_slots(cfg)) for k in straddle)
+
+
+def _tied_gains(L, n):
+    """Relay-major gains and norms from a three-value set, so that argmax
+    ties, receive/transmit collisions and tied Pareto fronts are common."""
+    rng = np.random.default_rng(L)
+    sr = rng.integers(1, 4, size=(L, n)).astype(np.float64)
+    rd = np.sqrt(rng.integers(1, 4, size=(L, n)).astype(np.float64))
+    return sr, rd
+
+
+def _straddles(slots, chunk):
+    """Whether the slot indices hold both sides of a chunk boundary."""
+    at = set(slots.tolist())
+    return any({b - 1, b} <= at for b in range(chunk, max(at, default=0) + 1, chunk))
 
 
 @pytest.mark.parametrize("L", [2, 3, 5])
 def test_sfd_statistics_match_scalar_rule_with_ties(L):
-    # gains from a three-value set make argmax ties and receive/transmit
-    # collisions common; each slot's selected links must equal the scalar
-    # rule's
-    rng = np.random.default_rng(L)
+    # each slot's selected links must equal the scalar rule's
     n = 2_000
-    sr = rng.integers(1, 4, size=(L, n)).astype(np.float64)
-    rd = np.sqrt(rng.integers(1, 4, size=(L, n)).astype(np.float64))
-    stats = _whole(_sfd_stats, sr, rd)
-    assert stats[2].size > 0.2 * n
+    sr, rd = _tied_gains(L, n)
+    stats = _whole(_select_stats, sr, rd)
+    # 7-slot chunks, the last one partial, split the collisions
+    assert stats[7].size > 0.2 * n and _straddles(stats[7], 7)
     for ps, pr in ((1.0, 1.0), (2.0, 0.5), (100.0, 1.0), (0.01, 3.0)):
-        # 7-slot chunks, the last one partial, split the collisions
         recv, trans = _links(stats, ps, pr, 7)
         for i in range(n):
             r, t = select_sfd(sr[:, i], rd[:, i], ps, pr)
             assert recv[i] == ps * sr[r, i]
             assert trans[i] == pr * rd[t, i] ** 2
+
+
+def _crs_snrs(stats, a, b, chunk):
+    """crs's per-slot best SNRs from its statistics, chunk slots at a
+    time."""
+    best = np.empty(stats[0].size)
+    for s in range(0, best.size, chunk):
+        _crs_snr(stats, a, b, best[s:s + chunk], s)
+    return best
+
+
+@pytest.mark.parametrize("L", [2, 3, 5])
+def test_crs_over_the_front_matches_every_relay_with_ties(L):
+    # the best min link over r1, t1 and the levels must be the best over
+    # every relay, slot by slot and bit for bit, tied fronts included
+    n = 2_000
+    sr, rd = _tied_gains(L, n)
+    stats = _whole(_select_stats, sr, rd)
+    # 7-slot chunks, the last one partial, split the levels (a twentieth
+    # of the slots have one at L=3, none at L=2)
+    assert (stats[4].size > 0) == (L > 2)
+    if L == 5:
+        assert _straddles(stats[4], 7)
+    for a, b in ((1.0, 1.0), (2.0, 0.5), (100.0, 1.0), (0.01, 3.0)):
+        want = _slot_major.crs_snr(sr.T, rd.T, a, b)
+        assert _crs_snrs(stats, a, b, 7).tobytes() == want.tobytes()
+
+
+def test_crs_over_the_front_matches_every_relay_at_48_relays():
+    # five sampling blocks, about 2.5 levels a slot
+    cfg = ChannelConfig(L=48, M=24, N_R=1)
+    sim = SimConfig(slots=6_000, seed=4)
+    stats = prepare([("crs", cfg)], sim)
+    sr, rd = sample_gains(cfg, sim.seed, 0, sim.slots)
+    for ps, pr in ((2.0, 1.5), (30.0, 0.2)):
+        assert estimate("crs", cfg, stats, ps, pr) == _slot_major.sim_crs(cfg, sim, ps, pr)
+        best = _crs_snrs(stats[simulate._statistic("crs", cfg)], ps, pr, 7)
+        assert best.tobytes() == _slot_major.crs_snr(sr, rd, ps, pr).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 129, 200_000])
+def test_standard_error_in_place_matches_numpy_std(n):
+    x = np.random.default_rng(n).exponential(size=n)
+    want = float(x.mean()), float(x.std(ddof=1) / math.sqrt(n))
+    assert _mean_se(x.copy()) == want
+
+
+def test_statistics_rows_at_four_relays(stats):
+    # all four protocols' statistics at L=4 in slot-long rows: adb 4, df 2,
+    # crs and sfd-mmrs together 4 dense and about 1.75 of levels and
+    # collisions
+    rows = sum(a.nbytes for out in stats.values() for a in out) / (8 * SIM.slots)
+    assert rows <= 12.5
 
 
 def test_estimators_match_manual_reduction():
