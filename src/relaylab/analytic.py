@@ -108,12 +108,16 @@ def adb_closed(ps: float, pr: float, cfg: ChannelConfig) -> float:
     0.5*min(c11, c22) + 0.5*min(c21, c12).
 
     Source-side terms see ps/noise_r, destination-side terms pr/noise_d.
-    Group one (size M) contributes c11/c22, group two (size L-M) c21/c12.
+    Group one (size M) contributes c11/c22, group two (size L-M) c21/c12;
+    equal groups (L = 2M) share their terms.
     """
     a = ps / cfg.noise_r
     b = pr / cfg.noise_d
     c11 = c11_closed(a, cfg.M, cfg.N_R, cfg.sigma_g2)
-    c21 = c11_closed(a, cfg.L - cfg.M, cfg.N_R, cfg.sigma_g2)
     c22 = c22_closed(b, cfg.M, cfg.N_R, cfg.sigma_h2)
-    c12 = c22_closed(b, cfg.L - cfg.M, cfg.N_R, cfg.sigma_h2)
+    if cfg.L == 2 * cfg.M:
+        c21, c12 = c11, c22
+    else:
+        c21 = c11_closed(a, cfg.L - cfg.M, cfg.N_R, cfg.sigma_g2)
+        c12 = c22_closed(b, cfg.L - cfg.M, cfg.N_R, cfg.sigma_h2)
     return 0.5 * min(c11, c22) + 0.5 * min(c21, c12)

@@ -28,6 +28,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # The ps/pr range the search covers, and the points of its coarse log grid.
 _RATIO_BOUNDS = (1e-2, 1e2)
 _COARSE_POINTS = 25
+# Protocols with a smooth objective, searched with Brent's method, and the
+# points of their coarse grid (see maximize_throughput).
+_SMOOTH = ("crs", "df")
+_SMOOTH_POINTS = 9
 
 
 class OptimizationError(RuntimeError):
@@ -120,6 +124,61 @@ def _several_maxima(us, vals, std_error):
     ) > 1
 
 
+def _golden(f, a, b, width):
+    """Golden-section search for a maximum of f on [a, b], until the
+    bracket is at most width wide."""
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > width:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+
+
+def _brent(f, a, b, x, width):
+    """Brent's search for a maximum of f on [a, b] from the interior point
+    x: parabolic steps through the three best points, golden-section steps
+    where a parabola would land outside the bracket or fail to halve the
+    step before last, and no step shorter than width/4. Ends once the
+    bracket is at most width wide (Brent 1973, ch. 5, for -f)."""
+    tol = width / 4.0
+    fx = fw = fv = f(x)
+    w = v = x
+    d = e = 0.0
+    while abs(x - 0.5 * (a + b)) + 0.5 * (b - a) > 2.0 * tol:
+        golden = True
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0 else (p, -q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d, golden = d, p / q, False
+                if min(x + d - a, b - x - d) < 2.0 * tol:
+                    d = math.copysign(tol, 0.5 * (a + b) - x)
+        if golden:
+            e = (a if x >= 0.5 * (a + b) else b) - x
+            d = (1.0 - _GOLDEN) * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu >= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu >= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu >= fv or v in (x, w):
+                v, fv = u, fu
+
+
 def maximize_throughput(
     budget: PowerBudget,
     value: Callable[[float, float], float],
@@ -128,11 +187,18 @@ def maximize_throughput(
 ) -> PowerPoint:
     """The best split along the budget-equality curve by value(ps, pr).
 
-    Log-spaced coarse grid over the ps/pr ratio, then golden-section
-    refinement of ln(ratio) around the best grid point down to the given
+    Log-spaced coarse grid over the ps/pr ratio, then refinement of
+    ln(ratio) in the bracket of the best grid point down to the given
     relative ratio tolerance. If the coarse grid shows several local maxima
     beyond combined Monte Carlo noise, a 200-point grid re-locates the peak
     first. Returns the first probed point of highest value.
+
+    The refinement follows the objective's shape. crs and df are each the
+    mean of one rate, smooth in ln(ratio): a 9-point grid, then Brent's
+    parabolic steps from the best grid point (or from the golden point of
+    the bracket when that is a grid edge). adb and sfd-mmrs take the min of
+    two means, whose kink where they cross defeats a parabola: a 25-point
+    grid, then golden section.
 
     value must return evaluator's value alone (a Monte Carlo mean without
     its standard error, say). The search compares values only. Only when
@@ -154,9 +220,11 @@ def maximize_throughput(
     def std_error(u):
         return evaluate_split(evaluator, probed[u][0]).std_error
 
+    smooth = budget.protocol in _SMOOTH
+    points = _SMOOTH_POINTS if smooth else _COARSE_POINTS
     ulo, uhi = (math.log(r) for r in _RATIO_BOUNDS)
-    step = (uhi - ulo) / (_COARSE_POINTS - 1)
-    us = [ulo + i * step for i in range(_COARSE_POINTS)]
+    step = (uhi - ulo) / (points - 1)
+    us = [ulo + i * step for i in range(points)]
     vals = [probe(u) for u in us]
     if _several_maxima(us, vals, std_error):
         step = (uhi - ulo) / 199
@@ -167,16 +235,12 @@ def maximize_throughput(
     b = us[min(best + 1, len(us) - 1)]
 
     width_goal = math.log1p(tolerance)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = probe(c), probe(d)
-    while (b - a) > width_goal:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = probe(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = probe(d)
+    if smooth:
+        x = us[best]
+        if not 0 < best < len(us) - 1:
+            # a grid edge: start at the golden point of the bracket beside it
+            x += (1.0 - _GOLDEN) * ((b if best == 0 else a) - x)
+        _brent(probe, a, b, x, width_goal)
+    else:
+        _golden(probe, a, b, width_goal)
     return max(probed.values(), key=lambda entry: entry[1])[0]

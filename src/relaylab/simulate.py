@@ -217,11 +217,17 @@ def _top2(rows):
     second = np.full_like(first, -np.inf)
     best = np.zeros(first.shape, dtype=np.intp)
     low = np.empty_like(first)
+    up = np.empty(first.shape, dtype=bool)
+    cand = np.empty_like(best)
     for i in range(1, rows.shape[0]):
         row = rows[i]
         np.minimum(first, row, out=low)
         np.maximum(second, low, out=second)
-        best[row > first] = i
+        # i only grows, so the newest strictly greater row has the largest
+        # index and a max keeps it, with no masked store
+        np.greater(row, first, out=up)
+        np.multiply(up, i, out=cand)
+        np.maximum(best, cand, out=best)
         np.maximum(first, row, out=first)
     return first, second, best
 

@@ -3,8 +3,9 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
-from relaylab import simulate
+from relaylab import power, simulate
 from relaylab.analytic import adb_closed
 from relaylab.channel import ChannelConfig
 from relaylab.power import (
@@ -158,20 +159,50 @@ def test_optimizer_stays_feasible():
         assert ps + budget.relay_weight * pr <= budget.total * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("protocol", ["crs", "df"])
+def test_smooth_search_finds_reference_optimum(protocol):
+    # the 9-point grid and Brent's steps land within the ratio tolerance of
+    # a bounded reference optimiser's peak: a synthetic interior peak, one
+    # past the upper ratio bound (the best grid point is an edge), and the
+    # protocol's Monte Carlo throughput
+    cfg = ChannelConfig(L=4, M=2, N_R=2)
+    stats = prepare([(protocol, cfg)], SimConfig(slots=50_000, seed=42))
+    budget = PowerBudget(protocol, 10.0, cfg.L)
+    ulo, uhi = (math.log(r) for r in power._RATIO_BOUNDS)
+    for evaluator in (
+        lambda ps, pr: _analytic(math.exp(-((math.log(ps / pr) - 0.7) ** 2))),
+        lambda ps, pr: _analytic(1.0 / (1.0 + (math.log(ps / pr) - 6.0) ** 2)),
+        partial(estimate, protocol, cfg, stats),
+    ):
+        point, est = _search(budget, evaluator, tolerance=1e-3)
+
+        def loss(u):
+            pt = ratio_point(budget, math.exp(u))
+            return -evaluator(pt.ps, pt.pr).value
+
+        ref = minimize_scalar(
+            loss, bounds=(ulo, uhi), method="bounded", options={"xatol": 1e-7}
+        )
+        assert abs(math.log(point.ps / point.pr) - ref.x) <= math.log1p(1e-3)
+        assert est.value >= -ref.fun - 1e-9 * abs(ref.fun)
+
+
 def test_multimodal_fallback_finds_global_peak():
     # two near-equal narrow peaks with nonzero reported noise force the
-    # dense-grid fallback, which must land on the taller one
-    budget = PowerBudget("adb", 10.0, 4)
-    calls = []
+    # dense-grid fallback, which must land on the taller one, before golden
+    # section (adb) and before Brent's method (crs)
+    for protocol in ("adb", "crs"):
+        budget = PowerBudget(protocol, 10.0, 4)
+        calls = []
 
-    def two_peaks(ps, pr):
-        calls.append((ps, pr))
-        return _two_peaks(ps, pr)
+        def two_peaks(ps, pr):
+            calls.append((ps, pr))
+            return _two_peaks(ps, pr)
 
-    point, est = _search(budget, two_peaks, tolerance=1e-3)
-    assert math.log(point.ps / point.pr) == pytest.approx(2.3, abs=0.01)
-    assert est.value == pytest.approx(1.02, rel=1e-3)
-    assert len(calls) > 200
+        point, est = _search(budget, two_peaks, tolerance=1e-3)
+        assert math.log(point.ps / point.pr) == pytest.approx(2.3, abs=0.01)
+        assert est.value == pytest.approx(1.02, rel=1e-3)
+        assert len(calls) > 200
 
 
 def test_nonfinite_objective_raises():
@@ -230,9 +261,16 @@ def test_value_only_probes_give_the_same_optimum(monkeypatch, case):
     # the coarse grid is probed first; full estimates are made only where
     # it has two interior maxima (only two-peaks has), once each, on
     # coarse-grid points only, and value-only probes compute no std
-    grid = {(ps, pr) for _, ps, pr in calls[:25]}
+    smooth = protocol in power._SMOOTH
+    points = power._SMOOTH_POINTS if smooth else power._COARSE_POINTS
+    grid = {(ps, pr) for _, ps, pr in calls[:points]}
     full_points = [(ps, pr) for kind, ps, pr in calls if kind == "full"]
     assert bool(full_points) == (case == "two-peaks")
     assert len(set(full_points)) == len(full_points)
     assert set(full_points) <= grid
     assert not stds
+    # probe budget: Brent's method takes crs and df to their peak in at
+    # most 20 value probes; golden section takes 41 for adb and sfd-mmrs
+    if case != "two-peaks":
+        probes = sum(kind == "value" for kind, _, _ in calls)
+        assert (probes <= 20) if smooth else (probes == 41)
