@@ -131,8 +131,8 @@ class SweepResult:
     spec: ExperimentSpec
     rows: List[SweepRow]
     summary: dict
-    # how the run went (statistics bytes per stream, peak RSS); the
-    # sidecar's diagnostics block, never a CSV byte
+    # how the run went (statistics bytes per stream, value probes per split
+    # search, peak RSS); the sidecar's diagnostics block, never a CSV byte
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -344,10 +344,12 @@ def load_spec(path: str) -> ExperimentSpec:
     return resolve_spec(read_config(path))
 
 
-def _row(label, cfg, snr_db, point, est) -> SweepRow:
+def _row(label, cfg, snr_db, point, est, probes) -> SweepRow:
+    # the log line ends with the value probes of the split's search, if any
     log.info(
-        "%s L=%d M=%d N_R=%d snr_db=%g %s %.6g",
+        "%s L=%d M=%d N_R=%d snr_db=%g %s %.6g%s",
         label, cfg.L, cfg.M, cfg.N_R, snr_db, est.method, est.value,
+        f" after {probes} probes" if probes else "",
     )
     return SweepRow(
         protocol=label,
@@ -472,11 +474,11 @@ def _gaps(spec: ExperimentSpec, rows: list) -> dict:
 
 def _run_stream(spec: ExperimentSpec, points: list, group: list, rows: list):
     """Run the points of one fading stream (indices group of points) into
-    their rows; for Monte Carlo, one sampling pass first builds the
-    statistics of every label and M value of the stream, and each is freed
-    after the last point that reads it, so all are gone before the next
-    stream's are built. Gives the stream's diagnostics, or None without
-    Monte Carlo."""
+    their (row, probes of its split search or 0) pairs; for Monte Carlo,
+    one sampling pass first builds the statistics of every label and M
+    value of the stream, and each is freed after the last point that reads
+    it, so all are gone before the next stream's are built. Gives the
+    stream's diagnostics, or None without Monte Carlo."""
     stats = diagnostics = None
     if "monte-carlo" in spec.methods:
         stats = prepare([points[i][:2] for i in group], spec.sim)
@@ -487,10 +489,16 @@ def _run_stream(spec: ExperimentSpec, points: list, group: list, rows: list):
     for i in group:
         label, cfg, snr_db, split = points[i]
         for evaluate, value in _evaluators(spec, label, cfg, stats):
-            point = split or maximize_throughput(
-                PowerBudget(label, _snr_linear(snr_db), cfg.L), value, evaluate, spec.tolerance
-            )
-            rows[i].append(_row(label, cfg, snr_db, point, evaluate_split(evaluate, point)))
+            point, probes = split, []
+            if split is None:
+                def probe(ps, pr):  # a new point each call: the search caches
+                    probes.append(None)
+                    return value(ps, pr)
+
+                budget = PowerBudget(label, _snr_linear(snr_db), cfg.L)
+                point = maximize_throughput(budget, probe, evaluate, spec.tolerance)
+            est, n = evaluate_split(evaluate, point), len(probes)
+            rows[i].append((_row(label, cfg, snr_db, point, est, n), n))
         key = _statistic(label, cfg)
         if stats is not None and last[key] == i:
             del stats[key]
@@ -511,11 +519,17 @@ def run_experiment(spec: ExperimentSpec) -> SweepResult:
     rows = [[] for _ in points]
     streams = [_run_stream(spec, points, group, rows) for group in groups.values()]
     streams = [s for s in streams if s is not None]
-    rows = [row for point_rows in rows for row in point_rows]
+    pairs = [pair for point_rows in rows for pair in point_rows]
+    rows = [row for row, _ in pairs]
     summarize = {"ratio-sweep": _peaks, "validate": _gaps}.get(spec.experiment)
     diagnostics = {
         "streams": streams,
         "max_stats_bytes": max((s["stats_bytes"] for s in streams), default=0),
+        # one per optimised row; over 200 probes: the dense-grid fallback
+        "searches": [
+            {"row": i, "protocol": row.protocol, "method": row.method, "probes": n}
+            for i, (row, n) in enumerate(pairs) if n
+        ],
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }

@@ -28,10 +28,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # The ps/pr range the search covers, and the points of its coarse log grid.
 _RATIO_BOUNDS = (1e-2, 1e2)
 _COARSE_POINTS = 25
-# Protocols with a smooth objective, searched with Brent's method, and the
-# points of their coarse grid (see maximize_throughput).
+# Protocols searched with Brent's loop, by the shape of their objective, and
+# the points of their coarse grid (see maximize_throughput).
 _SMOOTH = ("crs", "df")
-_SMOOTH_POINTS = 9
+_KINKED = ("sfd-mmrs",)
+_BRENT_POINTS = 9
 
 
 class OptimizationError(RuntimeError):
@@ -141,19 +142,43 @@ def _golden(f, a, b, width):
             fd = f(d)
 
 
-def _brent(f, a, b, x, width):
+def _crossing(values, x, fx):
+    """Where the line through the two probes (values: u -> f(u)) nearest x
+    on its rising left side meets the one through the two nearest on its
+    falling right side, counting probes no higher than fx; or None."""
+    left = sorted((u for u, fu in values.items() if u < x and fu <= fx), reverse=True)[:2]
+    right = sorted(u for u, fu in values.items() if u > x and fu <= fx)[:2]
+    if len(left) < 2 or len(right) < 2:
+        return None
+    (l0, l1), (r0, r1) = left, right
+    rise = (values[l0] - values[l1]) / (l0 - l1)
+    fall = (values[r0] - values[r1]) / (r0 - r1)
+    if not rise > fall:
+        return None
+    return (values[r0] - values[l0] + rise * l0 - fall * r0) / (rise - fall)
+
+
+def _brent(f, a, b, x, width, tent):
     """Brent's search for a maximum of f on [a, b] from the interior point
-    x: parabolic steps through the three best points, golden-section steps
-    where a parabola would land outside the bracket or fail to halve the
-    step before last, and no step shorter than width/4. Ends once the
-    bracket is at most width wide (Brent 1973, ch. 5, for -f)."""
+    x: steps to a model's peak, golden-section steps where that lands
+    outside the bracket, and no step shorter than width/4. Ends once the
+    bracket is at most width wide (Brent 1973, ch. 5, for -f). With tent
+    None the model is the parabola through the three best points, which
+    must also halve the step before last. Otherwise f is the min of a
+    rising and a falling curve, tent the dict of every probed u -> f(u),
+    which f keeps up to date, and the model's peak is _crossing's; once that
+    is within width/4 of x, steps of width/2 either side close the bracket."""
     tol = width / 4.0
     fx = fw = fv = f(x)
     w = v = x
     d = e = 0.0
     while abs(x - 0.5 * (a + b)) + 0.5 * (b - a) > 2.0 * tol:
         golden = True
-        if abs(e) > tol:
+        if tent is not None:
+            c = _crossing(tent, x, fx)
+            if c is not None and a < c < b:
+                d, golden = c - x, False
+        elif abs(e) > tol:
             r = (x - w) * (fx - fv)
             q = (x - v) * (fx - fw)
             p = (x - v) * q - (x - w) * r
@@ -161,11 +186,16 @@ def _brent(f, a, b, x, width):
             p, q = (-p, q) if q > 0 else (p, -q)
             if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
                 e, d, golden = d, p / q, False
-                if min(x + d - a, b - x - d) < 2.0 * tol:
-                    d = math.copysign(tol, 0.5 * (a + b) - x)
         if golden:
             e = (a if x >= 0.5 * (a + b) else b) - x
             d = (1.0 - _GOLDEN) * e
+        elif tent is not None and abs(d) < tol:
+            # on an open side, the crossing's if both are; just inside
+            # width/2, so that the rounded bracket closes
+            side = d if min(x - a, b - x) > 2.0 * tol else 0.5 * (a + b) - x
+            d = math.copysign(2.0 * tol * (1.0 - 1e-9), side)
+        elif min(x + d - a, b - x - d) < 2.0 * tol:
+            d = math.copysign(tol, 0.5 * (a + b) - x)
         u = x + (d if abs(d) >= tol else math.copysign(tol, d))
         fu = f(u)
         if fu >= fx:
@@ -193,12 +223,13 @@ def maximize_throughput(
     beyond combined Monte Carlo noise, a 200-point grid re-locates the peak
     first. Returns the first probed point of highest value.
 
-    The refinement follows the objective's shape. crs and df are each the
-    mean of one rate, smooth in ln(ratio): a 9-point grid, then Brent's
-    parabolic steps from the best grid point (or from the golden point of
-    the bracket when that is a grid edge). adb and sfd-mmrs take the min of
-    two means, whose kink where they cross defeats a parabola: a 25-point
-    grid, then golden section.
+    The refinement follows the objective's shape, one of three. crs and df
+    are each the mean of one rate, smooth in ln(ratio): a 9-point grid,
+    then Brent's parabolic steps. sfd-mmrs is the min of a rising and a
+    falling mean, kinked where they cross: a 9-point grid, then Brent's
+    loop with secant steps on the crossing. Either starts from the best
+    grid point, or the golden point of the bracket beside a grid edge. adb
+    sums two such mins, with two kinks: a 25-point grid, golden section.
 
     value must return evaluator's value alone (a Monte Carlo mean without
     its standard error, say). The search compares values only. Only when
@@ -208,20 +239,20 @@ def maximize_throughput(
     """
     if not tolerance > 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
-    probed = {}  # ln(ratio) -> (point, value)
+    values = {}  # ln(ratio) -> value, in probe order
 
     def probe(u):
-        if u not in probed:
+        if u not in values:
             point = ratio_point(budget, math.exp(u))
-            probed[u] = point, _finite(value(point.ps, point.pr), point)
-        return probed[u][1]
+            values[u] = _finite(value(point.ps, point.pr), point)
+        return values[u]
 
     @functools.cache
     def std_error(u):
-        return evaluate_split(evaluator, probed[u][0]).std_error
+        return evaluate_split(evaluator, ratio_point(budget, math.exp(u))).std_error
 
-    smooth = budget.protocol in _SMOOTH
-    points = _SMOOTH_POINTS if smooth else _COARSE_POINTS
+    brent = budget.protocol in _SMOOTH + _KINKED
+    points = _BRENT_POINTS if brent else _COARSE_POINTS
     ulo, uhi = (math.log(r) for r in _RATIO_BOUNDS)
     step = (uhi - ulo) / (points - 1)
     us = [ulo + i * step for i in range(points)]
@@ -235,12 +266,12 @@ def maximize_throughput(
     b = us[min(best + 1, len(us) - 1)]
 
     width_goal = math.log1p(tolerance)
-    if smooth:
+    if brent:
         x = us[best]
         if not 0 < best < len(us) - 1:
             # a grid edge: start at the golden point of the bracket beside it
             x += (1.0 - _GOLDEN) * ((b if best == 0 else a) - x)
-        _brent(probe, a, b, x, width_goal)
+        _brent(probe, a, b, x, width_goal, values if budget.protocol in _KINKED else None)
     else:
         _golden(probe, a, b, width_goal)
-    return max(probed.values(), key=lambda entry: entry[1])[0]
+    return ratio_point(budget, math.exp(max(values, key=values.get)))

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import pytest
 
@@ -228,5 +229,8 @@ def test_verbose_logs_each_row_and_keeps_csv_bytes(tmp_path, caplog):
     # one line per row: 4 protocols x 2 antenna counts, plus adb's analytic rows
     assert len(lines) == 10
     assert lines[0].startswith("adb L=4 M=2 N_R=1 snr_db=10 analytic ")
+    # every row's split is optimised, and its line ends with the search's
+    # value probes
+    assert all(re.search(r" after [1-9][0-9]* probes$", line) for line in lines)
     assert sorted(lines) == sorted(set(lines))
     assert loud.read_bytes() == quiet.read_bytes()

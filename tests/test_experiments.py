@@ -2,6 +2,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import threading
 import weakref
 from dataclasses import replace
@@ -356,23 +357,50 @@ def test_sidecar_lists_boundary_ambiguous_rows(tmp_path):
     ({"experiment": "relay-sweep", "grid": [2, 4]}, [(2, 24, 4), (4, 12, 4)]),
 ], ids=["grouping", "relay"])
 def test_sidecar_diagnostics(tmp_path, raw, streams):
-    # statistics bytes per stream and the peak RSS go to the sidecar, never
-    # to the CSV: clearing them leaves its bytes
+    # statistics bytes per stream, the value probes of each split search
+    # and the peak RSS go to the sidecar, never to the CSV: clearing them
+    # leaves its bytes
     slots = 20_000
     raw = {**raw, "sim": {"slots": slots}, "output_path": str(tmp_path / "d.csv")}
     result = run_experiment(resolve_spec(raw))
     csv_path, summary_path = emit(result)
     diagnostics = json.loads((tmp_path / "d.summary.json").read_text())["diagnostics"]
-    assert set(diagnostics) == {"streams", "max_stats_bytes", "peak_rss_mb"}
+    assert set(diagnostics) == {"streams", "max_stats_bytes", "searches", "peak_rss_mb"}
     assert diagnostics["streams"] == [
         {"L": L, "N_R": N_R, "stats_bytes": rows * 8 * slots}
         for L, N_R, rows in streams
     ]
     assert diagnostics["max_stats_bytes"] == max(rows for *_, rows in streams) * 8 * slots
+    # every row of these sweeps has its split optimised
+    searches = diagnostics["searches"]
+    assert [(s["row"], s["protocol"], s["method"]) for s in searches] == [
+        (i, row.protocol, row.method) for i, row in enumerate(result.rows)
+    ]
+    assert all(s["probes"] >= 1 for s in searches)
     assert diagnostics["peak_rss_mb"] > 0
     write_csv(replace(result, diagnostics={}), str(tmp_path / "cleared.csv"))
     with open(csv_path, "rb") as a, open(tmp_path / "cleared.csv", "rb") as b:
         assert a.read() == b.read()
+
+
+def test_probe_budget_per_protocol(tmp_path):
+    # the sidecar's probe counts on a small antenna sweep: Brent's method
+    # reaches crs's and df's peaks, and sfd-mmrs's crossing, in a median of
+    # at most 20 value probes; adb's golden section takes 41, with either
+    # method; fixed splits (validate) make no search
+    raw = {"experiment": "antenna-sweep", "sim": {"slots": 2_000},
+           "output_path": str(tmp_path / "a.csv")}
+    emit(run_experiment(resolve_spec(raw)))
+    searches = json.loads((tmp_path / "a.summary.json").read_text())["diagnostics"]["searches"]
+    probes = {}
+    for s in searches:
+        probes.setdefault(s["protocol"], []).append(s["probes"])
+    assert {p: len(n) for p, n in probes.items()} == {"adb": 12, "crs": 6, "df": 6, "sfd-mmrs": 6}
+    for protocol in ("crs", "df", "sfd-mmrs"):
+        assert statistics.median(probes[protocol]) <= 20, protocol
+    assert statistics.median(probes["adb"]) == 41
+    validate = run_experiment(resolve_spec({"experiment": "validate", "sim": {"slots": 2_000}}))
+    assert validate.diagnostics["searches"] == []
 
 
 def test_load_spec_errors(tmp_path):

@@ -187,11 +187,72 @@ def test_smooth_search_finds_reference_optimum(protocol):
         assert est.value >= -ref.fun - 1e-9 * abs(ref.fun)
 
 
+def _grid_u(i):
+    """ln(ratio) of point i of the 9-point coarse grid."""
+    ulo, uhi = (math.log(r) for r in power._RATIO_BOUNDS)
+    return ulo + i * (uhi - ulo) / (power._BRENT_POINTS - 1)
+
+
+@pytest.mark.parametrize("kink, best", [
+    (_grid_u(5) + 0.37, None),
+    (_grid_u(6), None),
+    (_grid_u(8) + 0.8, _grid_u(8)),
+], ids=["between-grid-points", "on-a-grid-point", "past-the-upper-bound"])
+@pytest.mark.parametrize("rise, fall", [(1.0, -1.0), (0.2, -3.0), (5.0, -0.1)])
+def test_kinked_search_finds_the_crossing(kink, best, rise, fall):
+    # the min of a rising and a falling curve, both bent, peaks where they
+    # cross; past the upper ratio bound the best split is the bound itself
+    budget = PowerBudget("sfd-mmrs", 10.0, 4)
+
+    def evaluator(ps, pr):
+        t = math.log(ps / pr) - kink
+        return _analytic(100.0 + min(rise * t - 0.05 * t * t, fall * t - 0.03 * t * t))
+
+    point, _ = _search(budget, evaluator, tolerance=1e-3)
+    want = kink if best is None else best
+    assert abs(math.log(point.ps / point.pr) - want) <= math.log1p(1e-3)
+
+
+def _sfd_means(cfg, stats, budget, u):
+    """sfd-mmrs's mean receive and mean transmit rates at ln(ps/pr) = u."""
+    point = ratio_point(budget, math.exp(u))
+    recv, trans = np.empty((2, stats[0].shape[0]))
+    simulate._sfd_links(
+        stats, point.ps / cfg.noise_r, point.pr / cfg.noise_d, 0, recv, trans
+    )
+    return simulate._rate(recv).mean(), simulate._rate(trans).mean()
+
+
+@pytest.mark.parametrize("L, N_R, snr_db", [(2, 1, 0.0), (4, 2, 10.0), (6, 3, 20.0)])
+def test_sfd_search_lands_on_the_crossing_of_its_means(L, N_R, snr_db):
+    # the receive mean rises in ln(ps/pr) and the transmit mean falls; the
+    # search must land within the ratio tolerance of where they cross, as
+    # found on a 201-point grid and then on a 1001-point grid inside the
+    # cell where their order flips
+    cfg = ChannelConfig(L=L, M=L // 2, N_R=N_R)
+    stats = prepare([("sfd-mmrs", cfg)], SimConfig(slots=50_000, seed=42))
+    budget = PowerBudget("sfd-mmrs", 10.0 ** (snr_db / 10.0), L)
+    point, _ = _search(budget, partial(estimate, "sfd-mmrs", cfg, stats), tolerance=1e-3)
+    sfd = stats[simulate._statistic("sfd-mmrs", cfg)]
+
+    def flip(lo, hi, n):
+        us = np.linspace(lo, hi, n)
+        gaps = [np.subtract(*_sfd_means(cfg, sfd, budget, float(u))) for u in us]
+        i = next(i for i in range(n) if gaps[i] >= 0)
+        return us[i - 1], us[i], gaps[i - 1], gaps[i]
+
+    lo, hi, _, _ = flip(*(math.log(r) for r in power._RATIO_BOUNDS), 201)
+    lo, hi, g0, g1 = flip(lo, hi, 1001)
+    crossing = lo - g0 * (hi - lo) / (g1 - g0)
+    assert abs(math.log(point.ps / point.pr) - crossing) <= math.log1p(1e-3)
+
+
 def test_multimodal_fallback_finds_global_peak():
     # two near-equal narrow peaks with nonzero reported noise force the
     # dense-grid fallback, which must land on the taller one, before golden
-    # section (adb) and before Brent's method (crs)
-    for protocol in ("adb", "crs"):
+    # section (adb), before Brent's parabolic steps (crs) and before its
+    # steps to a crossing (sfd-mmrs)
+    for protocol in ("adb", "crs", "sfd-mmrs"):
         budget = PowerBudget(protocol, 10.0, 4)
         calls = []
 
@@ -261,16 +322,17 @@ def test_value_only_probes_give_the_same_optimum(monkeypatch, case):
     # the coarse grid is probed first; full estimates are made only where
     # it has two interior maxima (only two-peaks has), once each, on
     # coarse-grid points only, and value-only probes compute no std
-    smooth = protocol in power._SMOOTH
-    points = power._SMOOTH_POINTS if smooth else power._COARSE_POINTS
+    brent = protocol in power._SMOOTH + power._KINKED
+    points = power._BRENT_POINTS if brent else power._COARSE_POINTS
     grid = {(ps, pr) for _, ps, pr in calls[:points]}
     full_points = [(ps, pr) for kind, ps, pr in calls if kind == "full"]
     assert bool(full_points) == (case == "two-peaks")
     assert len(set(full_points)) == len(full_points)
     assert set(full_points) <= grid
     assert not stds
-    # probe budget: Brent's method takes crs and df to their peak in at
-    # most 20 value probes; golden section takes 41 for adb and sfd-mmrs
+    # probe budget: Brent's method takes crs and df to their peak, and
+    # sfd-mmrs to its crossing, in at most 20 value probes; golden section
+    # takes 41 for adb
     if case != "two-peaks":
         probes = sum(kind == "value" for kind, _, _ in calls)
-        assert (probes <= 20) if smooth else (probes == 41)
+        assert (probes <= 20) if brent else (probes == 41)
