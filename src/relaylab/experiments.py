@@ -1,12 +1,14 @@
 """Experiments: config resolution, one sweep executor, CSV and summary emission.
 
-Every experiment is a list of (label, channel, snr_db, split) points that one
-executor runs by the methods the spec asks for, one row per (point, method)
-in a fixed order with a fixed CSV schema, so identical specs yield
-byte-identical files. A JSON sidecar records the fully resolved spec, the
-package version and the experiment's summary.
+What each experiment sweeps is one entry of _SWEEPS, which turns its grid
+into a list of (label, channel, snr_db, split) points that one executor runs
+by the methods the spec asks for, one row per (point, method) in a fixed
+order with a fixed CSV schema, so identical specs yield byte-identical
+files. A JSON sidecar records the fully resolved spec, the package version
+and the experiment's summary.
 """
 
+import itertools
 import json
 import logging
 import math
@@ -16,7 +18,7 @@ import resource
 import subprocess
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
-from typing import List, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -59,15 +61,6 @@ __all__ = [
 ]
 
 log = logging.getLogger("relaylab")
-
-EXPERIMENTS = (
-    "ratio-sweep",
-    "snr-sweep",
-    "grouping-sweep",
-    "antenna-sweep",
-    "relay-sweep",
-    "validate",
-)
 
 CSV_COLUMNS = (
     "protocol", "L", "M", "N_R", "snr_db",
@@ -162,23 +155,8 @@ def _build(cls, raw: dict, where: str):
         raise ConfigError(f"invalid {where} section: {exc}") from exc
 
 
-def _default_grid(experiment: str, channel: ChannelConfig) -> tuple:
-    if experiment == "ratio-sweep":
-        return tuple(float(r) for r in np.geomspace(1e-2, 1e2, 25))
-    if experiment == "snr-sweep":
-        return tuple(float(s) for s in range(0, 21, 2))
-    if experiment == "grouping-sweep":
-        return tuple(range(1, channel.L))
-    if experiment == "antenna-sweep":
-        return (1, 2, 3, 4, 5, 6)
-    if experiment == "relay-sweep":
-        return (2, 4, 6, 8, 12)
-    return tuple(
-        (g, s, p)
-        for g in (1, 2, 3)
-        for s in (1, 2, 3)
-        for p in (0.1, 1.0, 10.0)
-    )
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _check_memory(sim: SimConfig, methods: tuple, entries: int, requests):
@@ -193,7 +171,7 @@ def _check_memory(sim: SimConfig, methods: tuple, entries: int, requests):
         for label, cfg in requests:
             streams.setdefault(stream_key(cfg, sim), []).append((label, cfg))
         need += max(stream_bytes(group, sim) for group in streams.values())
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = _physical_memory()
     if need > limit:
         raise ConfigError(f"sweep needs about {need >> 20} MiB; physical memory is {limit >> 20} MiB")
 
@@ -214,51 +192,134 @@ def _is_snr_db(v) -> bool:
         return False
 
 
-def _validate_grid(spec: ExperimentSpec) -> tuple:
-    exp, grid = spec.experiment, spec.grid
-    if len(grid) == 0:
-        raise ConfigError("grid must be non-empty")
-    if exp == "ratio-sweep":
-        if not all(_is_number(r) and 0 < r < math.inf for r in grid):
-            raise ConfigError("ratio grid entries must be positive finite numbers")
-        return tuple(float(r) for r in grid)
-    if exp == "snr-sweep":
-        if not all(_is_snr_db(s) for s in grid):
-            raise ConfigError(
-                "snr grid entries must be dB numbers with 10^(dB/10) a positive finite double"
-            )
-        return tuple(float(s) for s in grid)
-    if exp == "grouping-sweep":
-        if not all(_is_int(m) and 1 <= m <= spec.channel.L - 1 for m in grid):
-            raise ConfigError(
-                f"grouping grid entries must be integers in [1, {spec.channel.L - 1}]"
-            )
-        return tuple(grid)
-    if exp == "antenna-sweep":
-        if not all(_is_int(n) and n >= 1 for n in grid):
-            raise ConfigError("antenna grid entries must be positive integers")
-        return tuple(grid)
-    if exp == "relay-sweep":
-        for L in grid:
-            if not _is_int(L) or L < 2 or L % 2:
-                raise ConfigError(f"relay grid entries must be even integers >= 2, got {L!r}")
-            if spec.total_antennas % L:
-                raise ConfigError(
-                    f"L={L} does not divide total_antennas={spec.total_antennas}"
-                )
-        return tuple(grid)
-    cleaned = []
-    for entry in grid:
-        entry = tuple(entry) if isinstance(entry, (list, tuple)) else (entry,)
-        if len(entry) != 3:
-            raise ConfigError("validate grid entries must be [group_size, shape, power]")
-        g, s, p = entry
-        if not (_is_int(g) and g >= 1 and _is_int(s) and s >= 1):
-            raise ConfigError("validate group_size and shape must be positive integers")
-        if not (_is_number(p) and 0 < p < math.inf):
-            raise ConfigError("validate power must be positive and finite")
-        cleaned.append((g, s, float(p)))
-    return tuple(cleaned)
+def _is_positive(v) -> bool:
+    return _is_number(v) and 0 < v < math.inf
+
+
+def _peaks(spec: ExperimentSpec, rows: list) -> dict:
+    """Per protocol/method, the first grid ratio of highest throughput."""
+    peaks = {}
+    for key in dict.fromkeys(f"{r.protocol}/{r.method}" for r in rows):
+        series = [r.throughput for r in rows if f"{r.protocol}/{r.method}" == key]
+        i = max(range(len(series)), key=series.__getitem__)
+        peaks[key] = {"ratio": spec.grid[i], "throughput": series[i]}
+    return {"peaks": peaks}
+
+
+def _gaps(spec: ExperimentSpec, rows: list) -> dict:
+    """Closed form against Monte Carlo for every validate term, grid-major.
+
+    Broadcast terms (c11/c21) are exact, so gaps should sit at Monte Carlo
+    noise level; beamforming terms (c22/c12) carry the moment-matching
+    approximation gap. Both methods are needed, so a single-method run has
+    no gaps."""
+    n = len(spec.grid)
+    pairs = list(zip(rows[::2], rows[1::2])) if len(spec.methods) == 2 else []
+    summary = {"gaps": [], "max_exact_gap_se": 0.0, "max_approx_gap_rel": 0.0}
+    for _, (closed, mc) in sorted(enumerate(pairs), key=lambda e: e[0] % n):
+        a, m, se = closed.throughput, mc.throughput, mc.std_error
+        rel = (a - m) / m if m else 0.0
+        summary["gaps"].append({
+            "term": closed.protocol,
+            "group_size": closed.M,
+            "shape": closed.N_R,
+            "power": closed.ps,
+            "analytic": a,
+            "monte_carlo": m,
+            "std_error": se,
+            "rel_gap": rel,
+        })
+        if closed.protocol in ("c22", "c12"):
+            summary["max_approx_gap_rel"] = max(summary["max_approx_gap_rel"], abs(rel))
+        elif se:
+            summary["max_exact_gap_se"] = max(summary["max_exact_gap_se"], abs(a - m) / se)
+    return summary
+
+
+class _Sweep(NamedTuple):
+    """What one experiment sweeps: its labels in row order; its default
+    grid(channel); valid(spec, entry), and the error for a bad entry,
+    formatted with spec and entry; store(entry), as the spec holds it; an
+    entry's channel(spec, entry) and snr_db(spec, entry); a point's fixed
+    split(label, cfg, snr_db, entry), None where it is searched; and the
+    sidecar's summary(spec, rows), if any."""
+
+    labels: tuple
+    grid: Callable
+    valid: Callable
+    error: str
+    store: Callable = lambda entry: entry
+    channel: Callable = lambda spec, entry: spec.channel
+    snr_db: Callable = lambda spec, entry: spec.snr_db
+    split: Optional[Callable] = None
+    summary: Optional[Callable] = None
+
+
+_SWEEPS = {
+    "ratio-sweep": _Sweep(
+        PROTOCOLS,
+        grid=lambda channel: np.geomspace(1e-2, 1e2, 25),
+        valid=lambda spec, r: _is_positive(r),
+        error="ratio grid entries must be positive finite numbers, got {entry!r}",
+        store=float,
+        split=lambda label, cfg, snr_db, r: ratio_point(
+            PowerBudget(label, _snr_linear(snr_db), cfg.L), r
+        ),
+        summary=_peaks,
+    ),
+    "snr-sweep": _Sweep(
+        PROTOCOLS,
+        grid=lambda channel: range(0, 21, 2),
+        valid=lambda spec, s: _is_snr_db(s),
+        error="snr grid entries must be dB numbers with 10^(dB/10) a positive "
+        "finite double, got {entry!r}",
+        store=float,
+        snr_db=lambda spec, s: s,
+    ),
+    "grouping-sweep": _Sweep(
+        ("adb",),
+        grid=lambda channel: range(1, channel.L),
+        valid=lambda spec, m: _is_int(m) and 1 <= m <= spec.channel.L - 1,
+        error="grouping grid entries must be integers in [1, L - 1] for "
+        "L={spec.channel.L}, got {entry!r}",
+        channel=lambda spec, m: replace(spec.channel, M=m),
+    ),
+    "antenna-sweep": _Sweep(
+        PROTOCOLS,
+        grid=lambda channel: range(1, 7),
+        valid=lambda spec, n: _is_int(n) and n >= 1,
+        error="antenna grid entries must be positive integers, got {entry!r}",
+        channel=lambda spec, n: replace(spec.channel, N_R=n),
+    ),
+    # a fixed antenna total split over L relays, M = L/2
+    "relay-sweep": _Sweep(
+        ("adb",),
+        grid=lambda channel: (2, 4, 6, 8, 12),
+        valid=lambda spec, L: _is_int(L) and L >= 2 and L % 2 == 0
+        and spec.total_antennas % L == 0,
+        error="relay grid entries must be even integers >= 2 that divide "
+        "total_antennas={spec.total_antennas}, got {entry!r}",
+        channel=lambda spec, L: replace(
+            spec.channel, L=L, M=L // 2, N_R=spec.total_antennas // L
+        ),
+    ),
+    # each (g, s) is one two-group channel, run at ps = pr = power for each
+    # of adb's terms in name order
+    "validate": _Sweep(
+        tuple(sorted(TERMS)),
+        grid=lambda channel: itertools.product((1, 2, 3), (1, 2, 3), (0.1, 1.0, 10.0)),
+        valid=lambda spec, e: isinstance(e, (list, tuple)) and len(e) == 3
+        and _is_int(e[0]) and _is_int(e[1]) and min(e[:2]) >= 1 and _is_positive(e[2]),
+        error="validate grid entries must be [group_size, shape, power], two "
+        "positive integers and a positive finite power, got {entry!r}",
+        store=lambda e: (e[0], e[1], float(e[2])),
+        channel=lambda spec, e: replace(spec.channel, L=2 * e[0], M=e[0], N_R=e[1]),
+        snr_db=lambda spec, e: 10.0 * math.log10(e[2]),
+        split=lambda label, cfg, snr_db, e: PowerPoint(e[2], e[2]),
+        summary=_gaps,
+    ),
+}
+EXPERIMENTS = tuple(_SWEEPS)
 
 
 def resolve_spec(raw: dict) -> ExperimentSpec:
@@ -305,22 +366,33 @@ def resolve_spec(raw: dict) -> ExperimentSpec:
     if not isinstance(output_path, str) or not output_path:
         raise ConfigError("output_path must be a non-empty string")
 
-    if "grid" not in raw and experiment == "grouping-sweep":
-        # bound its L - 1 default entries before building them
-        _check_memory(sim, methods, channel.L - 1, [("adb", channel)])
+    sweep = _SWEEPS[experiment]
+    grid = raw["grid"] if "grid" in raw else sweep.grid(channel)
+    # more entries than memory holds at 8 KiB each (see _check_memory) are
+    # rejected after reading one past them: a grouping sweep's default
+    # grid has L - 1
+    most = _physical_memory() // 8192
+    grid = tuple(itertools.islice(grid, most + 1))
+    if len(grid) > most:
+        raise ConfigError(f"grid has over {most} entries, which physical memory cannot hold")
+    if not grid:
+        raise ConfigError("grid must be non-empty")
     spec = ExperimentSpec(
         experiment=experiment,
         channel=channel,
         sim=sim,
-        grid=tuple(raw["grid"]) if "grid" in raw else _default_grid(experiment, channel),
+        grid=grid,
         snr_db=float(snr_db),
         total_antennas=total_antennas,
         tolerance=float(tolerance),
         methods=methods,
         output_path=output_path,
     )
-    spec = replace(spec, grid=_validate_grid(spec))
-    requests = [(label, _channel(spec, e)) for label in _labels(experiment) for e in spec.grid]
+    for entry in grid:
+        if not sweep.valid(spec, entry):
+            raise ConfigError(sweep.error.format(spec=spec, entry=entry))
+    spec = replace(spec, grid=tuple(map(sweep.store, grid)))
+    requests = [(label, sweep.channel(spec, e)) for label in sweep.labels for e in spec.grid]
     _check_memory(sim, methods, len(spec.grid), requests)
     return spec
 
@@ -382,94 +454,18 @@ def _evaluators(spec, label, cfg, stats):
     return out
 
 
-def _channel(spec: ExperimentSpec, entry) -> ChannelConfig:
-    """The channel of one grid entry."""
-    base, exp = spec.channel, spec.experiment
-    if exp == "validate":
-        # each (g, s) is one two-group channel
-        g, s, _ = entry
-        return replace(base, L=2 * g, M=g, N_R=s)
-    if exp == "antenna-sweep":
-        return replace(base, N_R=entry)
-    if exp == "grouping-sweep":
-        return replace(base, M=entry)
-    if exp == "relay-sweep":
-        # a fixed antenna total split over L relays, M = L/2
-        return replace(base, L=entry, M=entry // 2, N_R=spec.total_antennas // entry)
-    return base
-
-
-def _labels(experiment: str) -> tuple:
-    """The labels a sweep estimates, in row order: validate's terms in name
-    order, adb alone for the grouping and relay sweeps, else every
-    protocol."""
-    if experiment == "validate":
-        return tuple(sorted(TERMS))
-    if experiment in ("grouping-sweep", "relay-sweep"):
-        return ("adb",)
-    return PROTOCOLS
-
-
 def _points(spec: ExperimentSpec) -> list:
-    """(label, cfg, snr_db, split) of every sweep point, in row order. split
-    is a fixed PowerPoint, or None where the split is optimised."""
-    base, exp = spec.channel, spec.experiment
-    labels = _labels(exp)
-    if exp == "ratio-sweep":
-        snr = _snr_linear(spec.snr_db)
-        return [
-            (p, base, spec.snr_db, ratio_point(PowerBudget(p, snr, base.L), r))
-            for p in labels for r in spec.grid
-        ]
-    if exp == "validate":
-        # label-major
-        return [
-            (term, _channel(spec, e), 10.0 * math.log10(e[2]), PowerPoint(e[2], e[2]))
-            for term in labels for e in spec.grid
-        ]
-    if exp == "snr-sweep":
-        return [(p, base, snr_db, None) for p in labels for snr_db in spec.grid]
-    return [(p, _channel(spec, e), spec.snr_db, None) for p in labels for e in spec.grid]
-
-
-def _peaks(spec: ExperimentSpec, rows: list) -> dict:
-    """Per protocol/method, the first grid ratio of highest throughput."""
-    peaks = {}
-    for key in dict.fromkeys(f"{r.protocol}/{r.method}" for r in rows):
-        series = [r.throughput for r in rows if f"{r.protocol}/{r.method}" == key]
-        i = max(range(len(series)), key=series.__getitem__)
-        peaks[key] = {"ratio": spec.grid[i], "throughput": series[i]}
-    return {"peaks": peaks}
-
-
-def _gaps(spec: ExperimentSpec, rows: list) -> dict:
-    """Closed form against Monte Carlo for every validate term, grid-major.
-
-    Broadcast terms (c11/c21) are exact, so gaps should sit at Monte Carlo
-    noise level; beamforming terms (c22/c12) carry the moment-matching
-    approximation gap. Both methods are needed, so a single-method run has
-    no gaps."""
-    n = len(spec.grid)
-    pairs = list(zip(rows[::2], rows[1::2])) if len(spec.methods) == 2 else []
-    summary = {"gaps": [], "max_exact_gap_se": 0.0, "max_approx_gap_rel": 0.0}
-    for _, (closed, mc) in sorted(enumerate(pairs), key=lambda e: e[0] % n):
-        a, m, se = closed.throughput, mc.throughput, mc.std_error
-        rel = (a - m) / m if m else 0.0
-        summary["gaps"].append({
-            "term": closed.protocol,
-            "group_size": closed.M,
-            "shape": closed.N_R,
-            "power": closed.ps,
-            "analytic": a,
-            "monte_carlo": m,
-            "std_error": se,
-            "rel_gap": rel,
-        })
-        if closed.protocol in ("c22", "c12"):
-            summary["max_approx_gap_rel"] = max(summary["max_approx_gap_rel"], abs(rel))
-        elif se:
-            summary["max_exact_gap_se"] = max(summary["max_exact_gap_se"], abs(a - m) / se)
-    return summary
+    """(label, cfg, snr_db, split) of every sweep point, label-major in row
+    order. split is a fixed PowerPoint, or None where the split is
+    optimised."""
+    sweep = _SWEEPS[spec.experiment]
+    points = []
+    for label in sweep.labels:
+        for entry in spec.grid:
+            cfg, snr_db = sweep.channel(spec, entry), sweep.snr_db(spec, entry)
+            split = sweep.split(label, cfg, snr_db, entry) if sweep.split else None
+            points.append((label, cfg, snr_db, split))
+    return points
 
 
 def _run_stream(spec: ExperimentSpec, points: list, group: list, rows: list):
@@ -521,7 +517,7 @@ def run_experiment(spec: ExperimentSpec) -> SweepResult:
     streams = [s for s in streams if s is not None]
     pairs = [pair for point_rows in rows for pair in point_rows]
     rows = [row for row, _ in pairs]
-    summarize = {"ratio-sweep": _peaks, "validate": _gaps}.get(spec.experiment)
+    summarize = _SWEEPS[spec.experiment].summary
     diagnostics = {
         "streams": streams,
         "max_stats_bytes": max((s["stats_bytes"] for s in streams), default=0),

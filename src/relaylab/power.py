@@ -159,15 +159,18 @@ def _crossing(values, x, fx):
 
 
 def _brent(f, a, b, x, width, tent):
-    """Brent's search for a maximum of f on [a, b] from the interior point
-    x: steps to a model's peak, golden-section steps where that lands
+    """Brent's search for a maximum of f on [a, b] from x, inside it or at
+    an end: steps to a model's peak, golden-section steps where that lands
     outside the bracket, and no step shorter than width/4. Ends once the
     bracket is at most width wide (Brent 1973, ch. 5, for -f). With tent
     None the model is the parabola through the three best points, which
     must also halve the step before last. Otherwise f is the min of a
     rising and a falling curve, tent the dict of every probed u -> f(u),
     which f keeps up to date, and the model's peak is _crossing's; once that
-    is within width/4 of x, steps of width/2 either side close the bracket."""
+    is within width/4 of x, steps of width/2 either side close the bracket.
+    A probe only as high as x narrows the bracket and leaves x, so values
+    that tie within their rounding do not walk x across them a step at a
+    time."""
     tol = width / 4.0
     fx = fw = fv = f(x)
     w = v = x
@@ -191,14 +194,16 @@ def _brent(f, a, b, x, width, tent):
             d = (1.0 - _GOLDEN) * e
         elif tent is not None and abs(d) < tol:
             # on an open side, the crossing's if both are; just inside
-            # width/2, so that the rounded bracket closes
+            # width/2, by a few ulps of x at least, so that x + d rounds
+            # inside it and the rounded bracket closes
             side = d if min(x - a, b - x) > 2.0 * tol else 0.5 * (a + b) - x
-            d = math.copysign(2.0 * tol * (1.0 - 1e-9), side)
+            step = min(2.0 * tol * (1.0 - 1e-9), 2.0 * tol - 4.0 * math.ulp(x))
+            d = math.copysign(step, side)
         elif min(x + d - a, b - x - d) < 2.0 * tol:
             d = math.copysign(tol, 0.5 * (a + b) - x)
         u = x + (d if abs(d) >= tol else math.copysign(tol, d))
         fu = f(u)
-        if fu >= fx:
+        if fu > fx:
             a, b = (x, b) if u >= x else (a, x)
             v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
         else:
@@ -228,8 +233,8 @@ def maximize_throughput(
     then Brent's parabolic steps. sfd-mmrs is the min of a rising and a
     falling mean, kinked where they cross: a 9-point grid, then Brent's
     loop with secant steps on the crossing. Either starts from the best
-    grid point, or the golden point of the bracket beside a grid edge. adb
-    sums two such mins, with two kinks: a 25-point grid, golden section.
+    grid point, an edge one too. adb sums two such mins, with two kinks: a
+    25-point grid, golden section.
 
     value must return evaluator's value alone (a Monte Carlo mean without
     its standard error, say). The search compares values only. Only when
@@ -265,13 +270,10 @@ def maximize_throughput(
     a = us[max(best - 1, 0)]
     b = us[min(best + 1, len(us) - 1)]
 
-    width_goal = math.log1p(tolerance)
+    # at least a few ulps of the ratio bounds, or steps round onto probed points
+    width_goal = max(math.log1p(tolerance), 16.0 * math.ulp(uhi))
     if brent:
-        x = us[best]
-        if not 0 < best < len(us) - 1:
-            # a grid edge: start at the golden point of the bracket beside it
-            x += (1.0 - _GOLDEN) * ((b if best == 0 else a) - x)
-        _brent(probe, a, b, x, width_goal, values if budget.protocol in _KINKED else None)
+        _brent(probe, a, b, us[best], width_goal, values if budget.protocol in _KINKED else None)
     else:
         _golden(probe, a, b, width_goal)
     return ratio_point(budget, math.exp(max(values, key=values.get)))

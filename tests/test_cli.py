@@ -129,11 +129,16 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     ("snr-sweep", {"grid": [3080]}, [], "c22 argument"),
     # 1e-323 linear: the budget split rounds ps to 0
     ("snr-sweep", {"grid": [-3230]}, [], "power split underflows"),
+    # the same underflow in a fixed split is found at run time too
+    ("ratio-sweep", {"snr_db": -3230}, [], "power split underflows"),
     # a fixed split whose Monte Carlo rates overflow is not skipped
     ("ratio-sweep", {"snr_db": 3080}, ["--mc-only"], "objective returned"),
     # 2*ps*sigma_g2 itself underflows to 0: named, not a bare division error
     ("validate", {"grid": [[1, 1, 5e-324]], "channel": {"sigma_g2": 1e-10}}, [], "c11 argument"),
-], ids=["snr-grid-3080", "snr-grid-minus-3230", "ratio-snr_db-3080-mc", "validate-c11-scale-underflow"])
+], ids=[
+    "snr-grid-3080", "snr-grid-minus-3230", "ratio-snr_db-minus-3230",
+    "ratio-snr_db-3080-mc", "validate-c11-scale-underflow",
+])
 def test_extreme_snr_exits_2_with_one_line(
     tmp_path, capsys, recwarn, experiment, payload, flags, names
 ):

@@ -101,6 +101,29 @@ def test_invalid_specs_rejected():
         resolve_spec({"experiment": "ratio-sweep", "output_path": ""})
 
 
+# one bad grid entry of each experiment, and one good entry beside it
+_BAD_ENTRIES = {
+    "ratio-sweep": (1.0, -1.0),
+    "snr-sweep": (10.0, 4000),
+    "grouping-sweep": (1, 4),
+    "antenna-sweep": (2, 0),
+    "relay-sweep": (4, 10),
+    "validate": ([1, 2, 1.0], [1, 2]),
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_bad_grid_entry_is_named_in_one_line(experiment):
+    # the sweep table holds every experiment, each with a grid check whose
+    # message formats and names the entry it rejects
+    assert EXPERIMENTS == tuple(experiments._SWEEPS)
+    good, bad = _BAD_ENTRIES[experiment]
+    with pytest.raises(ConfigError) as exc:
+        resolve_spec({"experiment": experiment, "grid": [good, bad]})
+    message = str(exc.value)
+    assert repr(bad) in message and "\n" not in message
+
+
 _KEY_PATHS = [
     (key,) for key in (
         "experiment", "channel", "sim", "grid", "snr_db",

@@ -1,8 +1,10 @@
+import itertools
 import math
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from relaylab import power, simulate
@@ -31,6 +33,18 @@ def _search(budget, evaluator, **kwargs):
         budget, lambda ps, pr: evaluator(ps, pr).value, evaluator, **kwargs
     )
     return point, evaluate_split(evaluator, point)
+
+
+def _counted(budget, evaluator, tolerance):
+    """The split a search on evaluator's values returns, and the value
+    probes it made."""
+    probes = []
+
+    def value(ps, pr):
+        probes.append((ps, pr))
+        return evaluator(ps, pr).value
+
+    return maximize_throughput(budget, value, evaluator, tolerance), len(probes)
 
 
 def _two_peaks(ps, pr):
@@ -163,18 +177,24 @@ def test_optimizer_stays_feasible():
 def test_smooth_search_finds_reference_optimum(protocol):
     # the 9-point grid and Brent's steps land within the ratio tolerance of
     # a bounded reference optimiser's peak: a synthetic interior peak, one
-    # past the upper ratio bound (the best grid point is an edge), and the
-    # protocol's Monte Carlo throughput
+    # past the upper ratio bound (the best grid point is an edge, where the
+    # search starts), and the protocol's Monte Carlo throughput. At 1e-16,
+    # far below an ulp of the ratio bounds, the search must end and pass
+    # the same checks
     cfg = ChannelConfig(L=4, M=2, N_R=2)
     stats = prepare([(protocol, cfg)], SimConfig(slots=50_000, seed=42))
     budget = PowerBudget(protocol, 10.0, cfg.L)
     ulo, uhi = (math.log(r) for r in power._RATIO_BOUNDS)
-    for evaluator in (
+    past_the_bound = lambda ps, pr: _analytic(1.0 / (1.0 + (math.log(ps / pr) - 6.0) ** 2))
+    for tolerance, evaluator in itertools.product((1e-3, 1e-16), (
         lambda ps, pr: _analytic(math.exp(-((math.log(ps / pr) - 0.7) ** 2))),
-        lambda ps, pr: _analytic(1.0 / (1.0 + (math.log(ps / pr) - 6.0) ** 2)),
+        past_the_bound,
         partial(estimate, protocol, cfg, stats),
-    ):
-        point, est = _search(budget, evaluator, tolerance=1e-3)
+    )):
+        point, probes = _counted(budget, evaluator, tolerance)
+        est = evaluate_split(evaluator, point)
+        if evaluator is past_the_bound and tolerance == 1e-3:
+            assert probes <= 20
 
         def loss(u):
             pt = ratio_point(budget, math.exp(u))
@@ -201,16 +221,77 @@ def _grid_u(i):
 @pytest.mark.parametrize("rise, fall", [(1.0, -1.0), (0.2, -3.0), (5.0, -0.1)])
 def test_kinked_search_finds_the_crossing(kink, best, rise, fall):
     # the min of a rising and a falling curve, both bent, peaks where they
-    # cross; past the upper ratio bound the best split is the bound itself
+    # cross; past the upper ratio bound the best split is the bound itself,
+    # where the search starts. Every search ends; below 1e-9 the values
+    # near the kink tie to within their rounding, so they are checked to
+    # 1e-9 only
     budget = PowerBudget("sfd-mmrs", 10.0, 4)
 
     def evaluator(ps, pr):
         t = math.log(ps / pr) - kink
         return _analytic(100.0 + min(rise * t - 0.05 * t * t, fall * t - 0.03 * t * t))
 
-    point, _ = _search(budget, evaluator, tolerance=1e-3)
-    want = kink if best is None else best
-    assert abs(math.log(point.ps / point.pr) - want) <= math.log1p(1e-3)
+    for tolerance in (1e-3, 1e-9, 1e-16):
+        point, probes = _counted(budget, evaluator, tolerance)
+        want = kink if best is None else best
+        assert abs(math.log(point.ps / point.pr) - want) <= math.log1p(max(tolerance, 1e-9))
+        if best is not None and tolerance == 1e-3:
+            assert probes <= 20
+
+
+def _ending(search):
+    """search, with every call of the objective it is handed counted, cache
+    hits included; past 500 calls it raises, so a search that would never
+    end fails."""
+    def run(f, *args):
+        calls = 0
+
+        def counted(u):
+            nonlocal calls
+            calls += 1
+            if calls > 500:
+                raise AssertionError("the search made 500 calls and has not ended")
+            return f(u)
+
+        return search(counted, *args)
+    return run
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    protocol=st.sampled_from(["adb", "crs", "sfd-mmrs"]),
+    kinked=st.booleans(),
+    peak=st.floats(_grid_u(0) - 1.0, _grid_u(8) + 1.0),
+    rise=st.floats(0.05, 5.0),
+    fall=st.floats(0.05, 5.0),
+    tolerance=st.floats(math.log(1e-16), math.log(0.5)).map(math.exp),
+)
+@example(protocol="sfd-mmrs", kinked=True, peak=_grid_u(6), rise=1.0, fall=1.0, tolerance=1e-9)
+@example(protocol="sfd-mmrs", kinked=True, peak=0.37, rise=0.2, fall=3.0, tolerance=1e-16)
+@example(protocol="crs", kinked=False, peak=0.7, rise=1.0, fall=1.0, tolerance=1e-16)
+# values tie within their rounding over many tolerance widths at this peak
+@example(
+    protocol="sfd-mmrs", kinked=False, peak=0.9850455997205838, rise=3.2917718511820064,
+    fall=1.613223904162754, tolerance=1.0844185318094242e-12,
+)
+@example(protocol="adb", kinked=False, peak=0.7, rise=1.0, fall=1.0, tolerance=1e-16)
+def test_every_search_ends(protocol, kinked, peak, rise, fall, tolerance):
+    # golden section (adb), Brent's parabolas (crs) and its tent steps
+    # (sfd-mmrs) all end, on a peak or a kink anywhere in the ratio range or
+    # just past it, at any tolerance in (0, 1) down to far below an ulp of
+    # the ratio bounds; a search that returns has ended
+    budget = PowerBudget(protocol, 10.0, 4)
+
+    def evaluator(ps, pr):
+        t = math.log(ps / pr) - peak
+        if kinked:
+            return _analytic(1000.0 + min(rise * t - 0.05 * t * t, -fall * t - 0.03 * t * t))
+        return _analytic(1000.0 - rise * t * t - 0.01 * fall * t * t * t)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(power, "_brent", _ending(power._brent))
+        patch.setattr(power, "_golden", _ending(power._golden))
+        _counted(budget, evaluator, tolerance)
 
 
 def _sfd_means(cfg, stats, budget, u):
