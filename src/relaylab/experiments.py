@@ -28,9 +28,11 @@ from .channel import ChannelConfig
 from .power import (
     PowerBudget,
     PowerPoint,
+    at_ratio_bound,
     evaluate_split,
     maximize_throughput,
     ratio_point,
+    refine_split,
 )
 from .simulate import (
     PROTOCOLS,
@@ -39,6 +41,7 @@ from .simulate import (
     ThroughputEstimate,
     _statistic,
     estimate,
+    prefix,
     prepare,
     stream_bytes,
     stream_key,
@@ -68,6 +71,13 @@ CSV_COLUMNS = (
 )
 
 METHODS = ("analytic", "monte-carlo")
+
+# A Monte Carlo split search runs on the first 1/_PREFIX_SHARE of a stream's
+# slots, then refine_split polishes its optimum on the whole stream; a
+# prefix shorter than _MIN_PREFIX_SLOTS is too noisy to steer by, so
+# shorter streams are searched whole.
+_PREFIX_SHARE = 16
+_MIN_PREFIX_SLOTS = 8192
 
 # label (protocol or adb component term) -> callable(cfg, stats, ps, pr),
 # with stats what prepare returned for the point's stream, looked up as
@@ -416,12 +426,16 @@ def load_spec(path: str) -> ExperimentSpec:
     return resolve_spec(read_config(path))
 
 
-def _row(label, cfg, snr_db, point, est, probes) -> SweepRow:
-    # the log line ends with the value probes of the split's search, if any
+def _row(label, cfg, snr_db, point, est, search) -> SweepRow:
+    # the log line ends with the value probes of the split's search, if
+    # any: on the stream prefix, if it had one, and on the whole stream
+    after = ""
+    if search:
+        prefix_probes = f"{search['prefix_probes']} prefix and " if search["prefix_probes"] else ""
+        after = f" after {prefix_probes}{search['probes']} probes"
     log.info(
         "%s L=%d M=%d N_R=%d snr_db=%g %s %.6g%s",
-        label, cfg.L, cfg.M, cfg.N_R, snr_db, est.method, est.value,
-        f" after {probes} probes" if probes else "",
+        label, cfg.L, cfg.M, cfg.N_R, snr_db, est.method, est.value, after,
     )
     return SweepRow(
         protocol=label,
@@ -438,20 +452,51 @@ def _row(label, cfg, snr_db, point, est, probes) -> SweepRow:
     )
 
 
-def _evaluators(spec, label, cfg, stats):
-    """(evaluator, value) for one label in method order, for the methods the
-    spec asks for that the label has: its closed form, if _CLOSED_FORMS has
-    one, and Monte Carlo from stats, the statistics of the point's stream.
-    value gives the evaluator's value alone, for the split search to
-    compare: a Monte Carlo value skips its standard error."""
+def _evaluators(spec, label, cfg, stats, head):
+    """(evaluator, value, on_head) for one label in method order, for the
+    methods the spec asks for that the label has: its closed form, if
+    _CLOSED_FORMS has one, and Monte Carlo from stats, the statistics of the
+    point's stream. value gives the evaluator's value alone, for the split
+    search to compare: a Monte Carlo value skips its standard error.
+    on_head is the Monte Carlo (evaluator, value) pair on head, the
+    statistics of the stream's prefix, or None where the split search reads
+    the whole stream: closed forms, and streams without a prefix."""
     out = []
     if "analytic" in spec.methods and label in _CLOSED_FORMS:
         value = partial(_CLOSED_FORMS[label], cfg)
-        out.append((lambda ps, pr: ThroughputEstimate(value(ps, pr), 0.0, "analytic"), value))
+        out.append((lambda ps, pr: ThroughputEstimate(value(ps, pr), 0.0, "analytic"), value, None))
     if "monte-carlo" in spec.methods:
-        mc = partial(_SIMULATORS[label], cfg, stats)
-        out.append((mc, partial(mc, std_error=False)))
+        mc, on_head = partial(_SIMULATORS[label], cfg, stats), None
+        if head is not None:
+            head_mc = partial(_SIMULATORS[label], cfg, head)
+            on_head = (head_mc, partial(head_mc, std_error=False))
+        out.append((mc, partial(mc, std_error=False), on_head))
     return out
+
+
+def _search(budget, tolerance, evaluate, value, on_head) -> Tuple[PowerPoint, dict]:
+    """The best split of budget, and the search's sidecar entry: its value
+    probes on the stream prefix and on the whole stream, and whether the
+    optimum sits on a ratio bound. With on_head, the search runs on the
+    prefix and refine_split polishes its optimum on the whole stream."""
+    entry = {"prefix_probes": 0, "probes": 0}
+
+    def counted(fn, key):  # a new callable each search: the search caches
+        def probe(ps, pr):
+            entry[key] += 1
+            return fn(ps, pr)
+        return probe
+
+    if on_head is None:
+        point = maximize_throughput(budget, counted(value, "probes"), evaluate, tolerance)
+    else:
+        head_evaluate, head_value = on_head
+        point = maximize_throughput(
+            budget, counted(head_value, "prefix_probes"), head_evaluate, tolerance
+        )
+        point = refine_split(budget, counted(value, "probes"), point, tolerance)
+    entry["at_bound"] = at_ratio_bound(point, tolerance)
+    return point, entry
 
 
 def _points(spec: ExperimentSpec) -> list:
@@ -470,34 +515,35 @@ def _points(spec: ExperimentSpec) -> list:
 
 def _run_stream(spec: ExperimentSpec, points: list, group: list, rows: list):
     """Run the points of one fading stream (indices group of points) into
-    their (row, probes of its split search or 0) pairs; for Monte Carlo,
-    one sampling pass first builds the statistics of every label and M
-    value of the stream, and each is freed after the last point that reads
-    it, so all are gone before the next stream's are built. Gives the
-    stream's diagnostics, or None without Monte Carlo."""
-    stats = diagnostics = None
+    their (row, sidecar entry of its split search or None) pairs; for Monte
+    Carlo, one sampling pass first builds the statistics of every label and
+    M value of the stream, and each is freed, with its prefix views, after
+    the last point that reads it, so all are gone before the next stream's
+    are built. Gives the stream's diagnostics, or None without Monte
+    Carlo."""
+    stats = head = diagnostics = None
     if "monte-carlo" in spec.methods:
         stats = prepare([points[i][:2] for i in group], spec.sim)
+        if spec.sim.slots // _PREFIX_SHARE >= _MIN_PREFIX_SLOTS:
+            head = prefix(stats, spec.sim.slots // _PREFIX_SHARE)
         cfg = points[group[0]][1]
         nbytes = sum(a.nbytes for out in stats.values() for a in out)
         diagnostics = {"L": cfg.L, "N_R": cfg.N_R, "stats_bytes": nbytes}
         last = {_statistic(*points[i][:2]): i for i in group}
     for i in group:
         label, cfg, snr_db, split = points[i]
-        for evaluate, value in _evaluators(spec, label, cfg, stats):
-            point, probes = split, []
+        for evaluate, value, on_head in _evaluators(spec, label, cfg, stats, head):
+            point, search = split, None
             if split is None:
-                def probe(ps, pr):  # a new point each call: the search caches
-                    probes.append(None)
-                    return value(ps, pr)
-
                 budget = PowerBudget(label, _snr_linear(snr_db), cfg.L)
-                point = maximize_throughput(budget, probe, evaluate, spec.tolerance)
-            est, n = evaluate_split(evaluate, point), len(probes)
-            rows[i].append((_row(label, cfg, snr_db, point, est, n), n))
+                point, search = _search(budget, spec.tolerance, evaluate, value, on_head)
+            est = evaluate_split(evaluate, point)
+            rows[i].append((_row(label, cfg, snr_db, point, est, search), search))
         key = _statistic(label, cfg)
         if stats is not None and last[key] == i:
             del stats[key]
+            if head is not None:
+                del head[key]
     return diagnostics
 
 
@@ -521,10 +567,12 @@ def run_experiment(spec: ExperimentSpec) -> SweepResult:
     diagnostics = {
         "streams": streams,
         "max_stats_bytes": max((s["stats_bytes"] for s in streams), default=0),
-        # one per optimised row; over 200 probes: the dense-grid fallback
+        # one per optimised row: its value probes on the stream prefix and
+        # on the whole stream (over 200 in one stage: the dense-grid
+        # fallback), and whether its optimum sits on a ratio bound
         "searches": [
-            {"row": i, "protocol": row.protocol, "method": row.method, "probes": n}
-            for i, (row, n) in enumerate(pairs) if n
+            {"row": i, "protocol": row.protocol, "method": row.method, **search}
+            for i, (row, search) in enumerate(pairs) if search
         ],
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,

@@ -7,7 +7,8 @@ draw-sized blocks (about 2^17 draws each, so a block's temporaries stay near
 cache) addressed by absolute slot index; each block is turned relay-major,
 with shape (L, block slots), and reduced at once to every requested
 protocol's power-independent per-slot statistics, all that is kept of a
-stream: prepare() returns them to its caller and estimate() reads them.
+stream: prepare() returns them to its caller and estimate() reads them, or
+prefix()'s views of their first slots, which a shorter stream would give.
 Reductions over relays sweep contiguous rows, and sums over relays keep
 numpy's pairwise order, so the statistics match a slot-major reduction of
 the whole stream bit for bit. Every statistic is per slot, so the block
@@ -32,6 +33,7 @@ __all__ = [
     "SimConfig",
     "ThroughputEstimate",
     "estimate",
+    "prefix",
     "prepare",
     "stream_bytes",
     "stream_key",
@@ -446,6 +448,28 @@ _TABLE = {
 }
 PROTOCOLS = tuple(_TABLE)[:4]
 TERMS = tuple(_TABLE)[4:]
+# build -> the array counts of its sparse parts, which follow its per-slot
+# arrays; a build not listed has none
+_SPARSE_PARTS = {_select_stats: (3, 3)}
+
+
+def prefix(stats: dict, slots: int) -> dict:
+    """The statistics of the first slots slots of the stream that prepare()
+    built stats on, as views of them: per-slot arrays sliced, each sparse
+    part cut at its first slot index past the prefix. Equal bit for bit to
+    prepare() on a stream of slots slots with the same seed, which draws
+    its slots at the same counters."""
+    out = {}
+    for key, arrays in stats.items():
+        parts = _SPARSE_PARTS.get(key[0], ())
+        start = len(arrays) - sum(parts)
+        view = [a[..., :slots] for a in arrays[:start]]
+        for size in parts:
+            end = np.searchsorted(arrays[start], slots)
+            view += [a[:end] for a in arrays[start:start + size]]
+            start += size
+        out[key] = tuple(view)
+    return out
 
 
 def estimate(

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import platform
@@ -399,7 +400,9 @@ def test_sidecar_diagnostics(tmp_path, raw, streams):
     assert [(s["row"], s["protocol"], s["method"]) for s in searches] == [
         (i, row.protocol, row.method) for i, row in enumerate(result.rows)
     ]
-    assert all(s["probes"] >= 1 for s in searches)
+    # streams this short are searched whole, and no optimum is clipped
+    assert all(s["probes"] >= 1 and s["prefix_probes"] == 0 for s in searches)
+    assert not any(s["at_bound"] for s in searches)
     assert diagnostics["peak_rss_mb"] > 0
     write_csv(replace(result, diagnostics={}), str(tmp_path / "cleared.csv"))
     with open(csv_path, "rb") as a, open(tmp_path / "cleared.csv", "rb") as b:
@@ -424,6 +427,63 @@ def test_probe_budget_per_protocol(tmp_path):
     assert statistics.median(probes["adb"]) == 41
     validate = run_experiment(resolve_spec({"experiment": "validate", "sim": {"slots": 2_000}}))
     assert validate.diagnostics["searches"] == []
+
+
+def test_prefix_search_matches_whole_stream_search(monkeypatch, caplog):
+    # just above the cut-off, each Monte Carlo split search runs on the
+    # stream's first 1/16 and is polished on the whole stream. Its optimum
+    # rows lie within 0.25 standard errors of a whole-stream search's,
+    # analytic rows keep their bits, and the sidecar and the log count the
+    # probes of each stage
+    slots = experiments._PREFIX_SHARE * experiments._MIN_PREFIX_SLOTS
+    spec = resolve_spec({"experiment": "antenna-sweep", "grid": [1, 4], "sim": {"slots": slots}})
+    with caplog.at_level(logging.INFO, logger="relaylab"):
+        two_stage = run_experiment(spec)
+    # one line per row, logged in stream order: keyed by the row's columns
+    lines = {
+        " ".join(m.split()[:6]): m for m in
+        (r.getMessage() for r in caplog.records if r.levelno == logging.INFO)
+    }
+    assert len(lines) == 10
+    monkeypatch.setattr(experiments, "_MIN_PREFIX_SLOTS", experiments._MIN_PREFIX_SLOTS + 1)
+    whole = run_experiment(spec)
+    assert len(two_stage.rows) == len(whole.rows) == 10
+    for a, b in zip(two_stage.rows, whole.rows):
+        if a.method == "analytic":
+            assert a == b
+        else:
+            assert abs(a.throughput - b.throughput) <= 0.25 * b.std_error, a
+    searches = two_stage.diagnostics["searches"]
+    assert [s["row"] for s in searches] == list(range(10))
+    for s, r in zip(searches, two_stage.rows):
+        line = lines[f"{r.protocol} L={r.L} M={r.M} N_R={r.N_R} snr_db=10 {r.method}"]
+        if s["method"] == "analytic":
+            assert s["prefix_probes"] == 0 and s["probes"] == 41
+            assert line.endswith(" after 41 probes")
+        else:
+            assert s["prefix_probes"] >= 9 and 1 <= s["probes"] <= 15
+            assert line.endswith(f" after {s['prefix_probes']} prefix and {s['probes']} probes")
+    assert not any(s["at_bound"] for s in searches)
+    assert all(s["prefix_probes"] == 0 for s in whole.diagnostics["searches"])
+
+
+def test_search_on_a_ratio_bound_is_flagged(tmp_path):
+    # 12 antennas on 12 relays: adb's best split lies past ps/pr = 100, so
+    # both methods' searches end on the bound, and the sidecar says so
+    raw = {
+        "experiment": "relay-sweep",
+        "total_antennas": 12,
+        "grid": [4, 12],
+        "sim": {"slots": 20_000},
+        "output_path": str(tmp_path / "r.csv"),
+    }
+    result = run_experiment(resolve_spec(raw))
+    emit(result)
+    searches = json.loads((tmp_path / "r.summary.json").read_text())["diagnostics"]["searches"]
+    assert [(s["method"], s["at_bound"]) for s in searches] == [
+        ("analytic", False), ("monte-carlo", False), ("analytic", True), ("monte-carlo", True)
+    ]
+    assert [r.ps / r.pr for r in result.rows[2:]] == [pytest.approx(100.0)] * 2
 
 
 def test_load_spec_errors(tmp_path):
@@ -526,6 +586,17 @@ def test_each_statistic_is_freed_after_its_last_point(monkeypatch):
     # adb's statistic is read by its own point alone, so it is dead before
     # sfd-mmrs's first probe, while the statistic crs and sfd-mmrs share
     # lives until then; the diagnostics still count every statistic
+    _check_statistics_freed(monkeypatch)
+
+
+def test_prefix_views_are_freed_with_their_statistic(monkeypatch):
+    # with the cut-off lowered, 5000 slots have a 312-slot prefix whose
+    # views hold their statistic's arrays: they go with it
+    monkeypatch.setattr(experiments, "_MIN_PREFIX_SLOTS", 64)
+    _check_statistics_freed(monkeypatch)
+
+
+def _check_statistics_freed(monkeypatch):
     adb, shared, seen, sizes = [], [], [], []
     prepare, sfd = experiments.prepare, experiments._SIMULATORS["sfd-mmrs"]
 

@@ -15,9 +15,11 @@ from relaylab.power import (
     OptimizationError,
     PowerBudget,
     PowerPoint,
+    at_ratio_bound,
     evaluate_split,
     maximize_throughput,
     ratio_point,
+    refine_split,
 )
 from relaylab.simulate import SimConfig, ThroughputEstimate, estimate, prepare
 
@@ -292,6 +294,102 @@ def test_every_search_ends(protocol, kinked, peak, rise, fall, tolerance):
         patch.setattr(power, "_brent", _ending(power._brent))
         patch.setattr(power, "_golden", _ending(power._golden))
         _counted(budget, evaluator, tolerance)
+
+
+def _bump(peak, kinked):
+    """An objective peaking at ln(ps/pr) = peak: smooth, or the min of a
+    rising and a falling bent line."""
+    def evaluator(ps, pr):
+        t = math.log(ps / pr) - peak
+        if kinked:
+            return _analytic(1000.0 + min(t - 0.05 * t * t, -2.0 * t - 0.03 * t * t))
+        return _analytic(1.0 / (1.0 + t * t))
+    return evaluator
+
+
+def _polished(budget, evaluator, start, tolerance=1e-3):
+    """refine_split's point from start on evaluator's values, and the value
+    probes it made."""
+    probes = []
+
+    def value(ps, pr):
+        probes.append((ps, pr))
+        return evaluator(ps, pr).value
+
+    return refine_split(budget, value, start, tolerance), len(probes)
+
+
+def _u(point):
+    return math.log(point.ps / point.pr)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("shift", [0.0, 0.1, -0.4, 0.7, 3.0, -6.0])
+def test_polish_reaches_the_peak_from_a_shifted_prefix_optimum(protocol, shift):
+    # the search on a prefix objective that peaks shift away from the whole
+    # objective's peak, then the polish on the whole one: past its +-0.15
+    # bracket the polish ends on an edge, so the bracket doubles until it
+    # holds the peak. At -6.0 the prefix optimum is the upper ratio bound,
+    # 4.1 away. A polish that starts on the peak or near it stays cheap
+    budget = PowerBudget(protocol, 10.0, 4)
+    kinked = protocol in ("adb", "sfd-mmrs")
+    truth = 0.5
+    start, _ = _search(budget, _bump(truth - shift, kinked))
+    uhi = math.log(power._RATIO_BOUNDS[1])
+    assert abs(_u(start) - truth) == pytest.approx(min(abs(shift), uhi - truth), abs=1e-3)
+    point, probes = _polished(budget, _bump(truth, kinked), start)
+    assert abs(_u(point) - truth) <= math.log1p(1e-3)
+    assert not at_ratio_bound(point, 1e-3)
+    if abs(shift) <= 0.1:
+        assert probes <= 12
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_polish_stops_on_a_ratio_bound(protocol):
+    # past the upper ratio bound the best split is the bound itself: the
+    # polish doubles its bracket until it reaches the bound, and ends there;
+    # each bracket costs one polish, about 15 probes on a rising objective
+    budget = PowerBudget(protocol, 10.0, 4)
+    evaluator = _bump(6.0, protocol in ("adb", "sfd-mmrs"))
+    start = ratio_point(budget, math.exp(3.0))
+    point, probes = _polished(budget, evaluator, start)
+    assert at_ratio_bound(point, 1e-3)
+    assert _u(point) == pytest.approx(math.log(power._RATIO_BOUNDS[1]), abs=1e-3)
+    assert probes <= 80
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    protocol=st.sampled_from(PROTOCOLS),
+    kinked=st.booleans(),
+    peak=st.floats(_grid_u(0) - 1.0, _grid_u(8) + 1.0),
+    start=st.floats(_grid_u(0), _grid_u(8)),
+    rise=st.floats(0.05, 5.0),
+    fall=st.floats(0.05, 5.0),
+    tolerance=st.floats(math.log(1e-16), math.log(0.5)).map(math.exp),
+)
+@example(protocol="adb", kinked=True, peak=_grid_u(8) + 1.0, start=_grid_u(0),
+         rise=1.0, fall=1.0, tolerance=1e-16)
+@example(protocol="crs", kinked=False, peak=_grid_u(0), start=_grid_u(0),
+         rise=1.0, fall=1.0, tolerance=1e-9)
+def test_every_polish_ends(protocol, kinked, peak, start, rise, fall, tolerance):
+    # the polish, from any start in the ratio range, on a peak or a kink
+    # anywhere in it or past it, at any tolerance in (0, 1): each Brent's
+    # loop ends, the bracket doubles at most until it spans the ratio
+    # bounds, and the split returned lies within them
+    budget = PowerBudget(protocol, 10.0, 4)
+
+    def evaluator(ps, pr):
+        t = math.log(ps / pr) - peak
+        if kinked:
+            return _analytic(1000.0 + min(rise * t - 0.05 * t * t, -fall * t - 0.03 * t * t))
+        return _analytic(1000.0 - rise * t * t - 0.01 * fall * t * t * t)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(power, "_brent", _ending(power._brent))
+        point, _ = _polished(budget, evaluator, ratio_point(budget, math.exp(start)), tolerance)
+    ulo, uhi = (math.log(r) for r in power._RATIO_BOUNDS)
+    assert ulo - 1e-12 <= _u(point) <= uhi + 1e-12
 
 
 def _sfd_means(cfg, stats, budget, u):

@@ -24,6 +24,7 @@ from relaylab.simulate import (
     _select_stats,
     _sfd_links,
     estimate,
+    prefix,
     prepare,
     stream_bytes,
 )
@@ -330,6 +331,50 @@ def test_streamed_statistics_match_whole_stream(
     # level and colliding slots (indices 4 and 7) on both sides of a block
     # boundary
     assert all(_straddles(want[k], simulate._block_slots(cfg)) for k in straddle)
+
+
+@pytest.fixture(scope="module")
+def long_stream():
+    """Every builder's statistics, adb's at every M value, on a 70000-slot
+    stream of 16384-slot blocks where a third of the slots have levels and
+    a quarter collide."""
+    cfg = ChannelConfig(L=4, M=1, N_R=1)
+    requests = [("adb", replace(cfg, M=m)) for m in range(1, cfg.L)]
+    requests += [(p, cfg) for p in ("crs", "df", "sfd-mmrs")]
+    sim = SimConfig(slots=70_000, seed=10)
+    return cfg, requests, sim, prepare(requests, sim)
+
+
+@pytest.mark.parametrize("cut", ["between-levels", "after-a-collision", "block-boundary"])
+def test_prefix_views_match_a_shorter_stream(long_stream, cut):
+    # the stream is counter-addressed, so the statistics of its first n
+    # slots are those of a stream of n slots, bit for bit; prefix() gives
+    # them as read-only views of the whole stream's, copying nothing
+    cfg, requests, sim, stats = long_stream
+    key = simulate._statistic("crs", cfg)
+    level, collide = stats[key][4], stats[key][7]
+    if cut == "between-levels":
+        # one past a level slot, with the next level slot further on
+        k = np.flatnonzero(np.diff(level) > 2)[len(level) // 3]
+        n = int(level[k]) + 1
+        assert level[k] < n < level[k + 1] - 1
+    elif cut == "after-a-collision":
+        n = int(collide[len(collide) // 2]) + 1
+    else:
+        n = 2 * simulate._block_slots(cfg)
+    head = prefix(stats, n)
+    want = prepare(requests, replace(sim, slots=n))
+    assert head.keys() == want.keys() == stats.keys()
+    for key in stats:
+        assert _same_bits(head[key], want[key])
+        for view, whole in zip(head[key], stats[key]):
+            assert not view.flags.writeable and not view.flags.owndata
+            assert view.size == 0 or np.shares_memory(view, whole)
+    # each sparse part is cut at its first slot index past the prefix
+    got = head[simulate._statistic("crs", cfg)]
+    assert got[4].size == np.searchsorted(level, n) and got[7].size == np.searchsorted(collide, n)
+    if cut == "after-a-collision":
+        assert got[7][-1] == n - 1
 
 
 def _tied_gains(L, n):
