@@ -453,31 +453,31 @@ def _row(label, cfg, snr_db, point, est, search) -> SweepRow:
 
 
 def _evaluators(spec, label, cfg, stats, head):
-    """(evaluator, value, on_head) for one label in method order, for the
+    """(evaluate, value, head_value) for one label in method order, for the
     methods the spec asks for that the label has: its closed form, if
     _CLOSED_FORMS has one, and Monte Carlo from stats, the statistics of the
-    point's stream. value gives the evaluator's value alone, for the split
+    point's stream. value gives evaluate's value alone, for the split
     search to compare: a Monte Carlo value skips its standard error.
-    on_head is the Monte Carlo (evaluator, value) pair on head, the
-    statistics of the stream's prefix, or None where the split search reads
-    the whole stream: closed forms, and streams without a prefix."""
+    head_value is the Monte Carlo value on head, the statistics of the
+    stream's prefix, or None where the split search reads the whole stream:
+    closed forms, and streams without a prefix."""
     out = []
     if "analytic" in spec.methods and label in _CLOSED_FORMS:
         value = partial(_CLOSED_FORMS[label], cfg)
         out.append((lambda ps, pr: ThroughputEstimate(value(ps, pr), 0.0, "analytic"), value, None))
     if "monte-carlo" in spec.methods:
-        mc, on_head = partial(_SIMULATORS[label], cfg, stats), None
+        mc = partial(_SIMULATORS[label], cfg, stats)
+        head_value = None
         if head is not None:
-            head_mc = partial(_SIMULATORS[label], cfg, head)
-            on_head = (head_mc, partial(head_mc, std_error=False))
-        out.append((mc, partial(mc, std_error=False), on_head))
+            head_value = partial(_SIMULATORS[label], cfg, head, std_error=False)
+        out.append((mc, partial(mc, std_error=False), head_value))
     return out
 
 
-def _search(budget, tolerance, evaluate, value, on_head) -> Tuple[PowerPoint, dict]:
+def _search(budget, tolerance, value, head_value) -> Tuple[PowerPoint, dict]:
     """The best split of budget, and the search's sidecar entry: its value
     probes on the stream prefix and on the whole stream, and whether the
-    optimum sits on a ratio bound. With on_head, the search runs on the
+    optimum sits on a ratio bound. With head_value, the search runs on the
     prefix and refine_split polishes its optimum on the whole stream."""
     entry = {"prefix_probes": 0, "probes": 0}
 
@@ -487,13 +487,10 @@ def _search(budget, tolerance, evaluate, value, on_head) -> Tuple[PowerPoint, di
             return fn(ps, pr)
         return probe
 
-    if on_head is None:
-        point = maximize_throughput(budget, counted(value, "probes"), evaluate, tolerance)
+    if head_value is None:
+        point = maximize_throughput(budget, counted(value, "probes"), tolerance)
     else:
-        head_evaluate, head_value = on_head
-        point = maximize_throughput(
-            budget, counted(head_value, "prefix_probes"), head_evaluate, tolerance
-        )
+        point = maximize_throughput(budget, counted(head_value, "prefix_probes"), tolerance)
         point = refine_split(budget, counted(value, "probes"), point, tolerance)
     entry["at_bound"] = at_ratio_bound(point, tolerance)
     return point, entry
@@ -532,11 +529,11 @@ def _run_stream(spec: ExperimentSpec, points: list, group: list, rows: list):
         last = {_statistic(*points[i][:2]): i for i in group}
     for i in group:
         label, cfg, snr_db, split = points[i]
-        for evaluate, value, on_head in _evaluators(spec, label, cfg, stats, head):
+        for evaluate, value, head_value in _evaluators(spec, label, cfg, stats, head):
             point, search = split, None
             if split is None:
                 budget = PowerBudget(label, _snr_linear(snr_db), cfg.L)
-                point, search = _search(budget, spec.tolerance, evaluate, value, on_head)
+                point, search = _search(budget, spec.tolerance, value, head_value)
             est = evaluate_split(evaluate, point)
             rows[i].append((_row(label, cfg, snr_db, point, est, search), search))
         key = _statistic(label, cfg)

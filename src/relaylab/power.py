@@ -5,13 +5,13 @@ counts transmitting relays per slot (L/2 for the alternating scheme since only
 one group beamforms at a time, L otherwise) and two-slot protocols get the
 budget counted per transmission phase (total = 2*snr_total). Throughput is
 increasing in both powers, so the optimum sits on the equality curve and the
-search is one-dimensional in the ratio ps/pr. A Monte Carlo search may run in
+search is one-dimensional in the ratio ps/pr; it compares the objective's
+values only, never a standard error. A Monte Carlo search may run in
 two stages: maximize_throughput on a prefix of the fading stream, where each
 probe is cheap, then refine_split on the whole stream, from the prefix's
 optimum.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -119,19 +119,10 @@ def evaluate_split(evaluator: Evaluator, point: PowerPoint) -> ThroughputEstimat
     return est
 
 
-def _several_maxima(us, vals, std_error):
-    """Whether two or more interior local maxima of the grid rise within
-    combined Monte Carlo noise of its best value; with fewer than two no
-    standard error is read."""
-    peaks = [i for i in range(1, len(us) - 1) if vals[i - 1] <= vals[i] >= vals[i + 1]]
-    if len(peaks) < 2:
-        return False
-    best = max(range(len(us)), key=vals.__getitem__)
-    best_se = std_error(us[best])
-    return sum(
-        vals[i] >= vals[best] - 3.0 * math.hypot(std_error(us[i]), best_se)
-        for i in peaks
-    ) > 1
+def _several_maxima(vals):
+    """Whether the grid values have two or more interior local maxima."""
+    peaks = [i for i in range(1, len(vals) - 1) if vals[i - 1] <= vals[i] >= vals[i + 1]]
+    return len(peaks) > 1
 
 
 def _golden(f, a, b, width):
@@ -255,16 +246,15 @@ def _best(budget, values) -> PowerPoint:
 def maximize_throughput(
     budget: PowerBudget,
     value: Callable[[float, float], float],
-    evaluator: Evaluator,
     tolerance: float = 1e-3,
 ) -> PowerPoint:
     """The best split along the budget-equality curve by value(ps, pr).
 
     Log-spaced coarse grid over the ps/pr ratio, then refinement of
     ln(ratio) in the bracket of the best grid point down to the given
-    relative ratio tolerance. If the coarse grid shows several local maxima
-    beyond combined Monte Carlo noise, a 200-point grid re-locates the peak
-    first. Returns the first probed point of highest value.
+    relative ratio tolerance. If the coarse grid has two or more interior
+    local maxima, a 200-point grid re-locates the peak first. Returns the
+    first probed point of highest value.
 
     The refinement follows the objective's shape, one of three. crs and df
     are each the mean of one rate, smooth in ln(ratio): a 9-point grid,
@@ -275,11 +265,8 @@ def maximize_throughput(
     25-point grid, golden section. That makes 41 value probes for adb and
     about 16 and 17 for the others.
 
-    value must return evaluator's value alone (a Monte Carlo mean without
-    its standard error, say). The search compares values only. Only when
-    the coarse grid has two or more interior local maxima does it call
-    evaluator, once at each of them and at the grid's best, for their
-    standard errors.
+    The search compares values only: a Monte Carlo value need not carry
+    its standard error.
 
     A Monte Carlo search may run on a prefix of the stream, at a fraction
     of the cost; refine_split then polishes its optimum on the whole
@@ -287,18 +274,13 @@ def maximize_throughput(
     """
     width_goal = _width_goal(tolerance)
     probe, values = _prober(budget, value)
-
-    @functools.cache
-    def std_error(u):
-        return evaluate_split(evaluator, ratio_point(budget, math.exp(u))).std_error
-
     brent = budget.protocol in _SMOOTH + _KINKED
     points = _BRENT_POINTS if brent else _COARSE_POINTS
     ulo, uhi = (math.log(r) for r in _RATIO_BOUNDS)
     step = (uhi - ulo) / (points - 1)
     us = [ulo + i * step for i in range(points)]
     vals = [probe(u) for u in us]
-    if _several_maxima(us, vals, std_error):
+    if _several_maxima(vals):
         step = (uhi - ulo) / 199
         us = [ulo + i * step for i in range(200)]
         vals = [probe(u) for u in us]

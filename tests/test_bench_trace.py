@@ -27,10 +27,17 @@ for experiment, grid in (
     ("validate", [[1, 2, 1.0], [2, 1, 10.0]]),
     ("antenna-sweep", [1, 3]),
 ):
+    first = len(tracer.spans)
     spec = resolve_spec({"experiment": experiment, "grid": grid, "sim": {"slots": 2000}})
     result = run_experiment(spec)
-searches = result.diagnostics["searches"]  # the antenna sweep's, run last
-json.dump({"spans": tracer.dump()["spans"], "searches": searches}, sys.stdout)
+# the antenna sweep's, run last: its first span, its searches, and the
+# N_R, which sets the fading stream, of each of its rows
+json.dump({
+    "spans": tracer.dump()["spans"],
+    "first": first,
+    "searches": result.diagnostics["searches"],
+    "N_R": [row.N_R for row in result.rows],
+}, sys.stdout)
 """
 
 
@@ -50,15 +57,21 @@ def test_traced_run_spans_every_layer_label_and_closed_form():
     assert probed == set(PROTOCOLS + TERMS)
     closed = {s["fn"] for s in spans if s["name"] == "analytic"}
     assert closed == {"adb_closed", "c11_closed", "c22_closed"}
-    # each sfd-mmrs split search shows its every value probe as a simulate
-    # span under its power span (standard errors are read only on a coarse
-    # grid with two peaks, which these searches do not have)
+    # each split search of the antenna sweep, in either method, shows its
+    # every value probe as a simulate or analytic span under its power
+    # span. The searches run stream by stream, in row order within each
+    # stream, while the sidecar lists them in row order
     under = {}
-    for s in spans:
-        parent = s["parent"]
-        if s["name"] == "simulate" and s["protocol"] == "sfd-mmrs" and parent is not None:
-            assert spans[parent]["name"] == "power"
-            under[parent] = under.get(parent, 0) + 1
-    searches = [s["probes"] for s in out["searches"] if s["protocol"] == "sfd-mmrs"]
-    assert len(searches) == 2
-    assert [under[i] for i in sorted(under)] == searches
+    for i, s in enumerate(spans[out["first"]:], out["first"]):
+        if s["name"] == "power":
+            under[i] = []
+        elif s["parent"] in under:
+            under[s["parent"]].append(s["protocol"] if s["name"] == "simulate" else s["fn"])
+    streams = list(dict.fromkeys(out["N_R"]))
+    searches = sorted(
+        out["searches"], key=lambda s: (streams.index(out["N_R"][s["row"]]), s["row"])
+    )
+    assert len(searches) == len(under) == 10
+    for search, probed in zip(searches, (under[i] for i in sorted(under))):
+        want = search["protocol"] if search["method"] == "monte-carlo" else "adb_closed"
+        assert probed == [want] * search["probes"]

@@ -31,9 +31,7 @@ def _analytic(value):
 def _search(budget, evaluator, **kwargs):
     """The split a search on evaluator's values returns, and its estimate
     there."""
-    point = maximize_throughput(
-        budget, lambda ps, pr: evaluator(ps, pr).value, evaluator, **kwargs
-    )
+    point = maximize_throughput(budget, lambda ps, pr: evaluator(ps, pr).value, **kwargs)
     return point, evaluate_split(evaluator, point)
 
 
@@ -46,15 +44,16 @@ def _counted(budget, evaluator, tolerance):
         probes.append((ps, pr))
         return evaluator(ps, pr).value
 
-    return maximize_throughput(budget, value, evaluator, tolerance), len(probes)
+    return maximize_throughput(budget, value, tolerance), len(probes)
 
 
 def _two_peaks(ps, pr):
-    """Two near-equal narrow peaks with nonzero reported noise."""
+    """Two near-equal narrow peaks, each an interior local maximum of the
+    coarse grids."""
     u = math.log(ps / pr)
     a = 1.00 * math.exp(-((u + 2.3) ** 2) / 0.05)
     b = 1.02 * math.exp(-((u - 2.3) ** 2) / 0.05)
-    return ThroughputEstimate(a + b, 0.01, "monte-carlo")
+    return _analytic(a + b)
 
 
 def test_budget_pr_examples():
@@ -427,10 +426,10 @@ def test_sfd_search_lands_on_the_crossing_of_its_means(L, N_R, snr_db):
 
 
 def test_multimodal_fallback_finds_global_peak():
-    # two near-equal narrow peaks with nonzero reported noise force the
-    # dense-grid fallback, which must land on the taller one, before golden
-    # section (adb), before Brent's parabolic steps (crs) and before its
-    # steps to a crossing (sfd-mmrs)
+    # two near-equal narrow peaks, two interior maxima of the coarse grid,
+    # force the dense-grid fallback, which must land on the taller one,
+    # before golden section (adb), before Brent's parabolic steps (crs) and
+    # before its steps to a crossing (sfd-mmrs)
     for protocol in ("adb", "crs", "sfd-mmrs"):
         budget = PowerBudget(protocol, 10.0, 4)
         calls = []
@@ -443,6 +442,37 @@ def test_multimodal_fallback_finds_global_peak():
         assert math.log(point.ps / point.pr) == pytest.approx(2.3, abs=0.01)
         assert est.value == pytest.approx(1.02, rel=1e-3)
         assert len(calls) > 200
+
+
+@pytest.mark.parametrize("protocol, points", [
+    ("adb", power._COARSE_POINTS),
+    ("crs", power._BRENT_POINTS),
+    ("sfd-mmrs", power._BRENT_POINTS),
+])
+def test_a_taller_peak_the_grid_half_sees_is_found(protocol, points):
+    # a closed form, with no noise, whose coarse grid has two interior
+    # maxima: a wide peak of 1.00 on a grid point, and a taller (1.05)
+    # narrow one in the middle of a grid cell, so narrow that the grid sees
+    # half its height. The dense grid must find the taller one
+    ulo, uhi = (math.log(r) for r in power._RATIO_BOUNDS)
+    step = (uhi - ulo) / (points - 1)
+    narrow = ulo + (points // 2 + 1.5) * step
+    width = (step / 2.0) ** 2 / math.log(2.0)
+
+    def two_peaks(u):
+        return math.exp(-((u + 2.3) ** 2)) + 1.05 * math.exp(-((u - narrow) ** 2) / width)
+
+    grid = [two_peaks(ulo + i * step) for i in range(points)]
+    maxima = [i for i in range(1, points - 1) if grid[i - 1] <= grid[i] >= grid[i + 1]]
+    assert len(maxima) == 2
+    assert max(grid) == pytest.approx(1.0, abs=1e-3)
+    budget = PowerBudget(protocol, 10.0, 4)
+    point, probes = _counted(
+        budget, lambda ps, pr: _analytic(two_peaks(math.log(ps / pr))), 1e-3
+    )
+    assert _u(point) == pytest.approx(narrow, abs=0.01)
+    assert two_peaks(_u(point)) == pytest.approx(1.05, rel=1e-3)
+    assert probes > 200
 
 
 def test_nonfinite_objective_raises():
@@ -462,9 +492,9 @@ def test_parameter_validation():
 
 @pytest.mark.parametrize("case", [*PROTOCOLS, "adb-analytic", "two-peaks"])
 def test_value_only_probes_give_the_same_optimum(monkeypatch, case):
-    # the search compares values alone and reads standard errors only at
-    # the coarse-grid points of a grid with two interior maxima; it must
-    # return exactly what a search on full estimates' values returns
+    # the search compares values alone: on value-only probes it must
+    # return exactly what a search on full estimates' values returns, and
+    # compute no standard error
     cfg = ChannelConfig(L=4, M=2, N_R=2)
     protocol = case if case in PROTOCOLS else "adb"
     if case in PROTOCOLS:
@@ -489,29 +519,21 @@ def test_value_only_probes_give_the_same_optimum(monkeypatch, case):
             stds.append(calls[-1])
         return mean_se(x, se)
 
-    def logged(kind, fn):
-        def call(ps, pr):
-            calls.append((kind, ps, pr))
-            return fn(ps, pr)
-        return call
+    def logged(ps, pr):
+        calls.append((ps, pr))
+        return value(ps, pr)
 
     monkeypatch.setattr(simulate, "_mean_se", counting_mean_se)
-    point = maximize_throughput(budget, logged("value", value), logged("full", full))
+    point = maximize_throughput(budget, logged)
     assert point == want
-    # the coarse grid is probed first; full estimates are made only where
-    # it has two interior maxima (only two-peaks has), once each, on
-    # coarse-grid points only, and value-only probes compute no std
-    brent = protocol in power._SMOOTH + power._KINKED
-    points = power._BRENT_POINTS if brent else power._COARSE_POINTS
-    grid = {(ps, pr) for _, ps, pr in calls[:points]}
-    full_points = [(ps, pr) for kind, ps, pr in calls if kind == "full"]
-    assert bool(full_points) == (case == "two-peaks")
-    assert len(set(full_points)) == len(full_points)
-    assert set(full_points) <= grid
     assert not stds
     # probe budget: Brent's method takes crs and df to their peak, and
     # sfd-mmrs to its crossing, in at most 20 value probes; golden section
-    # takes 41 for adb
-    if case != "two-peaks":
-        probes = sum(kind == "value" for kind, _, _ in calls)
-        assert (probes <= 20) if brent else (probes == 41)
+    # takes 41 for adb; two interior maxima on the coarse grid (only
+    # two-peaks has them) send the search over the 200-point grid first
+    if case == "two-peaks":
+        assert len(calls) > 200
+    elif protocol in power._SMOOTH + power._KINKED:
+        assert len(calls) <= 20
+    else:
+        assert len(calls) == 41
