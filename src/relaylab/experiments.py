@@ -32,7 +32,6 @@ from .power import (
     evaluate_split,
     maximize_throughput,
     ratio_point,
-    refine_split,
 )
 from .simulate import (
     PROTOCOLS,
@@ -73,9 +72,9 @@ CSV_COLUMNS = (
 METHODS = ("analytic", "monte-carlo")
 
 # A Monte Carlo split search runs on the first 1/_PREFIX_SHARE of a stream's
-# slots, then refine_split polishes its optimum on the whole stream; a
-# prefix shorter than _MIN_PREFIX_SLOTS is too noisy to steer by, so
-# shorter streams are searched whole.
+# slots, then polishes its optimum on the whole stream (maximize_throughput's
+# head); a prefix shorter than _MIN_PREFIX_SLOTS is too noisy to steer by,
+# so shorter streams are searched whole.
 _PREFIX_SHARE = 16
 _MIN_PREFIX_SLOTS = 8192
 
@@ -452,15 +451,15 @@ def _row(label, cfg, snr_db, point, est, search) -> SweepRow:
     )
 
 
-def _evaluators(spec, label, cfg, stats, head):
+def _evaluators(spec, label, cfg, stats):
     """(evaluate, value, head_value) for one label in method order, for the
     methods the spec asks for that the label has: its closed form, if
     _CLOSED_FORMS has one, and Monte Carlo from stats, the statistics of the
     point's stream. value gives evaluate's value alone, for the split
     search to compare: a Monte Carlo value skips its standard error.
-    head_value is the Monte Carlo value on head, the statistics of the
-    stream's prefix, or None where the split search reads the whole stream:
-    closed forms, and streams without a prefix."""
+    head_value is the Monte Carlo value on the views of the stream's prefix,
+    or None where the split search reads the whole stream: closed forms,
+    and streams whose prefix would be shorter than _MIN_PREFIX_SLOTS."""
     out = []
     if "analytic" in spec.methods and label in _CLOSED_FORMS:
         value = partial(_CLOSED_FORMS[label], cfg)
@@ -468,8 +467,9 @@ def _evaluators(spec, label, cfg, stats, head):
     if "monte-carlo" in spec.methods:
         mc = partial(_SIMULATORS[label], cfg, stats)
         head_value = None
-        if head is not None:
-            head_value = partial(_SIMULATORS[label], cfg, head, std_error=False)
+        slots = spec.sim.slots // _PREFIX_SHARE
+        if slots >= _MIN_PREFIX_SLOTS:
+            head_value = partial(_SIMULATORS[label], cfg, prefix(stats, slots), std_error=False)
         out.append((mc, partial(mc, std_error=False), head_value))
     return out
 
@@ -478,7 +478,7 @@ def _search(budget, tolerance, value, head_value) -> Tuple[PowerPoint, dict]:
     """The best split of budget, and the search's sidecar entry: its value
     probes on the stream prefix and on the whole stream, and whether the
     optimum sits on a ratio bound. With head_value, the search runs on the
-    prefix and refine_split polishes its optimum on the whole stream."""
+    prefix and polishes its optimum on the whole stream."""
     entry = {"prefix_probes": 0, "probes": 0}
 
     def counted(fn, key):  # a new callable each search: the search caches
@@ -487,11 +487,10 @@ def _search(budget, tolerance, value, head_value) -> Tuple[PowerPoint, dict]:
             return fn(ps, pr)
         return probe
 
-    if head_value is None:
-        point = maximize_throughput(budget, counted(value, "probes"), tolerance)
-    else:
-        point = maximize_throughput(budget, counted(head_value, "prefix_probes"), tolerance)
-        point = refine_split(budget, counted(value, "probes"), point, tolerance)
+    point = maximize_throughput(
+        budget, counted(value, "probes"), tolerance,
+        head_value and counted(head_value, "prefix_probes"),
+    )
     entry["at_bound"] = at_ratio_bound(point, tolerance)
     return point, entry
 
@@ -514,22 +513,19 @@ def _run_stream(spec: ExperimentSpec, points: list, group: list, rows: list):
     """Run the points of one fading stream (indices group of points) into
     their (row, sidecar entry of its split search or None) pairs; for Monte
     Carlo, one sampling pass first builds the statistics of every label and
-    M value of the stream, and each is freed, with its prefix views, after
-    the last point that reads it, so all are gone before the next stream's
-    are built. Gives the stream's diagnostics, or None without Monte
-    Carlo."""
-    stats = head = diagnostics = None
+    M value of the stream, and each is freed after the last point that
+    reads it, so all are gone before the next stream's are built. Gives
+    the stream's diagnostics, or None without Monte Carlo."""
+    stats = diagnostics = None
     if "monte-carlo" in spec.methods:
         stats = prepare([points[i][:2] for i in group], spec.sim)
-        if spec.sim.slots // _PREFIX_SHARE >= _MIN_PREFIX_SLOTS:
-            head = prefix(stats, spec.sim.slots // _PREFIX_SHARE)
         cfg = points[group[0]][1]
         nbytes = sum(a.nbytes for out in stats.values() for a in out)
         diagnostics = {"L": cfg.L, "N_R": cfg.N_R, "stats_bytes": nbytes}
         last = {_statistic(*points[i][:2]): i for i in group}
     for i in group:
         label, cfg, snr_db, split = points[i]
-        for evaluate, value, head_value in _evaluators(spec, label, cfg, stats, head):
+        for evaluate, value, head_value in _evaluators(spec, label, cfg, stats):
             point, search = split, None
             if split is None:
                 budget = PowerBudget(label, _snr_linear(snr_db), cfg.L)
@@ -539,8 +535,6 @@ def _run_stream(spec: ExperimentSpec, points: list, group: list, rows: list):
         key = _statistic(label, cfg)
         if stats is not None and last[key] == i:
             del stats[key]
-            if head is not None:
-                del head[key]
     return diagnostics
 
 

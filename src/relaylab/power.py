@@ -7,14 +7,14 @@ budget counted per transmission phase (total = 2*snr_total). Throughput is
 increasing in both powers, so the optimum sits on the equality curve and the
 search is one-dimensional in the ratio ps/pr; it compares the objective's
 values only, never a standard error. A Monte Carlo search may run in
-two stages: maximize_throughput on a prefix of the fading stream, where each
-probe is cheap, then refine_split on the whole stream, from the prefix's
-optimum.
+two stages, in one maximize_throughput call: on a prefix of the fading
+stream, where each probe is cheap, then a polish on the whole stream, from
+the prefix's optimum.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .simulate import PROTOCOLS, ThroughputEstimate
 
@@ -24,7 +24,6 @@ __all__ = [
     "ratio_point",
     "evaluate_split",
     "maximize_throughput",
-    "refine_split",
     "at_ratio_bound",
     "OptimizationError",
 ]
@@ -38,7 +37,7 @@ _COARSE_POINTS = 25
 _SMOOTH = ("crs", "df")
 _KINKED = ("sfd-mmrs",)
 _BRENT_POINTS = 9
-# Half the ln(ratio) bracket refine_split starts from, around a search's
+# Half the ln(ratio) bracket the polish starts from, around a search's
 # optimum on a stream prefix: 6x the largest prefix-to-stream shift
 # measured, 0.023.
 _POLISH_HALF_WIDTH = 0.15
@@ -247,6 +246,7 @@ def maximize_throughput(
     budget: PowerBudget,
     value: Callable[[float, float], float],
     tolerance: float = 1e-3,
+    head: Optional[Callable[[float, float], float]] = None,
 ) -> PowerPoint:
     """The best split along the budget-equality curve by value(ps, pr).
 
@@ -268,12 +268,16 @@ def maximize_throughput(
     The search compares values only: a Monte Carlo value need not carry
     its standard error.
 
-    A Monte Carlo search may run on a prefix of the stream, at a fraction
-    of the cost; refine_split then polishes its optimum on the whole
-    stream.
+    With head, a cheaper estimate of the same objective (a Monte Carlo
+    stream's prefix), the search above runs on head. One Brent's loop then
+    polishes its optimum on value, in a bracket of +-0.15 in ln(ratio)
+    around it, cut at the ratio bounds, with secant steps on the crossing
+    for adb and sfd-mmrs and parabolic steps for crs and df. Where the
+    polish ends within the tolerance of an edge that is no ratio bound, the
+    optimum may lie past it, and the search runs again on value alone.
     """
     width_goal = _width_goal(tolerance)
-    probe, values = _prober(budget, value)
+    probe, values = _prober(budget, value if head is None else head)
     brent = budget.protocol in _SMOOTH + _KINKED
     points = _BRENT_POINTS if brent else _COARSE_POINTS
     ulo, uhi = (math.log(r) for r in _RATIO_BOUNDS)
@@ -292,39 +296,18 @@ def maximize_throughput(
         _brent(probe, a, b, us[best], width_goal, values if budget.protocol in _KINKED else None)
     else:
         _golden(probe, a, b, width_goal)
-    return _best(budget, values)
+    point = _best(budget, values)
+    if head is None:
+        return point
 
-
-def refine_split(
-    budget: PowerBudget,
-    value: Callable[[float, float], float],
-    start: PowerPoint,
-    tolerance: float,
-) -> PowerPoint:
-    """The best split by value(ps, pr) near start, the optimum of a search
-    on a cheaper estimate of the same objective (a Monte Carlo stream's
-    prefix): Brent's loop in a bracket of +-0.15 in ln(ratio) around start,
-    cut at the ratio bounds, with secant steps on the crossing for adb and
-    sfd-mmrs and parabolic steps for crs and df. Where it ends within the
-    tolerance of an edge that is no ratio bound, the optimum may lie past
-    it, so the bracket doubles and the loop runs again from there; probed
-    points are never probed again. Returns the first probed point of
-    highest value."""
-    width_goal = _width_goal(tolerance)
     probe, values = _prober(budget, value)
-    ulo, uhi = (math.log(r) for r in _RATIO_BOUNDS)
-    tent = None if budget.protocol in _SMOOTH else values
-    x = min(max(math.log(start.ps / start.pr), ulo), uhi)
-    half = _POLISH_HALF_WIDTH
-    while True:
-        a, b = max(x - half, ulo), min(x + half, uhi)
-        _brent(probe, a, b, x, width_goal, tent)
-        x = max(values, key=values.get)
-        at_a = a > ulo and x - a <= width_goal
-        at_b = b < uhi and b - x <= width_goal
-        if not (at_a or at_b):
-            return _best(budget, values)
-        half *= 2.0
+    x = min(max(math.log(point.ps / point.pr), ulo), uhi)
+    a, b = max(x - _POLISH_HALF_WIDTH, ulo), min(x + _POLISH_HALF_WIDTH, uhi)
+    _brent(probe, a, b, x, width_goal, None if budget.protocol in _SMOOTH else values)
+    x = max(values, key=values.get)
+    if (a > ulo and x - a <= width_goal) or (b < uhi and b - x <= width_goal):
+        return maximize_throughput(budget, value, tolerance)
+    return _best(budget, values)
 
 
 def at_ratio_bound(point: PowerPoint, tolerance: float) -> bool:

@@ -19,7 +19,6 @@ from relaylab.power import (
     evaluate_split,
     maximize_throughput,
     ratio_point,
-    refine_split,
 )
 from relaylab.simulate import SimConfig, ThroughputEstimate, estimate, prepare
 
@@ -306,16 +305,19 @@ def _bump(peak, kinked):
     return evaluator
 
 
-def _polished(budget, evaluator, start, tolerance=1e-3):
-    """refine_split's point from start on evaluator's values, and the value
-    probes it made."""
+def _polished(budget, head, evaluator, tolerance=1e-3):
+    """The point of a search on head's values polished on evaluator's, and
+    the value probes it made on evaluator."""
     probes = []
 
     def value(ps, pr):
         probes.append((ps, pr))
         return evaluator(ps, pr).value
 
-    return refine_split(budget, value, start, tolerance), len(probes)
+    point = maximize_throughput(
+        budget, value, tolerance, head=lambda ps, pr: head(ps, pr).value
+    )
+    return point, len(probes)
 
 
 def _u(point):
@@ -327,16 +329,17 @@ def _u(point):
 def test_polish_reaches_the_peak_from_a_shifted_prefix_optimum(protocol, shift):
     # the search on a prefix objective that peaks shift away from the whole
     # objective's peak, then the polish on the whole one: past its +-0.15
-    # bracket the polish ends on an edge, so the bracket doubles until it
-    # holds the peak. At -6.0 the prefix optimum is the upper ratio bound,
-    # 4.1 away. A polish that starts on the peak or near it stays cheap
+    # bracket the polish ends on an edge, so the whole objective is searched
+    # again. At -6.0 the prefix optimum is the upper ratio bound, 4.1 away.
+    # A polish that starts on the peak or near it stays cheap
     budget = PowerBudget(protocol, 10.0, 4)
     kinked = protocol in ("adb", "sfd-mmrs")
     truth = 0.5
-    start, _ = _search(budget, _bump(truth - shift, kinked))
+    head = _bump(truth - shift, kinked)
+    start, _ = _search(budget, head)
     uhi = math.log(power._RATIO_BOUNDS[1])
     assert abs(_u(start) - truth) == pytest.approx(min(abs(shift), uhi - truth), abs=1e-3)
-    point, probes = _polished(budget, _bump(truth, kinked), start)
+    point, probes = _polished(budget, head, _bump(truth, kinked))
     assert abs(_u(point) - truth) <= math.log1p(1e-3)
     assert not at_ratio_bound(point, 1e-3)
     if abs(shift) <= 0.1:
@@ -346,15 +349,28 @@ def test_polish_reaches_the_peak_from_a_shifted_prefix_optimum(protocol, shift):
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_polish_stops_on_a_ratio_bound(protocol):
     # past the upper ratio bound the best split is the bound itself: the
-    # polish doubles its bracket until it reaches the bound, and ends there;
-    # each bracket costs one polish, about 15 probes on a rising objective
+    # polish from a prefix optimum at 3.0 ends on its open upper edge, and
+    # the search on the whole objective ends on the bound
     budget = PowerBudget(protocol, 10.0, 4)
-    evaluator = _bump(6.0, protocol in ("adb", "sfd-mmrs"))
-    start = ratio_point(budget, math.exp(3.0))
-    point, probes = _polished(budget, evaluator, start)
+    kinked = protocol in ("adb", "sfd-mmrs")
+    point, probes = _polished(budget, _bump(3.0, kinked), _bump(6.0, kinked))
     assert at_ratio_bound(point, 1e-3)
     assert _u(point) == pytest.approx(math.log(power._RATIO_BOUNDS[1]), abs=1e-3)
     assert probes <= 80
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_polish_on_an_open_edge_searches_the_whole_objective(protocol):
+    # a prefix optimum 3.0 below the whole objective's peak: the polish ends
+    # on the open upper edge of its bracket, and the split returned is the
+    # one a search on the whole objective alone gives, for that search's
+    # probes and the polish's
+    budget = PowerBudget(protocol, 10.0, 4)
+    kinked = protocol in ("adb", "sfd-mmrs")
+    point, probes = _polished(budget, _bump(-2.5, kinked), _bump(0.5, kinked))
+    want, searched = _counted(budget, _bump(0.5, kinked), 1e-3)
+    assert point == want
+    assert searched < probes <= 60
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -372,21 +388,24 @@ def test_polish_stops_on_a_ratio_bound(protocol):
 @example(protocol="crs", kinked=False, peak=_grid_u(0), start=_grid_u(0),
          rise=1.0, fall=1.0, tolerance=1e-9)
 def test_every_polish_ends(protocol, kinked, peak, start, rise, fall, tolerance):
-    # the polish, from any start in the ratio range, on a peak or a kink
-    # anywhere in it or past it, at any tolerance in (0, 1): each Brent's
-    # loop ends, the bracket doubles at most until it spans the ratio
-    # bounds, and the split returned lies within them
+    # the polish, from a prefix optimum anywhere in the ratio range, on a
+    # peak or a kink anywhere in it or past it, at any tolerance in (0, 1):
+    # the prefix search, the polish and a search on the whole objective
+    # after it all end, and the split returned lies within the ratio bounds
     budget = PowerBudget(protocol, 10.0, 4)
 
-    def evaluator(ps, pr):
-        t = math.log(ps / pr) - peak
-        if kinked:
-            return _analytic(1000.0 + min(rise * t - 0.05 * t * t, -fall * t - 0.03 * t * t))
-        return _analytic(1000.0 - rise * t * t - 0.01 * fall * t * t * t)
+    def shape(at):
+        def evaluator(ps, pr):
+            t = math.log(ps / pr) - at
+            if kinked:
+                return _analytic(1000.0 + min(rise * t - 0.05 * t * t, -fall * t - 0.03 * t * t))
+            return _analytic(1000.0 - rise * t * t - 0.01 * fall * t * t * t)
+        return evaluator
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(power, "_brent", _ending(power._brent))
-        point, _ = _polished(budget, evaluator, ratio_point(budget, math.exp(start)), tolerance)
+        patch.setattr(power, "_golden", _ending(power._golden))
+        point, _ = _polished(budget, shape(start), shape(peak), tolerance)
     ulo, uhi = (math.log(r) for r in power._RATIO_BOUNDS)
     assert ulo - 1e-12 <= _u(point) <= uhi + 1e-12
 
