@@ -1,11 +1,14 @@
 """Closed-form ergodic-rate terms for the alternating two-group scheme.
 
 Four per-group terms: the broadcast rate to the weakest relay of a group
-(exact, via min-of-Erlang) and the coherent beamforming rate of a group
-(approximate, via a moment-matched Nakagami sum; exact for single-relay
-groups). Each expectation E[log2(1 + P*X)] reduces to finite positive sums of
-scaled exponential integrals e^x E_n(x), so no alternating-series cancellation
-occurs anywhere.
+(exact, via min-of-Erlang) and a bound on the coherent beamforming rate of a
+group. By Cauchy-Schwarz the beam gain (sum_i r_i)^2 of a group of M channel
+norms r_i is at most M * sum_i r_i^2 in every slot, and the beamforming term
+is the exact mean rate of that bound, whose law is the Nakagami sum's gamma:
+it matches the moments of the bound, not of the beam, so it is an upper
+bound on the beam rate, exact for single-relay groups. Each expectation
+E[log2(1 + P*X)] reduces to finite positive sums of scaled exponential
+integrals e^x E_n(x), so no alternating-series cancellation occurs anywhere.
 
 The reduction used throughout: for integer p >= 0 and mu, beta > 0,
 
@@ -85,12 +88,16 @@ def c11_closed(ps: float, group_size: int, shape: int, sigma_g2: float) -> float
 
 
 def c22_closed(pr: float, group_size: int, shape: int, sigma_h2: float) -> float:
-    """Approximate E[log2(1 + pr * (sum of group_size channel norms)^2)].
+    """Exact E[log2(1 + pr * group_size * sum of squared channel norms)],
+    an upper bound on the beam rate E[log2(1 + pr * (sum of group_size
+    channel norms)^2)].
 
-    Under the moment-matched Nakagami approximation the squared sum is
-    gamma with nm = shape*group_size and rate mu = 1/(2*group_size*sigma_h2),
-    giving sum_{k<nm} e^x E_{k+1}(x) / ln 2 at x = mu / pr. Exact when
-    group_size = 1; the gap is largest at shape=1, group_size=2.
+    By Cauchy-Schwarz (sum_i r_i)^2 <= group_size * sum_i r_i^2 in every
+    slot. The bound is gamma with nm = shape*group_size and rate mu =
+    1/(2*group_size*sigma_h2), the Nakagami sum's law, which matches the
+    bound's moments, not the beam's, giving sum_{k<nm} e^x E_{k+1}(x) / ln 2
+    at x = mu / pr. Exact when group_size = 1; the gap is largest at
+    shape=1, group_size=2.
     """
     _check_term_args(pr, group_size, shape, sigma_h2)
     group_size, shape = int(group_size), int(shape)
@@ -105,7 +112,9 @@ def c22_closed(pr: float, group_size: int, shape: int, sigma_h2: float) -> float
 
 def adb_closed(ps: float, pr: float, cfg: ChannelConfig) -> float:
     """Closed-form throughput of the alternating scheme for cfg,
-    0.5*min(c11, c22) + 0.5*min(c21, c12).
+    0.5*min(c11, c22) + 0.5*min(c21, c12): an upper bound on its mean-level
+    throughput 0.5*min(E r11, E r22) + 0.5*min(E r21, E r12), since c11 and
+    c21 are exact, c22 and c12 bound the beam rates and min is monotone.
 
     Source-side terms see ps/noise_r, destination-side terms pr/noise_d.
     Group one (size M) contributes c11/c22, group two (size L-M) c21/c12;

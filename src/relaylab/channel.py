@@ -169,7 +169,10 @@ def min_erlang_cdf(z: float, group_size: int, shape: int, sigma2: float) -> floa
 def nakagami_sum_cdf(z: float, group_size: int, shape: int, sigma2: float) -> float:
     """Moment-matched Nakagami CDF of a sum of group_size i.i.d. channel norms
     (shape antennas each), exact at group_size = 1: the squared sum is taken
-    as gamma(shape*group_size) of rate 1/(2*group_size*sigma2)."""
+    as gamma(shape*group_size) of rate 1/(2*group_size*sigma2). That is the
+    exact law of its Cauchy-Schwarz bound group_size * (sum of squared
+    norms), whose moments it matches, not the sum's; as the bound is never
+    below the squared sum, this CDF is never above the sum's."""
     _check_cdf_args(z, group_size, shape, sigma2)
     nm = int(shape) * int(group_size)
     s = _poisson_tail(z * z / (2.0 * group_size * sigma2), nm)

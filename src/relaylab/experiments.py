@@ -219,8 +219,8 @@ def _gaps(spec: ExperimentSpec, rows: list) -> dict:
     """Closed form against Monte Carlo for every validate term, grid-major.
 
     Broadcast terms (c11/c21) are exact, so gaps should sit at Monte Carlo
-    noise level; beamforming terms (c22/c12) carry the moment-matching
-    approximation gap. Both methods are needed, so a single-method run has
+    noise level; beamforming terms (c22/c12) carry the gap of the
+    Cauchy-Schwarz bound whose exact mean they are. Both methods are needed, so a single-method run has
     no gaps."""
     n = len(spec.grid)
     pairs = list(zip(rows[::2], rows[1::2])) if len(spec.methods) == 2 else []

@@ -81,9 +81,11 @@ class SimConfig:
 class ThroughputEstimate:
     """A throughput value (bps/Hz) with its standard error and provenance.
 
-    boundary_ambiguous marks min-of-means results whose two operands were
-    closer than one combined standard error; the reported std_error is then
-    the larger of the two component errors.
+    value is the label's prelog times the sum of the min of each pair of
+    its component means, and std_error the prelog times the root sum of
+    squares of the errors of those mins. boundary_ambiguous marks results
+    where some pair's two means were closer than one combined standard
+    error; that pair's error is then the larger of its two.
     """
 
     value: float
@@ -114,7 +116,7 @@ def stream_key(cfg: ChannelConfig, sim: SimConfig) -> tuple:
 
 def _statistic(label, cfg: ChannelConfig):
     """The (build, args) statistic that estimate(label, cfg, ...) reads."""
-    build, fields, _ = _TABLE[label]
+    build, fields = _TABLE[label][:2]
     return build, tuple(getattr(cfg, f) for f in fields)
 
 
@@ -125,7 +127,8 @@ def stream_bytes(requests, sim: SimConfig) -> int:
     statistics (adb and its terms 4 per M value, df 2, crs and sfd-mmrs
     together 4, plus 3 per level, H_L - 2 + 1/L a slot, and 3 per
     collision, 1/L a slot) and 3 rows of temporaries (2.2 measured for
-    sfd-mmrs's probe, 1.0 to 1.1 for the others) plus two _CHUNK-long
+    sfd-mmrs's probe, up to 1.75 for crs's at 150k slots, 1.0 to 1.1 for
+    the others) plus two _CHUNK-long
     buffers (crs's); beside them one sampling block per thread at 5
     float64 copies per draw (4.1 measured)."""
     requests = list(requests)
@@ -307,9 +310,12 @@ def _mean_se(x, se=True):
     return mean, math.sqrt(float(x.sum()) / (n - 1)) / math.sqrt(n)
 
 
-def _min_of_means(a, b):
+def _min_of_means(a, b=None):
     """Pick the smaller of two (mean, se) pairs; flag a boundary ambiguity
-    when they differ by less than one combined standard error."""
+    when they differ by less than one combined standard error. A lone pair
+    is its own min, never ambiguous."""
+    if b is None:
+        return (*a, False)
     ambiguous = abs(a[0] - b[0]) <= math.hypot(a[1], b[1])
     value, se = a if a[0] <= b[0] else b
     if ambiguous:
@@ -317,36 +323,30 @@ def _min_of_means(a, b):
     return value, se, ambiguous
 
 
-def _term_reduce(i, stats, a, b, se):
-    """Component rate i of _adb_stats: c11, c22 (group one), c21, c12 (group
-    two); the broadcast rates (even i) see power a, the beamforming rates
-    b."""
-    return (*_mean_se(_rate((b if i % 2 else a) * stats[i]), se), False)
+def _adb_parts(stats, a, b, se, parts=range(4)):
+    """The alternating scheme's component rates of _adb_stats, by index:
+    c11, c22 (group one), c21, c12 (group two); the broadcast rates (even
+    index) see power a, the beamforming rates b. One slot-long rate is
+    held at a time."""
+    return [_mean_se(_rate((b if i % 2 else a) * stats[i]), se) for i in parts]
 
 
-def _adb_reduce(stats, a, b, se):
-    """Alternating groups: the four component rates are averaged over slots,
-    then 0.5*min(mean11, mean22) + 0.5*min(mean21, mean12)."""
-    e11, e22, e21, e12 = (_term_reduce(i, stats, a, b, se)[:2] for i in range(4))
-    v1, s1, amb1 = _min_of_means(e11, e22)
-    v2, s2, amb2 = _min_of_means(e21, e12)
-    return 0.5 * (v1 + v2), 0.5 * math.hypot(s1, s2), amb1 or amb2
-
-
-def _half_rate(n, snr):
-    """0.5 * log2(1 + x) of n per-slot SNRs, in one slot-long buffer:
-    snr(out, s) writes the SNRs of slots s:s + out.size into out, one
-    cache-sized chunk at a time, so a probe's temporaries are chunk-sized."""
-    rate = np.empty(n)
+def _chunked(snr, k, stats, a, b, se):
+    """The (mean, se) of each of k per-slot rates: snr(stats, a, b, s,
+    *rows) writes the SNRs of slots s:s + rows[0].size into k rows, one
+    cache-sized chunk at a time, so a probe's temporaries are chunk-sized,
+    and each chunk is turned into rates while it is still in cache."""
+    n = stats[0].shape[0]
+    rates = np.empty((k, n))
     for s in range(0, n, _CHUNK):
-        out = rate[s:s + _CHUNK]
-        snr(out, s)
-        _rate(out)
-        out *= 0.5
-    return rate
+        rows = rates[:, s:s + _CHUNK]
+        snr(stats, a, b, s, *rows)
+        for row in rows:
+            _rate(row)
+    return [_mean_se(row, se) for row in rates]
 
 
-def _crs_snr(stats, a, b, best, s):
+def _crs_snr(stats, a, b, s, best):
     """Write into best the SNRs of the strongest end-to-end min links on
     slots s:s + best.size, from _select_stats at powers a and b: r1's or
     t1's, raised on the level slots. Rounding is monotone and max exact, so
@@ -362,27 +362,13 @@ def _crs_snr(stats, a, b, best, s):
     np.maximum.at(best, level[lo:hi] - s, np.minimum(a * g[lo:hi], b * h[lo:hi]))
 
 
-def _crs_reduce(stats, a, b, se):
-    """Best-relay selection: half the capacity of the strongest end-to-end
-    min link."""
-    n = stats[0].shape[0]
-    return (*_mean_se(_half_rate(n, partial(_crs_snr, stats, a, b)), se), False)
-
-
-def _df_reduce(stats, a, b, se):
-    """All-relay decode-and-forward: the weakest relay must decode, all
-    relays beamform."""
+def _df_snr(stats, a, b, s, link):
+    """Write into link the SNRs of all-relay decode-and-forward on slots
+    s:s + link.size: the weakest relay must decode, all relays beamform."""
     min_all, beam_all = stats
-    other = np.empty(min(min_all.shape[0], _CHUNK))
-
-    def snr(link, s):
-        e = s + link.size
-        y = other[:link.size]
-        np.multiply(a, min_all[s:e], out=link)
-        np.multiply(b, beam_all[s:e], out=y)
-        np.minimum(link, y, out=link)
-
-    return (*_mean_se(_half_rate(min_all.shape[0], snr), se), False)
+    e = s + link.size
+    np.multiply(a, min_all[s:e], out=link)
+    np.minimum(link, b * beam_all[s:e], out=link)
 
 
 def _sfd_links(stats, a, b, s, recv, trans):
@@ -412,39 +398,27 @@ def _sfd_links(stats, a, b, s, recv, trans):
     trans[at] = np.where(demote_recv, g_rd1, g_rd2)
 
 
-def _sfd_reduce(stats, a, b, se):
-    """Full-duplex-mimicking selection: the smaller of the mean receive-link
-    and mean transmit-link capacities, no half prefactor. The links are
-    computed, and turned into rates, one cache-sized chunk at a time."""
-    n = stats[0].shape[0]
-    recv, trans = np.empty((2, n))
-    for s in range(0, n, _CHUNK):
-        x, y = recv[s:s + _CHUNK], trans[s:s + _CHUNK]
-        _sfd_links(stats, a, b, s, x, y)
-        _rate(x)
-        _rate(y)
-    return _min_of_means(_mean_se(recv, se), _mean_se(trans, se))
-
-
 # label -> (stats, ChannelConfig fields stats reads beyond the gains,
-# reduce). stats(sr_gain, rd_norm, *fields) gives the power-independent
-# per-slot arrays and sparse parts of one relay-major block, as _stream
-# describes; joined over the stream they are what prepare returns, and
-# reduce(stats, a, b, se) gives (mean, se, boundary_ambiguous) at a =
-# ps/noise_r, b = pr/noise_d, with the standard error NaN, and the flag
-# meaningless, if se is false. The four protocols come first, in protocol
-# (and row) order; crs and sfd-mmrs share one statistic, and the
-# alternating scheme's component rates follow, one per _adb_stats array,
-# so they share its statistics.
+# parts, prelog). stats(sr_gain, rd_norm, *fields) gives the
+# power-independent per-slot arrays and sparse parts of one relay-major
+# block, as _stream describes; joined over the stream they are what prepare
+# returns. parts(stats, a, b, se) gives the label's component rates as
+# (mean, se) pairs at a = ps/noise_r, b = pr/noise_d, with the standard
+# errors NaN if se is false, and the throughput is prelog times the sum of
+# the min of each consecutive pair (a lone part is its own min), as
+# estimate() combines them: adb 0.5*min(c11, c22) + 0.5*min(c21, c12),
+# sfd-mmrs min(receive, transmit), crs and df half their one rate. The four
+# protocols come first, in protocol (and row) order; crs and sfd-mmrs share
+# one statistic, and the alternating scheme's component rates follow, each
+# one of adb's parts, so they share its statistics.
 _TABLE = {
-    "adb": (_adb_stats, ("M",), _adb_reduce),
-    "crs": (_select_stats, (), _crs_reduce),
-    "df": (_df_stats, (), _df_reduce),
-    "sfd-mmrs": (_select_stats, (), _sfd_reduce),
-    "c11": (_adb_stats, ("M",), partial(_term_reduce, 0)),
-    "c22": (_adb_stats, ("M",), partial(_term_reduce, 1)),
-    "c21": (_adb_stats, ("M",), partial(_term_reduce, 2)),
-    "c12": (_adb_stats, ("M",), partial(_term_reduce, 3)),
+    "adb": (_adb_stats, ("M",), _adb_parts, 0.5),
+    "crs": (_select_stats, (), partial(_chunked, _crs_snr, 1), 0.5),
+    "df": (_df_stats, (), partial(_chunked, _df_snr, 1), 0.5),
+    "sfd-mmrs": (_select_stats, (), partial(_chunked, _sfd_links, 2), 1.0),
+} | {
+    term: (_adb_stats, ("M",), partial(_adb_parts, parts=(i,)), 1.0)
+    for i, term in enumerate(("c11", "c22", "c21", "c12"))
 }
 PROTOCOLS = tuple(_TABLE)[:4]
 TERMS = tuple(_TABLE)[4:]
@@ -478,19 +452,25 @@ def estimate(
     """Monte Carlo throughput of one protocol, or rate of one adb component
     term ("c11", "c22", "c21", "c12"), at source power ps and relay power
     pr, as a ThroughputEstimate, from stats, which prepare() built with
-    (label, cfg) among its requests; nothing is sampled here. With
+    (label, cfg) among its requests; nothing is sampled here. Every label
+    is combined from its parts by one rule, as _TABLE describes. With
     std_error false only the value is computed, and returned as a float,
     for searches that compare values: the standard error takes a second
     pass over the slots."""
     if not ps > 0 or not pr > 0:
         raise ValueError(f"powers must be > 0, got ps={ps!r}, pr={pr!r}")
-    reduce = _TABLE[label][2]
+    _, _, parts, prelog = _TABLE[label]
     # an overflowing rate shows as a non-finite value, which callers check
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, se, ambiguous = reduce(
+        means = parts(
             stats[_statistic(label, cfg)],
             ps / cfg.noise_r, pr / cfg.noise_d, std_error
         )
+    # a power-of-two prelog scales exactly, so prelog * mean has the bits
+    # of the mean of prelog-scaled rates
+    pairs = [_min_of_means(*means[i:i + 2]) for i in range(0, len(means), 2)]
+    value = prelog * sum(v for v, _, _ in pairs)
     if not std_error:
-        return mean
-    return ThroughputEstimate(mean, se, "monte-carlo", ambiguous)
+        return value
+    se = prelog * math.hypot(*(s for _, s, _ in pairs))
+    return ThroughputEstimate(value, se, "monte-carlo", any(f for _, _, f in pairs))

@@ -12,7 +12,7 @@ from relaylab.analytic import (
     c11_closed,
     c22_closed,
 )
-from relaylab.channel import ChannelConfig, min_erlang_cdf, nakagami_sum_cdf
+from relaylab.channel import ChannelConfig, min_erlang_cdf, nakagami_sum_cdf, sample_gains
 from relaylab.simulate import SimConfig, estimate, prepare
 
 from _oracles import capacity_mean_se, min_erlang_samples, norm_sum_samples
@@ -62,6 +62,24 @@ def test_beamforming_term_approximation_gap():
     z = norm_sum_samples(rng, 1_000_000, 3, 1) ** 2
     mean, _ = capacity_mean_se(z, 0.1)
     assert abs(c22_closed(0.1, 3, 1, 1.0) - mean) / mean <= 0.12
+
+
+@pytest.mark.parametrize(
+    "M, N_R, b",
+    [(2, 1, 0.1), (2, 1, 10.0), (3, 2, 1.0), (4, 1, 1.0), (2, 3, 10.0), (1, 2, 1.0)],
+)
+def test_beamforming_term_is_the_mean_of_a_per_slot_bound(M, N_R, b):
+    # by Cauchy-Schwarz (sum_i r_i)^2 <= M * sum_i r_i^2 in every slot, and
+    # c22_closed is the exact mean of log2(1 + b * M * sum_i r_i^2): an
+    # upper bound on the beam rate, not a moment match of the beam
+    cfg = ChannelConfig(L=M + 1, M=M, N_R=N_R)
+    _, rd = sample_gains(cfg, 7, 0, 200_000)
+    norms = rd[:, :M]
+    beam = norms.sum(axis=1) ** 2
+    bound = M * (norms**2).sum(axis=1)
+    assert np.all(beam <= bound * (1 + 8 * np.finfo(float).eps))
+    mean, se = capacity_mean_se(bound, b)
+    assert abs(mean - c22_closed(b, M, N_R, 1.0)) <= 3 * se
 
 
 def test_terms_monotone_in_power():

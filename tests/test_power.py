@@ -413,11 +413,11 @@ def test_every_polish_ends(protocol, kinked, peak, start, rise, fall, tolerance)
 def _sfd_means(cfg, stats, budget, u):
     """sfd-mmrs's mean receive and mean transmit rates at ln(ps/pr) = u."""
     point = ratio_point(budget, math.exp(u))
-    recv, trans = np.empty((2, stats[0].shape[0]))
-    simulate._sfd_links(
-        stats, point.ps / cfg.noise_r, point.pr / cfg.noise_d, 0, recv, trans
+    parts = simulate._TABLE["sfd-mmrs"][2]
+    (recv, _), (trans, _) = parts(
+        stats, point.ps / cfg.noise_r, point.pr / cfg.noise_d, False
     )
-    return simulate._rate(recv).mean(), simulate._rate(trans).mean()
+    return recv, trans
 
 
 @pytest.mark.parametrize("L, N_R, snr_db", [(2, 1, 0.0), (4, 2, 10.0), (6, 3, 20.0)])

@@ -2,6 +2,7 @@ import math
 import os
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from relaylab import simulate
 from relaylab.channel import ChannelConfig, _pairwise_sum, sample_gains
 from relaylab.simulate import (
     PROTOCOLS,
+    TERMS,
     SimConfig,
     ThroughputEstimate,
     _min_of_means,
@@ -72,13 +74,15 @@ def _whole(build, sr, rd, *args):
 
 
 def _slot_rate(protocol, sr_gain, rd_norm, ps, pr, m=None):
-    """One slot's rate through the protocol table: stats on (L, 1) arrays,
-    reduced at powers ps, pr (unit noise)."""
-    build, fields, reduce = simulate._TABLE[protocol]
+    """One slot's rate through estimate: stats on (L, 1) arrays, at powers
+    ps, pr (unit noise). estimate reads only the noise powers and the
+    table's fields of cfg, so a single relay needs no ChannelConfig."""
+    cfg = SimpleNamespace(M=m, noise_r=1.0, noise_d=1.0)
+    key = simulate._statistic(protocol, cfg)
     sr = np.asarray(sr_gain, dtype=np.float64).reshape(-1, 1)
     rd = np.asarray(rd_norm, dtype=np.float64).reshape(-1, 1)
-    stats = _whole(build, sr, rd, *([m] if fields else []))
-    return reduce(stats, ps, pr, True)[0]
+    stats = {key: _whole(key[0], sr, rd, *key[1])}
+    return estimate(protocol, cfg, stats, ps, pr).value
 
 
 def test_adb_hand_state():
@@ -413,7 +417,7 @@ def _crs_snrs(stats, a, b, chunk):
     time."""
     best = np.empty(stats[0].size)
     for s in range(0, best.size, chunk):
-        _crs_snr(stats, a, b, best[s:s + chunk], s)
+        _crs_snr(stats, a, b, s, best[s:s + chunk])
     return best
 
 
@@ -561,6 +565,60 @@ def test_component_terms_rebuild_adb_estimate():
     v1, _, _ = _min_of_means(pair["c11"], pair["c22"])
     v2, _, _ = _min_of_means(pair["c21"], pair["c12"])
     assert estimate("adb", cfg, stats, 3.0, 2.0).value == 0.5 * (v1 + v2)
+
+
+@pytest.mark.parametrize("ps, pr", [(3.0, 2.0), (0.2, 5.0), (40.0, 0.5)])
+def test_estimate_is_the_prelog_times_the_sum_of_pair_mins(stats, ps, pr):
+    # each label gives its component (mean, se) pairs and a prelog; the
+    # estimate is the prelog times the sum of the min of each consecutive
+    # pair of parts (a lone part is its own min, never ambiguous), bit for
+    # bit, and adb's four parts are the four term estimates
+    shapes = {"adb": (4, 0.5), "crs": (1, 0.5), "df": (1, 0.5), "sfd-mmrs": (2, 1.0)}
+    shapes |= dict.fromkeys(TERMS, (1, 1.0))
+    assert list(simulate._TABLE) == list(shapes)
+    for label, (_, _, parts, prelog) in simulate._TABLE.items():
+        means = parts(stats[simulate._statistic(label, CFG)], ps, pr, True)
+        assert (len(means), prelog) == shapes[label]
+        if len(means) == 1:
+            mins = [(*means[0], False)]
+        else:
+            mins = [_min_of_means(a, b) for a, b in zip(means[::2], means[1::2])]
+        value = prelog * sum(v for v, _, _ in mins)
+        se = prelog * math.hypot(*(e for _, e, _ in mins))
+        flag = any(f for _, _, f in mins)
+        est = estimate(label, CFG, stats, ps, pr)
+        assert (est.value.hex(), est.std_error.hex(), est.boundary_ambiguous) == (
+            value.hex(), se.hex(), flag
+        )
+        assert estimate(label, CFG, stats, ps, pr, std_error=False).hex() == value.hex()
+    adb = simulate._TABLE["adb"][2](stats[simulate._statistic("adb", CFG)], ps, pr, True)
+    terms = [estimate(t, CFG, stats, ps, pr) for t in TERMS]
+    assert [(m.hex(), e.hex()) for m, e in adb] == [
+        (t.value.hex(), t.std_error.hex()) for t in terms
+    ]
+
+
+@pytest.mark.parametrize("L, N_R", [(12, 4), (4, 3)])
+def test_probe_temporaries_stay_within_their_rows(L, N_R):
+    # what one probe allocates above what is held after prepare, in
+    # slot-long float64 rows: adb and each term hold one rate at a time,
+    # crs and df one rate row beside chunk-sized temporaries, sfd-mmrs two
+    limits = {"adb": 1.1, "crs": 2.0, "df": 2.0, "sfd-mmrs": 2.5}
+    limits |= dict.fromkeys(TERMS, 1.1)
+    cfg = ChannelConfig(L=L, M=L // 2, N_R=N_R)
+    sim = SimConfig(slots=150_000, seed=1)
+    rows = {}
+    tracemalloc.start()
+    try:
+        stats = prepare([(label, cfg) for label in limits], sim)
+        for label in limits:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            estimate(label, cfg, stats, 2.0, 1.5)
+            rows[label] = (tracemalloc.get_traced_memory()[1] - held) / (8 * sim.slots)
+    finally:
+        tracemalloc.stop()
+    assert all(rows[label] <= limit for label, limit in limits.items()), rows
 
 
 def test_estimates_nonnegative_and_power_monotone(stats):
