@@ -455,15 +455,16 @@ def _evaluators(spec, label, cfg, stats):
     """(evaluate, value, head_value) for one label in method order, for the
     methods the spec asks for that the label has: its closed form, if
     _CLOSED_FORMS has one, and Monte Carlo from stats, the statistics of the
-    point's stream. value gives evaluate's value alone, for the split
-    search to compare: a Monte Carlo value skips its standard error.
-    head_value is the Monte Carlo value on the views of the stream's prefix,
-    or None where the split search reads the whole stream: closed forms,
-    and streams whose prefix would be shorter than _MIN_PREFIX_SLOTS."""
+    point's stream. value gives evaluate's value and pair gaps (see
+    estimate) for the split search: no standard error, and no gaps for a
+    closed form. head_value is the Monte Carlo one on the stream prefix's
+    views, or None where the split search reads the whole stream: closed
+    forms, and streams whose prefix would be shorter than _MIN_PREFIX_SLOTS."""
     out = []
     if "analytic" in spec.methods and label in _CLOSED_FORMS:
-        value = partial(_CLOSED_FORMS[label], cfg)
-        out.append((lambda ps, pr: ThroughputEstimate(value(ps, pr), 0.0, "analytic"), value, None))
+        closed = partial(_CLOSED_FORMS[label], cfg)
+        out.append((lambda ps, pr: ThroughputEstimate(closed(ps, pr), 0.0, "analytic"),
+                    lambda ps, pr: (closed(ps, pr), ()), None))
     if "monte-carlo" in spec.methods:
         mc = partial(_SIMULATORS[label], cfg, stats)
         head_value = None

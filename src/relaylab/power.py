@@ -6,15 +6,15 @@ one group beamforms at a time, L otherwise) and two-slot protocols get the
 budget counted per transmission phase (total = 2*snr_total). Throughput is
 increasing in both powers, so the optimum sits on the equality curve and the
 search is one-dimensional in the ratio ps/pr; it compares the objective's
-values only, never a standard error. A Monte Carlo search may run in
-two stages, in one maximize_throughput call: on a prefix of the fading
-stream, where each probe is cheap, then a polish on the whole stream, from
-the prefix's optimum.
+values, never a standard error, and steps on the signs of its pair gaps. A
+Monte Carlo search may run in two stages, in one maximize_throughput call:
+on a prefix of the fading stream, where each probe is cheap, then a polish
+on the whole stream, from the prefix's optimum.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from .simulate import PROTOCOLS, ThroughputEstimate
 
@@ -32,10 +32,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # The ps/pr range the search covers, and the points of its coarse log grid.
 _RATIO_BOUNDS = (1e-2, 1e2)
 _COARSE_POINTS = 25
-# Protocols searched with Brent's loop, by the shape of their objective, and
-# the points of their coarse grid (see maximize_throughput).
-_SMOOTH = ("crs", "df")
-_KINKED = ("sfd-mmrs",)
+# The coarse grid of every protocol but adb, which Brent's loop refines
+# (see maximize_throughput).
 _BRENT_POINTS = 9
 # Half the ln(ratio) bracket the polish starts from, around a search's
 # optimum on a stream prefix: 6x the largest prefix-to-stream shift
@@ -141,45 +139,54 @@ def _golden(f, a, b, width):
             fd = f(d)
 
 
-def _crossing(values, x, fx):
-    """Where the line through the two probes (values: u -> f(u)) nearest x
-    on its rising left side meets the one through the two nearest on its
-    falling right side, counting probes no higher than fx; or None."""
-    left = sorted((u for u, fu in values.items() if u < x and fu <= fx), reverse=True)[:2]
-    right = sorted(u for u, fu in values.items() if u > x and fu <= fx)[:2]
-    if len(left) < 2 or len(right) < 2:
-        return None
-    (l0, l1), (r0, r1) = left, right
-    rise = (values[l0] - values[l1]) / (l0 - l1)
-    fall = (values[r0] - values[r1]) / (r0 - r1)
-    if not rise > fall:
-        return None
-    return (values[r0] - values[l0] + rise * l0 - fall * r0) / (rise - fall)
+def _side(gaps):
+    """Which side of a probe its pair gaps put the peak on: +1 above, where
+    every gap is below zero; -1 at or below, where every one is at or above
+    zero; 0 where they differ in sign, or there are none."""
+    if gaps and max(gaps) < 0:
+        return 1
+    return -1 if gaps and min(gaps) >= 0 else 0
 
 
-def _brent(f, a, b, x, width, tent):
+def _secant(gaps):
+    """Where the line through the last probe whose summed pair gaps are
+    below zero and the next probe up (gaps: u -> the gaps probed there)
+    meets zero; None where there is no such pair of probes, or where both
+    lie between two pairs' crossings, their gaps differing in sign."""
+    us = sorted(gaps)
+    sums = [sum(gaps[u]) for u in us]
+    i = max((i for i, s in enumerate(sums) if s < 0), default=len(us) - 1)
+    if i == len(us) - 1 or _side(gaps[us[i]]) == _side(gaps[us[i + 1]]) == 0:
+        return None
+    return us[i] - sums[i] * (us[i + 1] - us[i]) / (sums[i + 1] - sums[i])
+
+
+def _brent(f, a, b, x, width, gaps):
     """Brent's search for a maximum of f on [a, b] from x, inside it or at
     an end: steps to a model's peak, golden-section steps where that lands
     outside the bracket, and no step shorter than width/4. Ends once the
-    bracket is at most width wide (Brent 1973, ch. 5, for -f). With tent
-    None the model is the parabola through the three best points, which
-    must also halve the step before last. Otherwise f is the min of a
-    rising and a falling curve, tent the dict of every probed u -> f(u),
-    which f keeps up to date, and the model's peak is _crossing's; once that
-    is within width/4 of x, steps of width/2 either side close the bracket.
-    A probe only as high as x narrows the bracket and leaves x, so values
-    that tie within their rounding do not walk x across them a step at a
-    time."""
+    bracket is at most width wide (Brent 1973, ch. 5, for -f). gaps maps
+    every probed u to its pair gaps, each rising in u, its pair's min
+    peaking where it crosses zero; f keeps it up to date. The model's peak
+    is _secant's where it has one (Brent 1973, ch. 4), else the parabola's
+    through the three best points, which must halve the step before last.
+    A probe whose gaps all have one sign cuts the bracket to its side, x
+    kept. A probe only as high as x narrows the bracket and leaves x, so
+    values that tie within their rounding do not walk x across it."""
     tol = width / 4.0
     fx = fw = fv = f(x)
-    w = v = x
+    w = v = u = x
     d = e = 0.0
-    while abs(x - 0.5 * (a + b)) + 0.5 * (b - a) > 2.0 * tol:
+    while True:
+        side = _side(gaps[u])
+        a = max(a, min(u, x)) if side > 0 else a
+        b = min(b, max(u, x)) if side < 0 else b
+        if abs(x - 0.5 * (a + b)) + 0.5 * (b - a) <= 2.0 * tol:
+            return
         golden = True
-        if tent is not None:
-            c = _crossing(tent, x, fx)
-            if c is not None and a < c < b:
-                d, golden = c - x, False
+        c = _secant(gaps)
+        if c is not None and a <= c <= b:
+            e, d, golden = d, c - x, False
         elif abs(e) > tol:
             r = (x - w) * (fx - fv)
             q = (x - v) * (fx - fw)
@@ -191,13 +198,6 @@ def _brent(f, a, b, x, width, tent):
         if golden:
             e = (a if x >= 0.5 * (a + b) else b) - x
             d = (1.0 - _GOLDEN) * e
-        elif tent is not None and abs(d) < tol:
-            # on an open side, the crossing's if both are; just inside
-            # width/2, by a few ulps of x at least, so that x + d rounds
-            # inside it and the rounded bracket closes
-            side = d if min(x - a, b - x) > 2.0 * tol else 0.5 * (a + b) - x
-            step = min(2.0 * tol * (1.0 - 1e-9), 2.0 * tol - 4.0 * math.ulp(x))
-            d = math.copysign(step, side)
         elif min(x + d - a, b - x - d) < 2.0 * tol:
             d = math.copysign(tol, 0.5 * (a + b) - x)
         u = x + (d if abs(d) >= tol else math.copysign(tol, d))
@@ -214,18 +214,19 @@ def _brent(f, a, b, x, width, tent):
 
 
 def _prober(budget, value):
-    """(probe, values): probe(u) is value at ln(ratio) = u, finite or an
-    OptimizationError, each u computed once; values maps every probed u to
-    its value, in probe order."""
-    values = {}
+    """(probe, values, gaps): probe(u) is value's value at ln(ratio) = u,
+    finite or an OptimizationError, each u computed once; values maps every
+    probed u to its value, in probe order, and gaps to its pair gaps."""
+    values, gaps = {}, {}
 
     def probe(u):
         if u not in values:
             point = ratio_point(budget, math.exp(u))
-            values[u] = _finite(value(point.ps, point.pr), point)
+            fu, gaps[u] = value(point.ps, point.pr)
+            values[u] = _finite(fu, point)
         return values[u]
 
-    return probe, values
+    return probe, values, gaps
 
 
 def _width_goal(tolerance: float) -> float:
@@ -244,69 +245,64 @@ def _best(budget, values) -> PowerPoint:
 
 def maximize_throughput(
     budget: PowerBudget,
-    value: Callable[[float, float], float],
+    value: Callable[[float, float], Tuple[float, tuple]],
     tolerance: float = 1e-3,
-    head: Optional[Callable[[float, float], float]] = None,
+    head: Optional[Callable[[float, float], Tuple[float, tuple]]] = None,
 ) -> PowerPoint:
-    """The best split along the budget-equality curve by value(ps, pr).
+    """The best split along the budget-equality curve by value(ps, pr):
+    the objective's value and its pair gaps, as simulate.estimate gives
+    them without a standard error (a smooth objective has none).
 
     Log-spaced coarse grid over the ps/pr ratio, then refinement of
     ln(ratio) in the bracket of the best grid point down to the given
     relative ratio tolerance. If the coarse grid has two or more interior
     local maxima, a 200-point grid re-locates the peak first. Returns the
-    first probed point of highest value.
-
-    The refinement follows the objective's shape, one of three. crs and df
-    are each the mean of one rate, smooth in ln(ratio): a 9-point grid,
-    then Brent's parabolic steps. sfd-mmrs is the min of a rising and a
-    falling mean, kinked where they cross: a 9-point grid, then Brent's
-    loop with secant steps on the crossing. Either starts from the best
-    grid point, an edge one too. adb sums two such mins, with two kinks: a
-    25-point grid, golden section. That makes 41 value probes for adb and
-    about 16 and 17 for the others.
-
-    The search compares values only: a Monte Carlo value need not carry
-    its standard error.
+    first probed point of highest value. adb takes a 25-point grid, then
+    golden section, 41 value probes, the splits bench/reference/ holds its
+    analytic rows at. The others take a 9-point grid, then _brent's loop
+    from its best point, an edge one too: 15 to 20 probes for crs and df,
+    10 to 12 for sfd-mmrs.
 
     With head, a cheaper estimate of the same objective (a Monte Carlo
-    stream's prefix), the search above runs on head. One Brent's loop then
-    polishes its optimum on value, in a bracket of +-0.15 in ln(ratio)
-    around it, cut at the ratio bounds, with secant steps on the crossing
-    for adb and sfd-mmrs and parabolic steps for crs and df. Where the
-    polish ends within the tolerance of an edge that is no ratio bound, the
-    optimum may lie past it, and the search runs again on value alone.
+    stream's prefix), the search above runs on head. One _brent's loop
+    then polishes its optimum on value, in a bracket of +-0.15 in
+    ln(ratio) around it, cut at the ratio bounds. Where an edge is no
+    ratio bound, no polish probe between it and the polish's optimum is
+    lower, and the optimum's gaps do not put the peak on its other side,
+    the peak may lie past the edge: the search runs again on value alone.
     """
     width_goal = _width_goal(tolerance)
-    probe, values = _prober(budget, value if head is None else head)
-    brent = budget.protocol in _SMOOTH + _KINKED
+    probe, values, gaps = _prober(budget, value if head is None else head)
+    brent = budget.protocol != "adb"
     points = _BRENT_POINTS if brent else _COARSE_POINTS
     ulo, uhi = (math.log(r) for r in _RATIO_BOUNDS)
-    step = (uhi - ulo) / (points - 1)
-    us = [ulo + i * step for i in range(points)]
-    vals = [probe(u) for u in us]
-    if _several_maxima(vals):
-        step = (uhi - ulo) / 199
-        us = [ulo + i * step for i in range(200)]
+    for n in (points, 200):
+        step = (uhi - ulo) / (n - 1)
+        us = [ulo + i * step for i in range(n)]
         vals = [probe(u) for u in us]
+        if not _several_maxima(vals):
+            break
     best = max(range(len(us)), key=vals.__getitem__)
     a = us[max(best - 1, 0)]
     b = us[min(best + 1, len(us) - 1)]
 
     if brent:
-        _brent(probe, a, b, us[best], width_goal, values if budget.protocol in _KINKED else None)
+        _brent(probe, a, b, us[best], width_goal, gaps)
     else:
         _golden(probe, a, b, width_goal)
     point = _best(budget, values)
     if head is None:
         return point
 
-    probe, values = _prober(budget, value)
+    probe, values, gaps = _prober(budget, value)
     x = min(max(math.log(point.ps / point.pr), ulo), uhi)
     a, b = max(x - _POLISH_HALF_WIDTH, ulo), min(x + _POLISH_HALF_WIDTH, uhi)
-    _brent(probe, a, b, x, width_goal, None if budget.protocol in _SMOOTH else values)
+    _brent(probe, a, b, x, width_goal, gaps)
     x = max(values, key=values.get)
-    if (a > ulo and x - a <= width_goal) or (b < uhi and b - x <= width_goal):
-        return maximize_throughput(budget, value, tolerance)
+    fx, side = values[x], _side(gaps[x])
+    for edge, s in ((a > ulo, -1), (b < uhi, 1)):
+        if edge and side != -s and not any(values[u] < fx for u in values if (u - x) * s > 0):
+            return maximize_throughput(budget, value, tolerance)
     return _best(budget, values)
 
 

@@ -406,11 +406,12 @@ def _sfd_links(stats, a, b, s, recv, trans):
 # (mean, se) pairs at a = ps/noise_r, b = pr/noise_d, with the standard
 # errors NaN if se is false, and the throughput is prelog times the sum of
 # the min of each consecutive pair (a lone part is its own min), as
-# estimate() combines them: adb 0.5*min(c11, c22) + 0.5*min(c21, c12),
-# sfd-mmrs min(receive, transmit), crs and df half their one rate. The four
-# protocols come first, in protocol (and row) order; crs and sfd-mmrs share
-# one statistic, and the alternating scheme's component rates follow, each
-# one of adb's parts, so they share its statistics.
+# estimate() combines them, a pair's source-side rate first: adb
+# 0.5*min(c11, c22) + 0.5*min(c21, c12), sfd-mmrs min(receive, transmit),
+# crs and df half their one rate. The four protocols come first, in
+# protocol (and row) order; crs and sfd-mmrs share one statistic, and the
+# alternating scheme's component rates follow, each one of adb's parts, so
+# they share its statistics.
 _TABLE = {
     "adb": (_adb_stats, ("M",), _adb_parts, 0.5),
     "crs": (_select_stats, (), partial(_chunked, _crs_snr, 1), 0.5),
@@ -448,15 +449,15 @@ def prefix(stats: dict, slots: int) -> dict:
 
 def estimate(
     label: str, cfg: ChannelConfig, stats: dict, ps, pr, std_error: bool = True
-) -> Union[ThroughputEstimate, float]:
+) -> Union[ThroughputEstimate, tuple]:
     """Monte Carlo throughput of one protocol, or rate of one adb component
     term ("c11", "c22", "c21", "c12"), at source power ps and relay power
     pr, as a ThroughputEstimate, from stats, which prepare() built with
     (label, cfg) among its requests; nothing is sampled here. Every label
     is combined from its parts by one rule, as _TABLE describes. With
-    std_error false only the value is computed, and returned as a float,
-    for searches that compare values: the standard error takes a second
-    pass over the slots."""
+    std_error false only the value is computed, for searches (the standard
+    error takes a second pass over the slots), and returned as (value,
+    gaps): each pair's source-side mean minus its relay-side one."""
     if not ps > 0 or not pr > 0:
         raise ValueError(f"powers must be > 0, got ps={ps!r}, pr={pr!r}")
     _, _, parts, prelog = _TABLE[label]
@@ -471,6 +472,6 @@ def estimate(
     pairs = [_min_of_means(*means[i:i + 2]) for i in range(0, len(means), 2)]
     value = prelog * sum(v for v, _, _ in pairs)
     if not std_error:
-        return value
+        return value, tuple(s[0] - r[0] for s, r in zip(means[::2], means[1::2]))
     se = prelog * math.hypot(*(s for _, s, _ in pairs))
     return ThroughputEstimate(value, se, "monte-carlo", any(f for _, _, f in pairs))

@@ -5,7 +5,8 @@ relay-major blocks of shape (L, block slots), reducing over relays row by
 row, and never holds the whole stream's gains. These oracles draw the same
 stream slot-major, with shape (slots, L), in one sample_gains call, and
 reduce along axis 1 with plain numpy, the layout and order the streamed
-statistics must reproduce bit for bit.
+statistics must reproduce bit for bit. Each sim_* gives (estimate, pair
+gaps): per min pair, its source-side mean minus its relay-side one.
 """
 
 import math
@@ -48,7 +49,7 @@ def streamed_gains(cfg, sim):
 
 def _estimate(mean_se_pair):
     mean, se = mean_se_pair
-    return ThroughputEstimate(mean, se, "monte-carlo")
+    return ThroughputEstimate(mean, se, "monte-carlo"), ()
 
 
 def adb_stats(sr, rd, m):
@@ -134,7 +135,7 @@ def sim_adb(cfg, sim, ps, pr):
         std_error=0.5 * math.hypot(s1, s2),
         method="monte-carlo",
         boundary_ambiguous=amb1 or amb2,
-    )
+    ), (e11[0] - e22[0], e21[0] - e12[0])
 
 
 def sim_crs(cfg, sim, ps, pr):
@@ -158,19 +159,19 @@ def sim_sfd_mmrs(cfg, sim, ps, pr):
     c_sr = _mean_se(_rate(np.where(demote_recv, g_sr2, g_sr1)))
     c_rd = _mean_se(_rate(np.where(demote_trans, g_rd2, g_rd1)))
     value, se, ambiguous = _min_of_means(c_sr, c_rd)
-    return ThroughputEstimate(value, se, "monte-carlo", ambiguous)
+    return ThroughputEstimate(value, se, "monte-carlo", ambiguous), (c_sr[0] - c_rd[0],)
 
 
 def simulators(sim):
     """The oracles on the fading stream of sim, with
     relaylab.simulate.estimate's calling convention: the prepared
     statistics passed in are ignored, and with std_error false only the
-    value is returned."""
+    value and the pair gaps are returned."""
 
     def bind(sim_fn):
         def call(cfg, stats, ps, pr, std_error=True):
-            est = sim_fn(cfg, sim, ps, pr)
-            return est if std_error else est.value
+            est, gaps = sim_fn(cfg, sim, ps, pr)
+            return est if std_error else (est.value, gaps)
 
         return call
 

@@ -445,7 +445,7 @@ def test_crs_over_the_front_matches_every_relay_at_48_relays():
     stats = prepare([("crs", cfg)], sim)
     sr, rd = sample_gains(cfg, sim.seed, 0, sim.slots)
     for ps, pr in ((2.0, 1.5), (30.0, 0.2)):
-        assert estimate("crs", cfg, stats, ps, pr) == _slot_major.sim_crs(cfg, sim, ps, pr)
+        assert estimate("crs", cfg, stats, ps, pr) == _slot_major.sim_crs(cfg, sim, ps, pr)[0]
         best = _crs_snrs(stats[simulate._statistic("crs", cfg)], ps, pr, 7)
         assert best.tobytes() == _slot_major.crs_snr(sr, rd, ps, pr).tobytes()
 
@@ -572,7 +572,8 @@ def test_estimate_is_the_prelog_times_the_sum_of_pair_mins(stats, ps, pr):
     # each label gives its component (mean, se) pairs and a prelog; the
     # estimate is the prelog times the sum of the min of each consecutive
     # pair of parts (a lone part is its own min, never ambiguous), bit for
-    # bit, and adb's four parts are the four term estimates
+    # bit, and adb's four parts are the four term estimates. The value-only
+    # form gives, beside the value, each pair's first mean minus its second
     shapes = {"adb": (4, 0.5), "crs": (1, 0.5), "df": (1, 0.5), "sfd-mmrs": (2, 1.0)}
     shapes |= dict.fromkeys(TERMS, (1, 1.0))
     assert list(simulate._TABLE) == list(shapes)
@@ -590,12 +591,32 @@ def test_estimate_is_the_prelog_times_the_sum_of_pair_mins(stats, ps, pr):
         assert (est.value.hex(), est.std_error.hex(), est.boundary_ambiguous) == (
             value.hex(), se.hex(), flag
         )
-        assert estimate(label, CFG, stats, ps, pr, std_error=False).hex() == value.hex()
+        only, gaps = estimate(label, CFG, stats, ps, pr, std_error=False)
+        assert only.hex() == value.hex()
+        want = [a[0] - b[0] for a, b in zip(means[::2], means[1::2])]
+        assert [g.hex() for g in gaps] == [g.hex() for g in want]
     adb = simulate._TABLE["adb"][2](stats[simulate._statistic("adb", CFG)], ps, pr, True)
     terms = [estimate(t, CFG, stats, ps, pr) for t in TERMS]
     assert [(m.hex(), e.hex()) for m, e in adb] == [
         (t.value.hex(), t.std_error.hex()) for t in terms
     ]
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_adb_gaps_rise_in_the_power_ratio(M):
+    # along a total-power budget, each of adb's pair gaps (broadcast mean
+    # minus beamforming mean) rises strictly in ln(ps/pr), for equal and
+    # unequal groups
+    cfg = replace(CFG, M=M)
+    stats = prepare([("adb", cfg)], SimConfig(slots=20_000, seed=3))
+    gaps = []
+    for u in np.linspace(math.log(1e-2), math.log(1e2), 401):
+        pr = 10.0 / (math.exp(u) + cfg.L / 2)
+        gaps.append(estimate("adb", cfg, stats, math.exp(u) * pr, pr, std_error=False)[1])
+    gaps = np.array(gaps)
+    assert gaps.shape == (401, 2)
+    assert (np.diff(gaps, axis=0) > 0).all()
+    assert (gaps[0] < 0).all() and (gaps[-1] > 0).all()
 
 
 @pytest.mark.parametrize("L, N_R", [(12, 4), (4, 3)])
