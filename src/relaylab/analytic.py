@@ -63,6 +63,21 @@ def _box_counts(group_size: int, shape: int) -> list:
     return counts
 
 
+def _box_bytes(group_size: int, shape: int) -> int:
+    """Upper estimate, in bytes, of what _box_counts(group_size, shape)
+    holds at its peak, for tables past a few KiB (1.0 to 2.8 times the
+    traced peak, measured): its (group_size - 1)(shape - 1) + 1 rows of shape binomials C(n, r), each
+    below 2^n and n^r, and two lists of group_size(shape - 1) + 1 counts
+    N_p <= group_size^p. A list slot and its CPython int take at most 48
+    bytes, and 4 more per 30 bits."""
+    rows = (group_size - 1) * (shape - 1) + 1
+    counts = group_size * (shape - 1) + 1
+    n = rows + shape
+    size = lambda bits: 48 + 4 * (bits // 30)
+    binom = size(min(n, (shape - 1) * n.bit_length()))
+    return rows * (64 + shape * binom) + 2 * counts * size(counts * group_size.bit_length())
+
+
 def c11_closed(ps: float, group_size: int, shape: int, sigma_g2: float) -> float:
     """Exact E[log2(1 + ps * min of group_size i.i.d. Erlang(shape) gains)],
     gains scaled so each has mean 2*shape*sigma_g2.

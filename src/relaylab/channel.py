@@ -12,6 +12,7 @@ workers, and still reproduce the sequential stream bit for bit.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,9 @@ class ChannelConfig:
             raise ValueError(f"N_R must be >= 1, got {self.N_R}")
         for name in ("sigma_g2", "sigma_h2", "noise_r", "noise_d"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not 0 < v < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+            # an integer past the double range is below inf, but is no double
+            if isinstance(v, bool) or not 0 < v <= sys.float_info.max:
+                raise ValueError(f"{name} must be a finite double > 0, got {v!r}")
 
 
 def _draws_per_slot(cfg: ChannelConfig) -> int:

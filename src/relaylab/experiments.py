@@ -16,6 +16,7 @@ import os
 import platform
 import resource
 import subprocess
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import Callable, List, NamedTuple, Optional, Tuple
@@ -23,13 +24,12 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .analytic import adb_closed, c11_closed, c22_closed
+from .analytic import _box_bytes, adb_closed, c11_closed, c22_closed
 from .channel import ChannelConfig
 from .power import (
     PowerBudget,
     PowerPoint,
     at_ratio_bound,
-    evaluate_split,
     maximize_throughput,
     ratio_point,
 )
@@ -173,8 +173,14 @@ def _check_memory(sim: SimConfig, methods: tuple, entries: int, requests):
     (label, cfg) pairs of requests would need more than physical memory: 8
     KiB per entry (four points of two rows; a point with its row measured
     about 700 bytes) plus, for Monte Carlo, the largest fading stream with
-    the statistics of all its requests."""
+    the statistics of all its requests, and for closed forms, the largest
+    exact-count table a c11 term of a request's larger group builds."""
     need = entries * 8192
+    if "analytic" in methods:
+        need += max((
+            _box_bytes(max(cfg.M, cfg.L - cfg.M), cfg.N_R)
+            for label, cfg in requests if label in _CLOSED_FORMS
+        ), default=0)
     if "monte-carlo" in methods:
         streams = {}
         for label, cfg in requests:
@@ -182,7 +188,9 @@ def _check_memory(sim: SimConfig, methods: tuple, entries: int, requests):
         need += max(stream_bytes(group, sim) for group in streams.values())
     limit = _physical_memory()
     if need > limit:
-        raise ConfigError(f"sweep needs about {need >> 20} MiB; physical memory is {limit >> 20} MiB")
+        # str() refuses integers of over 4300 digits
+        about = f"about {need >> 20} MiB" if need < 1 << 80 else f"over 2^{need.bit_length() - 1} bytes"
+        raise ConfigError(f"sweep needs {about}; physical memory is {limit >> 20} MiB")
 
 
 def _is_int(v) -> bool:
@@ -202,7 +210,9 @@ def _is_snr_db(v) -> bool:
 
 
 def _is_positive(v) -> bool:
-    return _is_number(v) and 0 < v < math.inf
+    """A positive number that a double holds: an integer past the double
+    range is below inf, but float() overflows on it."""
+    return _is_number(v) and 0 < v <= sys.float_info.max
 
 
 def _peaks(spec: ExperimentSpec, rows: list) -> dict:
@@ -413,7 +423,7 @@ def read_config(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -531,7 +541,7 @@ def _run_stream(spec: ExperimentSpec, points: list, group: list, rows: list):
             if split is None:
                 budget = PowerBudget(label, _snr_linear(snr_db), cfg.L)
                 point, search = _search(budget, spec.tolerance, value, head_value)
-            est = evaluate_split(evaluate, point)
+            est = evaluate(point.ps, point.pr)
             rows[i].append((_row(label, cfg, snr_db, point, est, search), search))
         key = _statistic(label, cfg)
         if stats is not None and last[key] == i:

@@ -5,24 +5,24 @@ counts transmitting relays per slot (L/2 for the alternating scheme since only
 one group beamforms at a time, L otherwise) and two-slot protocols get the
 budget counted per transmission phase (total = 2*snr_total). Throughput is
 increasing in both powers, so the optimum sits on the equality curve and the
-search is one-dimensional in the ratio ps/pr; it compares the objective's
-values, never a standard error, and steps on the signs of its pair gaps. A
-Monte Carlo search may run in two stages, in one maximize_throughput call:
-on a prefix of the fading stream, where each probe is cheap, then a polish
-on the whole stream, from the prefix's optimum.
+search is one-dimensional in the ratio ps/pr; it reads the objective's
+values and pair gaps only, never a standard error or an estimate, and steps
+on the signs of the gaps. A Monte Carlo search may run in two stages, in
+one maximize_throughput call: on a prefix of the fading stream, where each
+probe is cheap, then a polish on the whole stream, from the prefix's
+optimum.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .simulate import PROTOCOLS, ThroughputEstimate
+from .simulate import PROTOCOLS
 
 __all__ = [
     "PowerBudget",
     "PowerPoint",
     "ratio_point",
-    "evaluate_split",
     "maximize_throughput",
     "at_ratio_bound",
     "OptimizationError",
@@ -42,8 +42,9 @@ _POLISH_HALF_WIDTH = 0.15
 
 
 class OptimizationError(RuntimeError):
-    """A power split gave a non-finite throughput, or underflowed to zero
-    power."""
+    """A split search's objective gave a non-finite value (simulate.estimate
+    raises its own ArithmeticError first), or a power split underflowed to
+    zero power."""
 
 
 @dataclass(frozen=True)
@@ -96,24 +97,6 @@ def ratio_point(budget: PowerBudget, ratio: float) -> PowerPoint:
     if ps == 0 or pr == 0:
         raise OptimizationError(f"power split underflows to ps={ps!r}, pr={pr!r}")
     return PowerPoint(ps=ps, pr=pr)
-
-
-Evaluator = Callable[[float, float], ThroughputEstimate]
-
-
-def _finite(value: float, point: PowerPoint) -> float:
-    if not math.isfinite(value):
-        raise OptimizationError(
-            f"objective returned {value!r} at ps={point.ps}, pr={point.pr}"
-        )
-    return value
-
-
-def evaluate_split(evaluator: Evaluator, point: PowerPoint) -> ThroughputEstimate:
-    """evaluator at a power split; a non-finite value is a numerical failure."""
-    est = evaluator(point.ps, point.pr)
-    _finite(est.value, point)
-    return est
 
 
 def _several_maxima(vals):
@@ -215,15 +198,21 @@ def _brent(f, a, b, x, width, gaps):
 
 def _prober(budget, value):
     """(probe, values, gaps): probe(u) is value's value at ln(ratio) = u,
-    finite or an OptimizationError, each u computed once; values maps every
-    probed u to its value, in probe order, and gaps to its pair gaps."""
+    each u computed once; values maps every probed u to its value, in probe
+    order, and gaps to its pair gaps. A value that is not finite raises
+    OptimizationError: simulate.estimate raises first, so this catches the
+    other objectives, closed forms and callers' own."""
     values, gaps = {}, {}
 
     def probe(u):
         if u not in values:
             point = ratio_point(budget, math.exp(u))
             fu, gaps[u] = value(point.ps, point.pr)
-            values[u] = _finite(fu, point)
+            if not math.isfinite(fu):
+                raise OptimizationError(
+                    f"objective returned {fu!r} at ps={point.ps}, pr={point.pr}"
+                )
+            values[u] = fu
         return values[u]
 
     return probe, values, gaps

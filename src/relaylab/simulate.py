@@ -94,8 +94,8 @@ class ThroughputEstimate:
     boundary_ambiguous: bool = False
 
     def __post_init__(self):
-        if self.value < 0 or self.std_error < 0:
-            raise ValueError("value and std_error must be non-negative")
+        if not (0 <= self.value < math.inf and 0 <= self.std_error < math.inf):
+            raise ValueError("value and std_error must be finite and non-negative")
         if self.method not in ("monte-carlo", "analytic"):
             raise ValueError(f"unknown method tag {self.method!r}")
         if self.method == "analytic" and self.std_error != 0.0:
@@ -134,12 +134,15 @@ def stream_bytes(requests, sim: SimConfig) -> int:
     requests = list(requests)
     cfg = requests[0][1]
     # levels a slot, H_L - 2 + 1/L, through H_L < ln L + gamma + 1/(2L)
-    levels = math.log(cfg.L) + 0.5772156649015329 + 1.5 / cfg.L - 2
+    levels = math.log(cfg.L) + 0.5772156649015329 + 3 / (2 * cfg.L) - 2
     rows = {_adb_stats: 4, _df_stats: 2, _select_stats: 4 + 3 * levels + 3 / cfg.L}
     held = sum(rows[build] for build, _ in {_statistic(*r) for r in requests})
     threads = min(sim.workers, os.cpu_count() or 1)
     block = min(_block_slots(cfg), sim.slots) * 2 * cfg.L * cfg.N_R * 5
-    return math.ceil(8 * (sim.slots * (held + 3) + 2 * _CHUNK + threads * block))
+    # an exact integer ceiling: slots, L and N_R may lie past a double's
+    # range (fractions would import decimal, 0.5 MiB of RSS)
+    num, den = (held + 3).as_integer_ratio()
+    return -(-8 * (sim.slots * num + (2 * _CHUNK + threads * block) * den) // den)
 
 
 def _stream(cfg: ChannelConfig, sim: SimConfig, statistics):
@@ -457,11 +460,13 @@ def estimate(
     is combined from its parts by one rule, as _TABLE describes. With
     std_error false only the value is computed, for searches (the standard
     error takes a second pass over the slots), and returned as (value,
-    gaps): each pair's source-side mean minus its relay-side one."""
+    gaps): each pair's source-side mean minus its relay-side one. A value
+    that is not finite (a rate overflowed) raises ArithmeticError in either
+    mode."""
     if not ps > 0 or not pr > 0:
         raise ValueError(f"powers must be > 0, got ps={ps!r}, pr={pr!r}")
     _, _, parts, prelog = _TABLE[label]
-    # an overflowing rate shows as a non-finite value, which callers check
+    # an overflowing rate shows as a non-finite value, raised below
     with np.errstate(over="ignore", invalid="ignore"):
         means = parts(
             stats[_statistic(label, cfg)],
@@ -471,6 +476,8 @@ def estimate(
     # of the mean of prelog-scaled rates
     pairs = [_min_of_means(*means[i:i + 2]) for i in range(0, len(means), 2)]
     value = prelog * sum(v for v, _, _ in pairs)
+    if not math.isfinite(value):
+        raise ArithmeticError(f"objective returned {value!r} at ps={ps}, pr={pr}")
     if not std_error:
         return value, tuple(s[0] - r[0] for s, r in zip(means[::2], means[1::2]))
     se = prelog * math.hypot(*(s for _, s, _ in pairs))

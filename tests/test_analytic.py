@@ -1,12 +1,14 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from relaylab.analytic import (
+    _box_bytes,
     _box_counts,
     adb_closed,
     c11_closed,
@@ -124,6 +126,19 @@ def test_box_counts_match_brute_force():
                 p = sum(fill)
                 expect[p] += math.factorial(p) // math.prod(map(math.factorial, fill))
             assert _box_counts(g, s) == expect, (g, s)
+
+
+@pytest.mark.parametrize("g, s", [(16, 16), (2, 200), (200, 2), (6, 4)])
+def test_box_bytes_bounds_traced_peak(g, s):
+    # the exact-count table's estimate bounds what tracemalloc sees it hold,
+    # and overcharges it at most threefold
+    tracemalloc.start()
+    try:
+        _box_counts(g, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _box_bytes(g, s) <= 3 * peak
 
 
 def _c11_weights(g, s):

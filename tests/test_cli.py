@@ -100,6 +100,12 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["ratio-sweep", "--config", mismatched]) == 1
     assert "snr-sweep" in capsys.readouterr().err
 
+    # json reads an integer of over 4300 digits as a plain ValueError
+    digits = tmp_path / "digits.json"
+    digits.write_text('{"grid": [1' + "0" * 5000 + "]}")
+    assert main(["ratio-sweep", "--config", str(digits)]) == 1
+    assert "not valid JSON" in capsys.readouterr().err
+
 
 def test_unwritable_output_exits_1(tmp_path):
     cfg = _write(tmp_path / "cfg.json", {
@@ -188,6 +194,21 @@ def test_argparse_rejections():
     {"sim": {"slots": 10**12}, "methods": "monte-carlo"},
     {"experiment": "grouping-sweep", "channel": {"L": 10**30, "M": 1}},
     {"experiment": "grouping-sweep", "channel": {"L": 10**30, "M": 1}, "methods": "analytic"},
+    # integers that no double holds, though each is below inf
+    {"experiment": "ratio-sweep", "grid": [10**400]},
+    {"experiment": "validate", "grid": [[1, 1, 10**400]]},
+    {"experiment": "antenna-sweep", "grid": [10**400]},
+    {"sim": {"slots": 10**400}},
+    {"channel": {"sigma_g2": 10**400}},
+    {"channel": {"sigma_h2": 10**400}},
+    {"channel": {"noise_r": 10**400}},
+    {"channel": {"noise_d": 10**400}},
+    # closed forms whose exact-count tables outgrow memory
+    {"experiment": "ratio-sweep", "channel": {"L": 10**11, "M": 2, "N_R": 2},
+     "grid": [1.0], "methods": "analytic"},
+    {"experiment": "antenna-sweep", "grid": [100000], "methods": "analytic"},
+    # a need in MiB of over 4300 digits, which str() refuses
+    {"experiment": "antenna-sweep", "channel": {"L": 10**4000, "M": 1}, "grid": [10**4000]},
 ], ids=[
     "channel-number", "channel-list", "sim-string", "grid-number",
     "methods-number", "L-overflow", "slots-float", "slots-bool",
@@ -196,6 +217,10 @@ def test_argparse_rejections():
     "ratio-grid-bool", "snr-grid-underflow", "snr-grid-overflow",
     "snr_db-underflow", "snr_db-overflow", "slots-memory",
     "grouping-grid-memory", "grouping-grid-memory-analytic",
+    "ratio-grid-int-overflow", "validate-power-int-overflow",
+    "antenna-grid-int-overflow", "slots-int-overflow", "sigma_g2-int-overflow",
+    "sigma_h2-int-overflow", "noise_r-int-overflow", "noise_d-int-overflow",
+    "closed-form-group-memory", "closed-form-shape-memory", "memory-need-digits",
 ])
 def test_malformed_config_exits_1_with_one_line(tmp_path, capsys, payload):
     payload = {"experiment": "snr-sweep", **payload}

@@ -139,7 +139,7 @@ _JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(-3, 64)
-    | st.sampled_from([2**63, 10**30, -(10**30)])
+    | st.sampled_from([2**63, 10**30, -(10**30), 10**400])
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4)
@@ -152,6 +152,7 @@ _JSON_VALUES = st.recursive(
 @settings(derandomize=True, deadline=None)
 @given(path=st.sampled_from(_KEY_PATHS), value=_JSON_VALUES)
 @example(path=("channel", "L"), value=10**30)
+@example(path=("sim", "slots"), value=10**400)
 def test_any_single_key_value_resolves_or_is_config_error(experiment, path, value):
     raw = {"experiment": experiment}
     if len(path) == 2:

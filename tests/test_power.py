@@ -16,7 +16,6 @@ from relaylab.power import (
     PowerBudget,
     PowerPoint,
     at_ratio_bound,
-    evaluate_split,
     maximize_throughput,
     ratio_point,
 )
@@ -43,9 +42,7 @@ def _mc(protocol, cfg, stats):
 
 def _at(objective, point):
     """objective's value at point, as a sweep row's estimate."""
-    return evaluate_split(
-        lambda ps, pr: ThroughputEstimate(objective(ps, pr)[0], 0.0, "analytic"), point
-    )
+    return ThroughputEstimate(objective(point.ps, point.pr)[0], 0.0, "analytic")
 
 
 def _search(budget, objective, **kwargs):

@@ -65,6 +65,21 @@ def test_estimate_validation():
         ThroughputEstimate(1.0, 0.1, "analytic")
     with pytest.raises(ValueError):
         ThroughputEstimate(1.0, 0.0, "guess")
+    # nan < 0 is False: a sign check alone lets NaN through
+    for value, se in ((math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ThroughputEstimate(value, se, "monte-carlo")
+
+
+@pytest.mark.parametrize("std_error", [True, False], ids=["estimate", "value-only"])
+@pytest.mark.parametrize("label", list(simulate._TABLE))
+def test_overflowing_value_raises_naming_the_split(recwarn, label, std_error):
+    # at 1e308 every rate of a gain above 1.8 overflows, so the value is
+    # not finite: estimate raises before building an estimate or its gaps
+    stats = prepare([(label, CFG)], SimConfig(slots=1000, seed=3))
+    with pytest.raises(ArithmeticError, match=r"objective returned .* at ps=1e\+308, pr=1e\+308"):
+        estimate(label, CFG, stats, 1e308, 1e308, std_error=std_error)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def _whole(build, sr, rd, *args):
