@@ -81,25 +81,30 @@ def _pairwise_sum(rows):
     A left-to-right sum differs from 8 terms on. Each step is one long
     elementwise pass, which beats numpy's reduction over a short axis."""
     n = rows.shape[0]
-    if n < 8:
-        out = rows[0].copy()
-        for row in rows[1:]:
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
+    tail = 1 if n < 8 else n - n % 8
+    out = rows[0].copy() if n < 8 else _accumulators(rows, 0, 8, tail)
+    for row in rows[tail:]:
+        out += row
+    return out
+
+
+def _accumulators(rows, first, count, stop):
+    """The sum of numpy's strided accumulators first .. first + count - 1,
+    each rows j, j + 8, ... below stop, in its combine order ((a0 + a1) +
+    (a2 + a3)) + ((a4 + a5) + (a6 + a7)), built pair by pair so that at
+    most four rows are live."""
+    if count == 1:
+        out = rows[first].copy()
+        for row in rows[first + 8:stop:8]:
             out += row
         return out
-    if n <= 128:
-        acc = rows[:8].copy()
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            acc += rows[i:i + 8]
-        out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
-            (acc[4] + acc[5]) + (acc[6] + acc[7])
-        )
-        for row in rows[tail:]:
-            out += row
-        return out
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
+    out = _accumulators(rows, first, count // 2, stop)
+    out += _accumulators(rows, first + count // 2, count // 2, stop)
+    return out
 
 
 def sample_gains(cfg: ChannelConfig, seed: int, start_slot: int, count: int):
@@ -118,18 +123,23 @@ def sample_gains(cfg: ChannelConfig, seed: int, start_slot: int, count: int):
         key=seed,
         counter=[start_slot * (per_slot // _WORDS_PER_TICK), 0, 0, 0],
     )
-    raw = bits.random_raw(count * per_slot).reshape(count, per_slot)
-    # 53-bit uniform strictly inside (0,1): log stays finite. Each step
-    # works in place; negating after the antenna sum, folded into the
-    # scale, gives the same bits as summing negated logs, because rounding
-    # is symmetric in sign.
+    raw = bits.random_raw(count * per_slot)
+    # 53-bit uniform strictly inside (0,1): log stays finite. The words
+    # become doubles in their own buffer (a 1-D copy reads each word before
+    # writing it; an aliased ufunc output would copy its input), and every
+    # step works in place on the whole buffer, padding too: one contiguous
+    # pass beats a strided view of each slot's first `need` words. Negating
+    # after the antenna sum, folded into the scale, gives the same bits as
+    # summing negated logs, because rounding is symmetric in sign.
     np.right_shift(raw, 11, out=raw)
-    u = raw[:, :need].astype(np.float64)
+    u = raw.view(np.float64)
+    np.copyto(u, raw, casting="unsafe")
     u += 0.5
     u *= 2.0**-53
     np.log(u, out=u)
+    u = u.reshape(count, per_slot)[:, :need]
     # Each link's N_R logs are contiguous: sum the strided antenna columns.
-    links = _pairwise_sum(u.reshape(-1, cfg.N_R).T).reshape(count, 2 * cfg.L)
+    links = _pairwise_sum(u.reshape(count, 2 * cfg.L, cfg.N_R).transpose(2, 0, 1))
     sr = links[:, :cfg.L] * (-2.0 * cfg.sigma_g2)
     rd2 = links[:, cfg.L:] * (-2.0 * cfg.sigma_h2)
     return sr, np.sqrt(rd2, out=rd2)

@@ -129,8 +129,8 @@ def stream_bytes(requests, sim: SimConfig) -> int:
     collision, 1/L a slot) and 3 rows of temporaries (2.2 measured for
     sfd-mmrs's probe, up to 1.75 for crs's at 150k slots, 1.0 to 1.1 for
     the others) plus two _CHUNK-long
-    buffers (crs's); beside them one sampling block per thread at 5
-    float64 copies per draw (4.1 measured)."""
+    buffers (crs's); beside them one sampling block per thread at 4
+    float64 copies per draw (3.6 measured, at one antenna a relay)."""
     requests = list(requests)
     cfg = requests[0][1]
     # levels a slot, H_L - 2 + 1/L, through H_L < ln L + gamma + 1/(2L)
@@ -138,7 +138,7 @@ def stream_bytes(requests, sim: SimConfig) -> int:
     rows = {_adb_stats: 4, _df_stats: 2, _select_stats: 4 + 3 * levels + 3 / cfg.L}
     held = sum(rows[build] for build, _ in {_statistic(*r) for r in requests})
     threads = min(sim.workers, os.cpu_count() or 1)
-    block = min(_block_slots(cfg), sim.slots) * 2 * cfg.L * cfg.N_R * 5
+    block = min(_block_slots(cfg), sim.slots) * 2 * cfg.L * cfg.N_R * 4
     # an exact integer ceiling: slots, L and N_R may lie past a double's
     # range (fractions would import decimal, 0.5 MiB of RSS)
     num, den = (held + 3).as_integer_ratio()

@@ -13,6 +13,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.random import Philox
 
 from relaylab import simulate
 from relaylab.channel import ChannelConfig, sample_gains
@@ -22,6 +23,22 @@ from relaylab.simulate import (
     _min_of_means,
     _rate,
 )
+
+
+def reference_gains(cfg, seed, start_slot, count):
+    """sample_gains as plain numpy writes it: each slot's words padded to a
+    whole Philox tick, the first 2*L*N_R of them copied to 53-bit uniforms,
+    their logs summed over each link's N_R antennas by numpy's own
+    reduction, then negated and scaled. The package converts each block in
+    its own buffer and sums antennas row by row; both must give these bits."""
+    need = 2 * cfg.L * cfg.N_R
+    per_slot = -(-need // 4) * 4
+    bits = Philox(key=seed, counter=[start_slot * (per_slot // 4), 0, 0, 0])
+    raw = bits.random_raw(count * per_slot).reshape(count, per_slot) >> 11
+    u = (raw[:, :need].astype(np.float64) + 0.5) * 2.0**-53
+    links = np.log(u).reshape(count, 2 * cfg.L, cfg.N_R).sum(axis=-1)
+    sr = links[:, :cfg.L] * (-2.0 * cfg.sigma_g2)
+    return sr, np.sqrt(links[:, cfg.L:] * (-2.0 * cfg.sigma_h2))
 
 
 @lru_cache(maxsize=1)

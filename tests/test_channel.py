@@ -23,7 +23,7 @@ from _oracles import (
     nakagami_sum_pdf,
     norm_sum_samples,
 )
-from _slot_major import streamed_gains
+from _slot_major import reference_gains, streamed_gains
 
 
 def test_config_rejects_degenerate_groups():
@@ -103,7 +103,35 @@ def test_stream_matches_frozen_digests():
         for a in (sr, rd):
             h.update(repr(a.shape).encode())
             h.update(a.astype("<f8", order="C", copy=False).tobytes())
-        assert h.hexdigest() == case["sha256"], case["cfg"]
+        assert h.hexdigest() == case["sha256"], (
+            f"seed {case['seed']} slot {case['slot']} count {case['count']}"
+            f" cfg {case['cfg']}"
+        )
+
+
+@pytest.mark.parametrize("L, N_R, start, count", [
+    # 6 and 30 words a slot, padded to 8 and 32
+    (3, 1, 0, 20_000),
+    (5, 3, 101, 3_000),
+    # numpy's pairwise sum: left to right below 8 antennas, eight
+    # accumulators from 8 to 128, halves above
+    (2, 1, 0, 30_000),
+    (2, 7, 9, 5_000),
+    (2, 8, 0, 5_000),
+    (3, 9, 77, 3_000),
+    (2, 16, 0, 3_000),
+    (2, 129, 5, 300),
+    # a partial block at an offset: fewer slots than prepare's 5461 a block
+    (4, 3, 2 * 5461 + 17, 1_000),
+], ids=["3-1-padded", "5-3-padded", "2-1", "2-7", "2-8", "3-9", "2-16", "2-129",
+        "partial-block"])
+def test_sampler_matches_plain_numpy(L, N_R, start, count):
+    cfg = ChannelConfig(L=L, M=1, N_R=N_R, sigma_g2=0.7, sigma_h2=1.3)
+    got = sample_gains(cfg, 2020, start, count)
+    want = reference_gains(cfg, 2020, start, count)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("L, N_R, slots, workers", [

@@ -268,6 +268,23 @@ def test_adb_holds_no_gain_array():
     assert peak < 8 * cfg.L * sim.slots
 
 
+@pytest.mark.parametrize("L, N_R", [(2, 24), (4, 12), (6, 8), (8, 6), (12, 4)])
+def test_sampling_pass_holds_under_two_blocks(L, N_R):
+    # the relay sweep's shapes: each block is converted in its own buffer
+    # and at most four antenna accumulators live at once, so the sampling
+    # pass holds at most 1.75 blocks of 2^17 doubles above the statistics
+    cfg = ChannelConfig(L=L, M=L // 2, N_R=N_R)
+    sim = SimConfig(slots=200_000, seed=42)
+    tracemalloc.start()
+    try:
+        stats = prepare([("adb", cfg)], sim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for out in stats.values() for a in out)
+    assert peak - held <= 1.75 * 8 * simulate._BLOCK_DRAWS
+
+
 @pytest.mark.parametrize("n", [*range(1, 21), 64, 129, 300])
 def test_relay_sum_matches_slot_major_sum(n):
     # numpy sums a contiguous axis pairwise: left to right below 8 terms,
