@@ -13,7 +13,8 @@ Reductions over relays sweep contiguous rows, and sums over relays keep
 numpy's pairwise order, so the statistics match a slot-major reduction of
 the whole stream bit for bit. Every statistic is per slot, so the block
 size and the worker count only change how slots are dispatched, never any
-value: results are bit-identical at any parallelism level.
+value: results are bit-identical at any parallelism level. Probes sum
+their rates chunk by chunk in numpy's pairwise order: no rate row is held.
 """
 
 import math
@@ -41,8 +42,8 @@ __all__ = [
 
 # Draws per sampling block: 2^16 to 2^18 measured alike, 2^19 slower.
 _BLOCK_DRAWS = 1 << 17
-# Slots per probe chunk: a chunk's few rows stay in cache; 2^12 to 2^14
-# measured alike for df, 2^14 best for crs.
+# Slots per probe chunk, _walk's leaf (any size gives the same bits): a
+# chunk's few rows stay in cache; 2^12 to 2^14 alike for df, 2^14 best for crs.
 _CHUNK = 1 << 14
 _INV_LN2 = 1.0 / math.log(2.0)
 
@@ -123,26 +124,26 @@ def _statistic(label, cfg: ChannelConfig):
 def stream_bytes(requests, sim: SimConfig) -> int:
     """Upper estimate, in bytes, of what one fading stream needs at its peak
     while the statistics of the (label, cfg) pairs of requests, all on that
-    stream, are built and probed. In slot-long float64 rows: the
-    statistics (adb and its terms 4 per M value, df 2, crs and sfd-mmrs
+    stream, are built and probed. In slot-long float64 rows, the
+    statistics: adb and its terms 4 per M value, df 2, crs and sfd-mmrs
     together 4, plus 3 per level, H_L - 2 + 1/L a slot, and 3 per
-    collision, 1/L a slot) and 3 rows of temporaries (2.2 measured for
-    sfd-mmrs's probe, up to 1.75 for crs's at 150k slots, 1.0 to 1.1 for
-    the others) plus two _CHUNK-long
-    buffers (crs's); beside them one sampling block per thread at 4
-    float64 copies per draw (3.6 measured, at one antenna a relay)."""
+    collision, 1/L a slot. In _CHUNK-long rows, a probe's: 5, plus 4 per
+    level for crs (7.9 measured at 48 relays). One sampling block per
+    thread: 4 float64 copies per draw, or 4L + 13 a slot where crs's
+    statistic needs more (20.4 measured at 2x1)."""
     requests = list(requests)
     cfg = requests[0][1]
     # levels a slot, H_L - 2 + 1/L, through H_L < ln L + gamma + 1/(2L)
     levels = math.log(cfg.L) + 0.5772156649015329 + 3 / (2 * cfg.L) - 2
     rows = {_adb_stats: 4, _df_stats: 2, _select_stats: 4 + 3 * levels + 3 / cfg.L}
-    held = sum(rows[build] for build, _ in {_statistic(*r) for r in requests})
-    threads = min(sim.workers, os.cpu_count() or 1)
-    block = min(_block_slots(cfg), sim.slots) * 2 * cfg.L * cfg.N_R * 4
+    builds = [build for build, _ in {_statistic(*r) for r in requests}]
+    per_slot = max(8 * cfg.L * cfg.N_R, 4 * cfg.L + 13 if _select_stats in builds else 0)
+    blocks = min(sim.workers, os.cpu_count() or 1) * min(_block_slots(cfg), sim.slots)
+    temps = math.ceil((5 + 4 * levels) * _CHUNK) + blocks * per_slot
     # an exact integer ceiling: slots, L and N_R may lie past a double's
     # range (fractions would import decimal, 0.5 MiB of RSS)
-    num, den = (held + 3).as_integer_ratio()
-    return -(-8 * (sim.slots * num + (2 * _CHUNK + threads * block) * den) // den)
+    num, den = sum(rows[build] for build in builds).as_integer_ratio()
+    return -(-8 * (sim.slots * num + temps * den) // den)
 
 
 def _stream(cfg: ChannelConfig, sim: SimConfig, statistics):
@@ -289,28 +290,10 @@ def _select_stats(sr, rd):
 
 
 def _rate(x):
-    """log2(1 + x) elementwise, in place: x must be a temporary. One
-    slot-long buffer per rate, not three, keeps probes off freshly mapped,
-    page-faulting memory."""
+    """log2(1 + x) elementwise, in place: x must be a temporary."""
     np.log1p(x, out=x)
     x *= _INV_LN2
     return x
-
-
-def _mean_se(x, se=True):
-    """Mean of x and its standard error; the error is NaN when se is false,
-    which saves its second pass over x. x is consumed: the error is
-    computed in place, in numpy's own steps for x.std(ddof=1), so its bits
-    are the same."""
-    n = x.shape[0]
-    mean = float(x.mean())
-    if not se:
-        return mean, math.nan
-    if n < 2:
-        return mean, 0.0
-    x -= mean
-    np.square(x, out=x)
-    return mean, math.sqrt(float(x.sum()) / (n - 1)) / math.sqrt(n)
 
 
 def _min_of_means(a, b=None):
@@ -326,27 +309,48 @@ def _min_of_means(a, b=None):
     return value, se, ambiguous
 
 
-def _adb_parts(stats, a, b, se, parts=range(4)):
-    """The alternating scheme's component rates of _adb_stats, by index:
-    c11, c22 (group one), c21, c12 (group two); the broadcast rates (even
-    index) see power a, the beamforming rates b. One slot-long rate is
-    held at a time."""
-    return [_mean_se(_rate((b if i % 2 else a) * stats[i]), se) for i in parts]
+def _walk(rows, s, e):
+    """The per-row sums of rows(i, j), a chunk of some rows over slots i:j,
+    over slots s:e in numpy's pairwise order, so with x.sum()'s bits: a node
+    of over _CHUNK slots adds its halves' sums, split at a multiple of 8."""
+    if e - s <= _CHUNK:
+        return np.add.reduce(rows(s, e), axis=1, initial=0.0)
+    half = (e - s) // 2 // 8 * 8
+    return _walk(rows, s, s + half) + _walk(rows, s + half, e)
 
 
-def _chunked(snr, k, stats, a, b, se):
-    """The (mean, se) of each of k per-slot rates: snr(stats, a, b, s,
-    *rows) writes the SNRs of slots s:s + rows[0].size into k rows, one
-    cache-sized chunk at a time, so a probe's temporaries are chunk-sized,
-    and each chunk is turned into rates while it is still in cache."""
+def _std_errors(rates, n, means):
+    """x.std(ddof=1) / sqrt(n), in numpy's steps and bits (0 for one slot),
+    of each n-slot row x: rates(s, e, means) gives x[s:e]'s squared deviations."""
+    return np.sqrt(_walk(partial(rates, means=means), 0, n) / max(n - 1, 1)) / math.sqrt(n)
+
+
+def _means(snr, k, stats, a, b, se):
+    """The (mean, se) of each of k per-slot rates, errors NaN unless se.
+    snr(stats, a, b, s, *rows) writes the SNRs of slots s:s + rows[0].size
+    into the k rows of a chunk buffer, which become rates while in cache."""
     n = stats[0].shape[0]
-    rates = np.empty((k, n))
-    for s in range(0, n, _CHUNK):
-        rows = rates[:, s:s + _CHUNK]
+    buf = np.empty((k, min(n, _CHUNK)))
+
+    def rates(s, e, means=None):
+        rows = buf[:, :e - s]
         snr(stats, a, b, s, *rows)
-        for row in rows:
-            _rate(row)
-    return [_mean_se(row, se) for row in rates]
+        _rate(rows)
+        if means is not None:
+            rows -= means[:, None]
+            np.square(rows, out=rows)
+        return rows
+
+    means = _walk(rates, 0, n) / n
+    errors = _std_errors(rates, n, means) if se else [math.nan] * k
+    return [(float(m), float(e)) for m, e in zip(means, errors)]
+
+
+def _adb_snr(stats, a, b, s, *rows, parts=range(4)):
+    """Write into rows the SNRs of _adb_stats' parts on slots s:s + row.size,
+    by index c11, c22, c21, c12: broadcasts (even) at power a, beams at b."""
+    for i, row in zip(parts, rows):
+        np.multiply(b if i % 2 else a, stats[i][s:s + row.size], out=row)
 
 
 def _crs_snr(stats, a, b, s, best):
@@ -405,23 +409,20 @@ def _sfd_links(stats, a, b, s, recv, trans):
 # parts, prelog). stats(sr_gain, rd_norm, *fields) gives the
 # power-independent per-slot arrays and sparse parts of one relay-major
 # block, as _stream describes; joined over the stream they are what prepare
-# returns. parts(stats, a, b, se) gives the label's component rates as
-# (mean, se) pairs at a = ps/noise_r, b = pr/noise_d, with the standard
-# errors NaN if se is false, and the throughput is prelog times the sum of
-# the min of each consecutive pair (a lone part is its own min), as
-# estimate() combines them, a pair's source-side rate first: adb
+# returns. parts(stats, a, b, se), _means over the label's SNR writer, gives
+# its component rates as (mean, se) pairs at a = ps/noise_r, b = pr/noise_d;
+# the throughput is prelog times the sum of the min of each consecutive pair
+# (a lone part is its own min), a pair's source-side rate first: adb
 # 0.5*min(c11, c22) + 0.5*min(c21, c12), sfd-mmrs min(receive, transmit),
-# crs and df half their one rate. The four protocols come first, in
-# protocol (and row) order; crs and sfd-mmrs share one statistic, and the
-# alternating scheme's component rates follow, each one of adb's parts, so
-# they share its statistics.
+# crs and df half their one rate. The four protocols come first, in row
+# order; crs and sfd-mmrs share one statistic, and adb's four parts follow.
 _TABLE = {
-    "adb": (_adb_stats, ("M",), _adb_parts, 0.5),
-    "crs": (_select_stats, (), partial(_chunked, _crs_snr, 1), 0.5),
-    "df": (_df_stats, (), partial(_chunked, _df_snr, 1), 0.5),
-    "sfd-mmrs": (_select_stats, (), partial(_chunked, _sfd_links, 2), 1.0),
+    "adb": (_adb_stats, ("M",), partial(_means, _adb_snr, 4), 0.5),
+    "crs": (_select_stats, (), partial(_means, _crs_snr, 1), 0.5),
+    "df": (_df_stats, (), partial(_means, _df_snr, 1), 0.5),
+    "sfd-mmrs": (_select_stats, (), partial(_means, _sfd_links, 2), 1.0),
 } | {
-    term: (_adb_stats, ("M",), partial(_adb_parts, parts=(i,)), 1.0)
+    term: (_adb_stats, ("M",), partial(_means, partial(_adb_snr, parts=(i,)), 1), 1.0)
     for i, term in enumerate(("c11", "c22", "c21", "c12"))
 }
 PROTOCOLS = tuple(_TABLE)[:4]
@@ -468,10 +469,7 @@ def estimate(
     _, _, parts, prelog = _TABLE[label]
     # an overflowing rate shows as a non-finite value, raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        means = parts(
-            stats[_statistic(label, cfg)],
-            ps / cfg.noise_r, pr / cfg.noise_d, std_error
-        )
+        means = parts(stats[_statistic(label, cfg)], ps / cfg.noise_r, pr / cfg.noise_d, std_error)
     # a power-of-two prelog scales exactly, so prelog * mean has the bits
     # of the mean of prelog-scaled rates
     pairs = [_min_of_means(*means[i:i + 2]) for i in range(0, len(means), 2)]

@@ -5,8 +5,11 @@ relay-major blocks of shape (L, block slots), reducing over relays row by
 row, and never holds the whole stream's gains. These oracles draw the same
 stream slot-major, with shape (slots, L), in one sample_gains call, and
 reduce along axis 1 with plain numpy, the layout and order the streamed
-statistics must reproduce bit for bit. Each sim_* gives (estimate, pair
-gaps): per min pair, its source-side mean minus its relay-side one.
+statistics must reproduce bit for bit, and take each whole rate row's mean
+and standard error from numpy's own x.mean() and x.std(ddof=1), which the
+package's chunked probes must reproduce bit for bit. Each sim_* gives
+(estimate, pair gaps): per min pair, its source-side mean minus its
+relay-side one.
 """
 
 import math
@@ -17,12 +20,7 @@ from numpy.random import Philox
 
 from relaylab import simulate
 from relaylab.channel import ChannelConfig, sample_gains
-from relaylab.simulate import (
-    ThroughputEstimate,
-    _mean_se,
-    _min_of_means,
-    _rate,
-)
+from relaylab.simulate import ThroughputEstimate, _min_of_means, _rate
 
 
 def reference_gains(cfg, seed, start_slot, count):
@@ -62,6 +60,14 @@ def streamed_gains(cfg, sim):
     package builds none that does)."""
     key = (_whole_gains, ())
     return simulate._stream(cfg, sim, [key])[key]
+
+
+def _mean_se(x):
+    """numpy's own mean of the rate row x and its standard error,
+    x.std(ddof=1) / sqrt(n); a lone slot's error is 0.0, as the package
+    gives."""
+    n = x.size
+    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
 def _estimate(mean_se_pair):

@@ -595,8 +595,8 @@ def test_value_only_probes_give_the_same_optimum(monkeypatch, case):
     # the same gaps) returns, and compute no standard error
     cfg = ChannelConfig(L=4, M=2, N_R=2)
     protocol = case if case in PROTOCOLS else "adb"
+    stats = prepare([(protocol, cfg)], SimConfig(slots=20_000, seed=11))
     if case in PROTOCOLS:
-        stats = prepare([(case, cfg)], SimConfig(slots=20_000, seed=11))
         value = _mc(case, cfg, stats)
         full = lambda ps, pr: (estimate(case, cfg, stats, ps, pr).value, value(ps, pr)[1])
     elif case == "adb-analytic":
@@ -608,21 +608,25 @@ def test_value_only_probes_give_the_same_optimum(monkeypatch, case):
 
     # log every call, and every standard error computed under it
     calls, stds = [], []
-    mean_se = simulate._mean_se
+    std_errors = simulate._std_errors
 
-    def counting_mean_se(x, se=True):
-        if se:
-            stds.append(calls[-1])
-        return mean_se(x, se)
+    def counting_std_errors(*args):
+        stds.append(calls[-1])
+        return std_errors(*args)
 
     def logged(ps, pr):
         calls.append((ps, pr))
         return value(ps, pr)
 
-    monkeypatch.setattr(simulate, "_mean_se", counting_mean_se)
+    monkeypatch.setattr(simulate, "_std_errors", counting_std_errors)
     point = maximize_throughput(budget, logged)
     assert point == want
     assert not stds
+    # the counter sees the standard-error walk of a full estimate
+    calls.append("full")
+    estimate(protocol, cfg, stats, point.ps, point.pr)
+    calls.pop()
+    assert stds == ["full"]
     # probe budget: Brent's method takes crs and df to their peak, and
     # sfd-mmrs to its crossing, in at most 20 value probes; golden section
     # takes 41 for adb; two interior maxima on the coarse grid (only

@@ -21,7 +21,6 @@ from relaylab.simulate import (
     _adb_stats,
     _crs_snr,
     _df_stats,
-    _mean_se,
     _rate,
     _select_stats,
     _sfd_links,
@@ -285,6 +284,24 @@ def test_sampling_pass_holds_under_two_blocks(L, N_R):
     assert peak - held <= 1.75 * 8 * simulate._BLOCK_DRAWS
 
 
+@pytest.mark.parametrize("L", [2, 4, 16])
+def test_one_antenna_sampling_pass_copies_its_log_block_once(L):
+    # at one antenna a relay the antenna sum is the log block itself, and
+    # only scaling it into the source-side and destination-side gains
+    # copies it: adb's sampling pass holds at most 2.5 blocks of 2^17
+    # doubles above its statistics (2.07 measured; 3.07 with a copy)
+    cfg = ChannelConfig(L=L, M=L // 2, N_R=1)
+    sim = SimConfig(slots=200_000, seed=42)
+    tracemalloc.start()
+    try:
+        stats = prepare([("adb", cfg)], sim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for out in stats.values() for a in out)
+    assert peak - held <= 2.5 * 8 * simulate._BLOCK_DRAWS
+
+
 @pytest.mark.parametrize("n", [*range(1, 21), 64, 129, 300])
 def test_relay_sum_matches_slot_major_sum(n):
     # numpy sums a contiguous axis pairwise: left to right below 8 terms,
@@ -482,11 +499,27 @@ def test_crs_over_the_front_matches_every_relay_at_48_relays():
         assert best.tobytes() == _slot_major.crs_snr(sr, rd, ps, pr).tobytes()
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 9, 129, 200_000])
+@pytest.mark.parametrize("n", [
+    1, 2, 3, 7, 8, 9, 127, 128, 129,
+    simulate._CHUNK - 1, simulate._CHUNK, simulate._CHUNK + 1, simulate._CHUNK + 8,
+    12_500, 200_000, 777_777, 1_000_000,
+])
 def test_standard_error_in_place_matches_numpy_std(n):
-    x = np.random.default_rng(n).exponential(size=n)
-    want = float(x.mean()), float(x.std(ddof=1) / math.sqrt(n))
-    assert _mean_se(x.copy()) == want
+    # probes never hold a slot-long rate row: they walk numpy's pairwise
+    # summation tree over chunks. Each mean and error must still have the
+    # bits of numpy's own x.mean() and x.std(ddof=1) / sqrt(n) over the
+    # whole row x, so a numpy whose summation order changed fails here
+    rng = np.random.default_rng(n)
+    snr = rng.exponential(size=(2, n)) * [[1.0], [1e3]]
+
+    def copy(stats, a, b, s, *rows):
+        for row, x in zip(rows, stats):
+            row[:] = x[s:s + row.size]
+
+    got = simulate._means(copy, 2, snr, 1.0, 1.0, True)
+    for (mean, se), x in zip(got, _rate(snr.copy())):
+        want = x.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+        assert (mean.hex(), se.hex()) == (float(x.mean()).hex(), float(want).hex())
 
 
 def test_statistics_rows_at_four_relays(stats):
@@ -653,25 +686,27 @@ def test_adb_gaps_rise_in_the_power_ratio(M):
 
 @pytest.mark.parametrize("L, N_R", [(12, 4), (4, 3)])
 def test_probe_temporaries_stay_within_their_rows(L, N_R):
-    # what one probe allocates above what is held after prepare, in
-    # slot-long float64 rows: adb and each term hold one rate at a time,
-    # crs and df one rate row beside chunk-sized temporaries, sfd-mmrs two
-    limits = {"adb": 1.1, "crs": 2.0, "df": 2.0, "sfd-mmrs": 2.5}
-    limits |= dict.fromkeys(TERMS, 1.1)
+    # what one probe allocates above what is held after prepare does not
+    # grow with the slots: every label walks them in chunks, in a few
+    # _CHUNK-long float64 rows (adb 4.0 measured, crs up to 5.0 at 12
+    # relays), at 150k slots as at 600k
+    labels = list(simulate._TABLE)
     cfg = ChannelConfig(L=L, M=L // 2, N_R=N_R)
-    sim = SimConfig(slots=150_000, seed=1)
     rows = {}
-    tracemalloc.start()
-    try:
-        stats = prepare([(label, cfg) for label in limits], sim)
-        for label in limits:
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            estimate(label, cfg, stats, 2.0, 1.5)
-            rows[label] = (tracemalloc.get_traced_memory()[1] - held) / (8 * sim.slots)
-    finally:
-        tracemalloc.stop()
-    assert all(rows[label] <= limit for label, limit in limits.items()), rows
+    for slots in (150_000, 600_000):
+        tracemalloc.start()
+        try:
+            stats = prepare([(label, cfg) for label in labels], SimConfig(slots=slots, seed=1))
+            for label in labels:
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                estimate(label, cfg, stats, 2.0, 1.5)
+                peak = tracemalloc.get_traced_memory()[1] - held
+                rows[label, slots] = peak / (8 * simulate._CHUNK)
+        finally:
+            tracemalloc.stop()
+        del stats
+    assert max(rows.values()) <= 6, rows
 
 
 def test_estimates_nonnegative_and_power_monotone(stats):
