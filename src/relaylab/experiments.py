@@ -476,7 +476,8 @@ def _evaluators(spec, label, cfg, stats):
         out.append((lambda ps, pr: ThroughputEstimate(closed(ps, pr), 0.0, "analytic"),
                     lambda ps, pr: (closed(ps, pr), ()), None))
     if "monte-carlo" in spec.methods:
-        mc = partial(_SIMULATORS[label], cfg, stats)
+        # the final estimate reuses the means its search probed at its split
+        mc = partial(_SIMULATORS[label], cfg, stats, memo={})
         head_value = None
         slots = spec.sim.slots // _PREFIX_SHARE
         if slots >= _MIN_PREFIX_SLOTS:
@@ -603,14 +604,18 @@ def write_csv(result: SweepResult, path: str):
 
 
 def _version_info() -> dict:
+    """The package, numpy and platform versions, and git's description of
+    relaylab's own checkout, or None where the package is not its src/relaylab
+    (installed, perhaps inside another repository) or git cannot tell."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    git = partial(subprocess.run, cwd=here, capture_output=True, text=True, timeout=5)
+    described = None
     try:
-        described = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True, text=True, timeout=5,
-        ).stdout.strip() or None
+        # this directory's path in its repository: src/relaylab/ in relaylab's
+        if git(["git", "rev-parse", "--show-prefix"]).stdout.strip() == "src/relaylab/":
+            described = git(["git", "describe", "--always", "--dirty"]).stdout.strip() or None
     except Exception:
-        described = None
+        pass
     # CSV bytes also depend on numpy's Philox and log, and on the platform
     return {"package": __version__, "git": described,
             "numpy": np.__version__, "platform": platform.platform()}

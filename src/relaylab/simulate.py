@@ -3,8 +3,8 @@
 All estimators share one fading sequence per (cfg, slots, seed), so protocol
 comparisons are paired (common random numbers) and repeated power points
 reuse the same draws. The gains are never held whole. Slots are sampled in
-draw-sized blocks (about 2^17 draws each, so a block's temporaries stay near
-cache) addressed by absolute slot index; each block is turned relay-major,
+blocks of about 2^17 doubles, of draws or of a build's temporaries, so that
+a block stays near cache, addressed by absolute slot index; each block is turned relay-major,
 with shape (L, block slots), and reduced at once to every requested
 protocol's power-independent per-slot statistics, all that is kept of a
 stream: prepare() returns them to its caller and estimate() reads them, or
@@ -20,6 +20,7 @@ their rates chunk by chunk in numpy's pairwise order: no rate row is held.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Union
@@ -40,8 +41,9 @@ __all__ = [
     "stream_key",
 ]
 
-# Draws per sampling block: 2^16 to 2^18 measured alike, 2^19 slower.
-_BLOCK_DRAWS = 1 << 17
+# Doubles a sampling block holds, its draws or a build's temporaries
+# (_slot_doubles): 2^16 to 2^18 measured alike, 2^19 slower.
+_BLOCK_DOUBLES = 1 << 17
 # Slots per probe chunk, _walk's leaf (any size gives the same bits): a
 # chunk's few rows stay in cache; 2^12 to 2^14 alike for df, 2^14 best for crs.
 _CHUNK = 1 << 14
@@ -103,9 +105,16 @@ class ThroughputEstimate:
             raise ValueError("analytic estimates carry no standard error")
 
 
-def _block_slots(cfg: ChannelConfig) -> int:
-    """Slots per sampling block: _BLOCK_DRAWS draws, at least one slot."""
-    return max(1, _BLOCK_DRAWS // (2 * cfg.L * cfg.N_R))
+def _slot_doubles(cfg: ChannelConfig, builds) -> int:
+    """Doubles a sampling block holds a slot while builds reduce it: its 2
+    L N_R draws, or _select_stats' 4L + 13 temporaries where it is built
+    and they are more (20.4 measured at 2x1)."""
+    return max(2 * cfg.L * cfg.N_R, 4 * cfg.L + 13 if _select_stats in builds else 0)
+
+
+def _block_slots(cfg: ChannelConfig, builds) -> int:
+    """Slots per sampling block: _BLOCK_DOUBLES doubles, at least one slot."""
+    return max(1, _BLOCK_DOUBLES // _slot_doubles(cfg, builds))
 
 
 def stream_key(cfg: ChannelConfig, sim: SimConfig) -> tuple:
@@ -126,81 +135,98 @@ def stream_bytes(requests, sim: SimConfig) -> int:
     while the statistics of the (label, cfg) pairs of requests, all on that
     stream, are built and probed. In slot-long float64 rows, the
     statistics: adb and its terms 4 per M value, df 2, crs and sfd-mmrs
-    together 4, plus 3 per level, H_L - 2 + 1/L a slot, and 3 per
-    collision, 1/L a slot. In _CHUNK-long rows, a probe's: 5, plus 4 per
-    level for crs (7.9 measured at 48 relays). One sampling block per
-    thread: 4 float64 copies per draw, or 4L + 13 a slot where crs's
-    statistic needs more (20.4 measured at 2x1)."""
+    together 4, plus each sparse part's arrays at the entries _stream
+    allocates for them (_SPARSE_PARTS). In _CHUNK-long rows, a probe's: 5,
+    plus 4 per level for crs (7.9 measured at 48 relays). Per thread, 2.5
+    sampling blocks of _slot_doubles a slot: the block and its builds'
+    temporaries (2.07 measured for adb at one antenna a relay, 1.3 to 1.9
+    with crs)."""
     requests = list(requests)
     cfg = requests[0][1]
-    # levels a slot, H_L - 2 + 1/L, through H_L < ln L + gamma + 1/(2L)
-    levels = math.log(cfg.L) + 0.5772156649015329 + 3 / (2 * cfg.L) - 2
-    rows = {_adb_stats: 4, _df_stats: 2, _select_stats: 4 + 3 * levels + 3 / cfg.L}
     builds = [build for build, _ in {_statistic(*r) for r in requests}]
-    per_slot = max(8 * cfg.L * cfg.N_R, 4 * cfg.L + 13 if _select_stats in builds else 0)
-    blocks = min(sim.workers, os.cpu_count() or 1) * min(_block_slots(cfg), sim.slots)
-    temps = math.ceil((5 + 4 * levels) * _CHUNK) + blocks * per_slot
-    # an exact integer ceiling: slots, L and N_R may lie past a double's
-    # range (fractions would import decimal, 0.5 MiB of RSS)
-    num, den = sum(rows[build] for build in builds).as_integer_ratio()
-    return -(-8 * (sim.slots * num + temps * den) // den)
+    rows = {_adb_stats: 4, _df_stats: 2, _select_stats: 4}
+    dense = sim.slots * sum(rows[b] for b in builds)
+    sparse = sum(
+        size * _entries(rate(cfg.L), sim.slots)
+        for b in builds for size, rate in _SPARSE_PARTS.get(b, ())
+    )
+    probe = math.ceil((5 + 4 * _levels(cfg.L)) * _CHUNK)
+    block = min(_block_slots(cfg, builds), sim.slots) * _slot_doubles(cfg, builds)
+    blocks = min(sim.workers, os.cpu_count() or 1) * block * 5 // 2
+    return 8 * (dense + sparse + probe + blocks)
+
+
+def _append(store, part, start):
+    """Write a block's sparse part, its slot indices offset by start, after
+    the entries so far of store, (arrays, entries); gives the new store.
+    Arrays too short for it are first grown to a quarter past its end."""
+    arrays, count = store
+    end = count + part[0].size
+    if end > arrays[0].size:
+        grown = [np.empty(end + end // 4, a.dtype) for a in arrays]
+        for new, old in zip(grown, arrays):
+            new[:count] = old[:count]
+        arrays = grown
+    np.add(part[0], start, out=arrays[0][count:end])
+    for out, a in zip(arrays[1:], part[1:]):
+        out[count:end] = a
+    return arrays, end
 
 
 def _stream(cfg: ChannelConfig, sim: SimConfig, statistics):
     """Build each (build, args) of statistics over the whole stream of (cfg,
     sim) in one sampling pass: each block is sampled, turned relay-major
-    while it is still in cache and reduced by every build, whose per-slot
-    outputs are written straight into their slot-long arrays. The gains are
-    never held beyond one block per thread; each thread writes its own
-    blocks' slices. build(sr_gain, rd_norm, *args) takes a relay-major block
-    and gives (per_slot, sparse): arrays whose last axis is the block's
-    slots, and a tuple of sparse parts, each (slot indices in the block,
-    values at those slots...), whose arrays are joined in slot order after
-    the pass and follow the per-slot arrays in the result."""
-    slots, block = sim.slots, _block_slots(cfg)
-    starts = range(0, slots, block)
+    while it is still in cache and reduced by every build. The gains are
+    never held beyond one block per thread. build(sr_gain, rd_norm, *args)
+    takes a relay-major block and gives (per_slot, sparse): arrays whose
+    last axis is the block's slots, which each thread writes straight into
+    their slot-long arrays, and a tuple of sparse parts, each (slot indices
+    in the block, values at those slots...), which follow the per-slot
+    arrays in the result. Each sparse part is appended in slot order, block
+    by block, to arrays allocated once for its expected entries
+    (_SPARSE_PARTS) and grown only where the stream overflows them; the
+    result holds views of its entries."""
+    slots = sim.slots
+    block = _block_slots(cfg, {build for build, _ in statistics})
     dense = {}
-    sparse = {}  # key -> one list per sparse array, of its blocks' pieces
+    sparse = {}  # key -> per sparse part, (its arrays, their entries so far)
 
-    def fill(i):
-        start = starts[i]
+    def fill(start):
         n = min(block, slots - start)
         sr, rd = sample_gains(cfg, sim.seed, start, n)
         sr, rd = np.ascontiguousarray(sr.T), np.ascontiguousarray(rd.T)
+        parts = {}
         for key in statistics:
             build, args = key
-            per_slot, parts = build(sr, rd, *args)
-            if i == 0:
+            per_slot, parts[key] = build(sr, rd, *args)
+            if key not in dense:  # the first block, which runs alone
                 dense[key] = tuple(
                     np.empty(a.shape[:-1] + (slots,), a.dtype) for a in per_slot
                 )
-                sparse[key] = [[None] * len(starts) for p in parts for _ in p]
+                sparse[key] = [
+                    ([np.empty(_entries(rate(cfg.L), slots), a.dtype) for a in part], 0)
+                    for part, (_, rate) in zip(parts[key], _SPARSE_PARTS.get(build, ()))
+                ]
             for out, a in zip(dense[key], per_slot):
                 out[..., start:start + n] = a
-            for part in parts:
-                np.add(part[0], start, out=part[0])
-            for pieces, a in zip(sparse[key], (a for p in parts for a in p)):
-                pieces[i] = a
+        return start, parts
+
+    def append(start, parts):
+        for key, blocks in parts.items():
+            sparse[key] = [_append(store, part, start) for store, part in zip(sparse[key], blocks)]
 
     # the first block alone allocates the outputs; the rest may run in
-    # threads
-    fill(0)
-    rest = range(1, len(starts))
+    # threads, whose results map gives back in block order
+    starts = range(0, slots, block)
+    append(*fill(0))
     workers = min(sim.workers, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, rest))
-    else:
-        for i in rest:
-            fill(i)
-
-    def join(pieces):
-        # one sparse array is held twice at a time, not all of them
-        out = np.concatenate(pieces)
-        pieces.clear()
-        return out
-
-    return {key: dense[key] + tuple(map(join, sparse[key])) for key in statistics}
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for done in (pool.map if pool else map)(fill, starts[1:]):
+            append(*done)
+    return {
+        key: dense[key] + tuple(a[:count] for arrays, count in sparse[key] for a in arrays)
+        for key in statistics
+    }
 
 
 def prepare(requests, sim: SimConfig) -> dict:
@@ -325,8 +351,9 @@ def _std_errors(rates, n, means):
     return np.sqrt(_walk(partial(rates, means=means), 0, n) / max(n - 1, 1)) / math.sqrt(n)
 
 
-def _means(snr, k, stats, a, b, se):
-    """The (mean, se) of each of k per-slot rates, errors NaN unless se.
+def _means(snr, k, stats, a, b, se, means=None):
+    """The (mean, se) of each of k per-slot rates, errors NaN unless se;
+    means, if given, are theirs already, and only the errors walk the slots.
     snr(stats, a, b, s, *rows) writes the SNRs of slots s:s + rows[0].size
     into the k rows of a chunk buffer, which become rates while in cache."""
     n = stats[0].shape[0]
@@ -341,7 +368,7 @@ def _means(snr, k, stats, a, b, se):
             np.square(rows, out=rows)
         return rows
 
-    means = _walk(rates, 0, n) / n
+    means = _walk(rates, 0, n) / n if means is None else np.array(means)
     errors = _std_errors(rates, n, means) if se else [math.nan] * k
     return [(float(m), float(e)) for m, e in zip(means, errors)]
 
@@ -408,9 +435,10 @@ def _sfd_links(stats, a, b, s, recv, trans):
 # label -> (stats, ChannelConfig fields stats reads beyond the gains,
 # parts, prelog). stats(sr_gain, rd_norm, *fields) gives the
 # power-independent per-slot arrays and sparse parts of one relay-major
-# block, as _stream describes; joined over the stream they are what prepare
-# returns. parts(stats, a, b, se), _means over the label's SNR writer, gives
-# its component rates as (mean, se) pairs at a = ps/noise_r, b = pr/noise_d;
+# block, as _stream describes; gathered over the stream they are what
+# prepare returns. parts(stats, a, b, se, means=None), _means over the
+# label's SNR writer, gives its component rates as (mean, se) pairs at
+# a = ps/noise_r, b = pr/noise_d;
 # the throughput is prelog times the sum of the min of each consecutive pair
 # (a lone part is its own min), a pair's source-side rate first: adb
 # 0.5*min(c11, c22) + 0.5*min(c21, c12), sfd-mmrs min(receive, transmit),
@@ -427,9 +455,29 @@ _TABLE = {
 }
 PROTOCOLS = tuple(_TABLE)[:4]
 TERMS = tuple(_TABLE)[4:]
-# build -> the array counts of its sparse parts, which follow its per-slot
-# arrays; a build not listed has none
-_SPARSE_PARTS = {_select_stats: (3, 3)}
+
+
+def _levels(L):
+    """Pareto-front levels expected a slot at L relays, H_L - 2 + 1/L (the
+    front of L i.i.d. relays holds H_L of them on average; r1 and t1 are on
+    it, one relay on the 1/L of slots where they collide), from above:
+    H_L < ln L + gamma + 1/(2L) - 1/(12L^2) + 1/(120L^4)."""
+    harmonic = math.log(L) + 0.5772156649015329 + 1 / (2 * L) - 1 / (12 * L * L) + 1 / (120 * L**4)
+    return harmonic - 2 + 1 / L
+
+
+# build -> its sparse parts, which follow its per-slot arrays: each one's
+# array count and its entries expected a slot at L relays, for which
+# _stream allocates and stream_bytes charges; a build not listed has none
+_SPARSE_PARTS = {_select_stats: ((3, _levels), (3, lambda L: 1 / L))}
+
+
+def _entries(rate, slots):
+    """Sparse entries allocated for slots slots at rate expected a slot: 2%
+    more, and 4096, so that a stream seldom grows them (ties, short
+    streams). Exact integers: slots may lie past a double's range."""
+    num, den = (1.02 * rate).as_integer_ratio()
+    return slots * num // den + 4096
 
 
 def prefix(stats: dict, slots: int) -> dict:
@@ -441,9 +489,9 @@ def prefix(stats: dict, slots: int) -> dict:
     out = {}
     for key, arrays in stats.items():
         parts = _SPARSE_PARTS.get(key[0], ())
-        start = len(arrays) - sum(parts)
+        start = len(arrays) - sum(size for size, _ in parts)
         view = [a[..., :slots] for a in arrays[:start]]
-        for size in parts:
+        for size, _ in parts:
             end = np.searchsorted(arrays[start], slots)
             view += [a[:end] for a in arrays[start:start + size]]
             start += size
@@ -452,7 +500,8 @@ def prefix(stats: dict, slots: int) -> dict:
 
 
 def estimate(
-    label: str, cfg: ChannelConfig, stats: dict, ps, pr, std_error: bool = True
+    label: str, cfg: ChannelConfig, stats: dict, ps, pr, std_error: bool = True,
+    memo: dict = None,
 ) -> Union[ThroughputEstimate, tuple]:
     """Monte Carlo throughput of one protocol, or rate of one adb component
     term ("c11", "c22", "c21", "c12"), at source power ps and relay power
@@ -463,13 +512,20 @@ def estimate(
     error takes a second pass over the slots), and returned as (value,
     gaps): each pair's source-side mean minus its relay-side one. A value
     that is not finite (a rate overflowed) raises ArithmeticError in either
-    mode."""
+    mode. memo, a dict its caller keeps for one label, cfg and stats,
+    records the means at each split estimated with it, so an estimate at
+    a split already probed walks the slots only for its errors."""
     if not ps > 0 or not pr > 0:
         raise ValueError(f"powers must be > 0, got ps={ps!r}, pr={pr!r}")
     _, _, parts, prelog = _TABLE[label]
+    known = None if memo is None else memo.get((ps, pr))
     # an overflowing rate shows as a non-finite value, raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        means = parts(stats[_statistic(label, cfg)], ps / cfg.noise_r, pr / cfg.noise_d, std_error)
+        means = parts(
+            stats[_statistic(label, cfg)], ps / cfg.noise_r, pr / cfg.noise_d, std_error, known
+        )
+    if memo is not None:
+        memo[ps, pr] = [m for m, _ in means]
     # a power-of-two prelog scales exactly, so prelog * mean has the bits
     # of the mean of prelog-scaled rates
     pairs = [_min_of_means(*means[i:i + 2]) for i in range(0, len(means), 2)]

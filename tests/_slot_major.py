@@ -188,11 +188,11 @@ def sim_sfd_mmrs(cfg, sim, ps, pr):
 def simulators(sim):
     """The oracles on the fading stream of sim, with
     relaylab.simulate.estimate's calling convention: the prepared
-    statistics passed in are ignored, and with std_error false only the
-    value and the pair gaps are returned."""
+    statistics and the memo passed in are ignored, and with std_error false
+    only the value and the pair gaps are returned."""
 
     def bind(sim_fn):
-        def call(cfg, stats, ps, pr, std_error=True):
+        def call(cfg, stats, ps, pr, std_error=True, memo=None):
             est, gaps = sim_fn(cfg, sim, ps, pr)
             return est if std_error else (est.value, gaps)
 

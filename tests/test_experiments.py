@@ -3,10 +3,13 @@ import logging
 import math
 import os
 import platform
+import shutil
 import statistics
+import subprocess
 import threading
 import weakref
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -344,6 +347,27 @@ def test_emit_sidecar_reproduces_spec(tmp_path):
     assert resolve_spec(payload["spec"]) == spec
 
 
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_sidecar_describes_only_relaylab_own_checkout(tmp_path, monkeypatch):
+    # the package installed inside some other repository reports no git
+    # version, where git describe would name that repository's commit;
+    # in a checkout's src/relaylab it reports the checkout's
+    def repo(path):
+        run = partial(subprocess.run, cwd=path, check=True, capture_output=True)
+        run(["git", "init", "-q"])
+        run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q",
+             "--allow-empty", "-m", "x"])
+        return run(["git", "rev-parse", "--short", "HEAD"], text=True).stdout.strip()
+
+    for where, own in (("site-packages/relaylab", False), ("src/relaylab", True)):
+        top = tmp_path / ("own" if own else "foreign")
+        (top / where).mkdir(parents=True)
+        commit = repo(top)
+        monkeypatch.setattr(experiments, "__file__", str(top / where / "experiments.py"))
+        git = experiments._version_info()["git"]
+        assert git == (commit if own else None)
+
+
 def test_sidecar_lists_boundary_ambiguous_rows(tmp_path):
     # the flag rides on each row and is listed in the sidecar, never in the
     # CSV: clearing it leaves the CSV bytes as they are
@@ -468,6 +492,35 @@ def test_prefix_search_matches_whole_stream_search(monkeypatch, caplog):
     assert all(s["prefix_probes"] == 0 for s in whole.diagnostics["searches"])
 
 
+@pytest.mark.parametrize("label", simulate.PROTOCOLS)
+def test_searched_row_walks_its_stream_once_for_its_estimate(monkeypatch, label):
+    # a searched row's final estimate sits at a split its search probed on
+    # the whole stream, whose means it reuses: it walks the slots only for
+    # its standard errors, and keeps the bits of a fresh estimate
+    slots = experiments._PREFIX_SHARE * experiments._MIN_PREFIX_SLOTS
+    spec = resolve_spec({
+        "experiment": "antenna-sweep", "grid": [1], "sim": {"slots": slots},
+        "methods": ["monte-carlo"],
+    })
+    cfg = ChannelConfig(L=4, M=2, N_R=1)
+    stats = simulate.prepare([(label, cfg)], spec.sim)
+    (evaluate, value, head_value), = experiments._evaluators(spec, label, cfg, stats)
+    budget = experiments.PowerBudget(label, experiments._snr_linear(10.0), cfg.L)
+    point, _ = experiments._search(budget, spec.tolerance, value, head_value)
+    walks = []
+    walk = simulate._walk
+
+    def counting(rows, s, e):
+        walks.append((s, e))
+        return walk(rows, s, e)
+
+    monkeypatch.setattr(simulate, "_walk", counting)
+    est = evaluate(point.ps, point.pr)
+    assert walks.count((0, slots)) == 1
+    monkeypatch.setattr(simulate, "_walk", walk)
+    assert est == simulate.estimate(label, cfg, stats, point.ps, point.pr)
+
+
 def test_search_on_a_ratio_bound_is_flagged(tmp_path):
     # 12 antennas on 12 relays: adb's best split lies past ps/pr = 100, so
     # both methods' searches end on the bound, and the sidecar says so
@@ -519,7 +572,7 @@ def test_grouping_sweep_samples_each_stream_once(monkeypatch):
         "sim": {"slots": slots, "seed": 5},
         "methods": ["monte-carlo"],
     }))
-    block = simulate._BLOCK_DRAWS // (2 * 6 * 2)
+    block = simulate._BLOCK_DOUBLES // (2 * 6 * 2)
     assert len(calls) == -(-slots // block)
     end = 0
     for start, count in sorted(calls):

@@ -1,5 +1,8 @@
 import math
 import os
+import subprocess
+import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -281,7 +284,7 @@ def test_sampling_pass_holds_under_two_blocks(L, N_R):
     finally:
         tracemalloc.stop()
     held = sum(a.nbytes for out in stats.values() for a in out)
-    assert peak - held <= 1.75 * 8 * simulate._BLOCK_DRAWS
+    assert peak - held <= 1.75 * 8 * simulate._BLOCK_DOUBLES
 
 
 @pytest.mark.parametrize("L", [2, 4, 16])
@@ -299,7 +302,127 @@ def test_one_antenna_sampling_pass_copies_its_log_block_once(L):
     finally:
         tracemalloc.stop()
     held = sum(a.nbytes for out in stats.values() for a in out)
-    assert peak - held <= 2.5 * 8 * simulate._BLOCK_DRAWS
+    assert peak - held <= 2.5 * 8 * simulate._BLOCK_DOUBLES
+
+
+@pytest.mark.parametrize("L", [2, 4, 8, 16, 48])
+def test_every_protocol_sampling_pass_holds_under_two_blocks(L):
+    # with crs and sfd-mmrs, a block is sized by _select_stats' temporaries
+    # where they outgrow its draws, and their levels and collisions are
+    # written in place, never joined: prepare with all four protocols at
+    # one antenna a relay holds at most 1.75 blocks of 2^17 doubles above
+    # its statistics (1.37 to 1.58 measured; 2.4 to 5.1 with joined parts
+    # in blocks of 2^17 draws)
+    cfg = ChannelConfig(L=L, M=L // 2, N_R=1)
+    sim = SimConfig(slots=200_000, seed=42)
+    tracemalloc.start()
+    try:
+        stats = prepare([(p, cfg) for p in PROTOCOLS], sim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for out in stats.values() for a in out)
+    assert peak - held <= 1.75 * 8 * simulate._BLOCK_DOUBLES
+
+
+def test_prepare_holds_each_sparse_part_once():
+    # tracemalloc's peak falls after a join of the sparse parts, so it
+    # cannot see them held twice; the process's peak RSS can. A 4x1 stream
+    # of 1M slots with crs and sfd-mmrs raises it by at most its statistics
+    # and 4 MiB (1.65 MiB measured; the parts, 14 MB, held twice raised
+    # it by 17.9 MiB). The child reads VmHWM, its own memory's peak: Linux
+    # carries the spawning process's peak over exec into ru_maxrss
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs Linux's /proc/self/status")
+    code = (
+        "import re, relaylab.simulate as s\n"
+        "from relaylab.channel import ChannelConfig\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return int(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read())[1]) << 10\n"
+        "cfg = ChannelConfig(L=4, M=2, N_R=1)\n"
+        "before = peak()\n"
+        "stats = s.prepare([('crs', cfg), ('sfd-mmrs', cfg)], s.SimConfig(slots=1_000_000))\n"
+        "print(peak() - before, sum(a.nbytes for out in stats.values() for a in out))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(simulate.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout
+    grown, held = map(int, out.split())
+    assert grown <= held + (4 << 20), (grown, held)
+
+
+def _joined(cfg, sim):
+    """_select_stats' sparse parts over the stream of (cfg, sim), built
+    block by block, as _stream blocks it, from simulate.sample_gains and
+    joined with np.concatenate: levels (slot, g, h), then collisions."""
+    block = simulate._block_slots(cfg, [_select_stats])
+    pieces = []
+    for start in range(0, sim.slots, block):
+        sr, rd = simulate.sample_gains(cfg, sim.seed, start, min(block, sim.slots - start))
+        _, parts = _select_stats(np.ascontiguousarray(sr.T), np.ascontiguousarray(rd.T))
+        pieces.append([a for slot, *values in parts for a in (slot + start, *values)])
+    return [np.concatenate(arrays) for arrays in zip(*pieces)]
+
+
+def _tied_sampler(cfg, seed, start, count):
+    """sample_gains' shapes from _tied_gains' three-value sets, drawn anew
+    for each block, so that a shorter stream's blocks begin alike."""
+    sr, rd = (
+        np.random.default_rng([seed, start, side]).integers(1, 4, size=(count, cfg.L))
+        .astype(np.float64) for side in (0, 1)
+    )
+    return sr, np.sqrt(rd)
+
+
+@pytest.mark.parametrize("L, slots, workers, tied", [
+    # three-value gains collide on 31% of the slots, past the 1/L that
+    # their arrays are allocated for: they grow
+    (4, 150_000, 1, True),
+    (4, 1, 1, False),
+    # two relays have no levels
+    (2, 50_000, 1, False),
+    # 1409-slot blocks that finish out of order
+    (20, 5_000, 3, False),
+], ids=["tied-growth", "one-slot", "no-levels", "three-workers"])
+def test_sparse_parts_in_place_match_joined_blocks(monkeypatch, L, slots, workers, tied):
+    # the levels and collisions, appended in place block by block, equal
+    # the blocks' parts joined in slot order, bit for bit
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    cfg = ChannelConfig(L=L, M=1, N_R=2 if L == 20 else 1)
+    sim = SimConfig(slots=slots, seed=5, workers=workers)
+    sample = _tied_sampler if tied else simulate.sample_gains
+    monkeypatch.setattr(simulate, "sample_gains", sample)
+    want = _joined(cfg, sim)
+    block = simulate._block_slots(cfg, [_select_stats])
+    finished = []
+
+    def sampling(cfg, seed, start, count):
+        # the pool's blocks sleep the longer the earlier they start
+        if workers > 1 and start:
+            time.sleep(0.04 * (4 - start // block))
+        out = sample(cfg, seed, start, count)
+        finished.append(start)
+        return out
+
+    monkeypatch.setattr(simulate, "sample_gains", sampling)
+    stats = prepare([("crs", cfg)], sim)
+    assert _same_bits(stats[simulate._statistic("crs", cfg)][4:], want)
+    if L == 2:
+        assert want[0].size == 0 < want[3].size
+    if workers > 1:
+        assert len(finished) == 4 and finished != sorted(finished)
+    if tied:
+        assert want[3].size > simulate._entries(1 / L, slots)
+        # a prefix of the grown parts is a shorter stream's, as views
+        n = int(want[3][want[3].size // 2]) + 1
+        head = prefix(stats, n)
+        short = prepare([("crs", cfg)], replace(sim, slots=n))
+        for key in stats:
+            assert _same_bits(head[key], short[key])
+            assert all(np.shares_memory(v, w) for v, w in zip(head[key], stats[key]) if v.size)
 
 
 @pytest.mark.parametrize("n", [*range(1, 21), 64, 129, 300])
@@ -343,13 +466,14 @@ def test_relay_major_statistics_match_slot_major():
 
 
 @pytest.mark.parametrize("L, N_R, slots, workers, seed, straddle", [
-    # 1638-slot blocks, the last one partial; every M value of one stream
+    # 1409-slot blocks, the last one partial; every M value of one stream
     (20, 2, 5_000, 1, 21, ()),
     (20, 2, 5_000, 2, 21, ()),
-    # 32768-slot blocks; half the slots collide
+    # 6241-slot blocks; half the slots collide
     (2, 1, 70_000, 1, 10, (7,)),
-    # 16384-slot blocks; a third of the slots have levels
-    (4, 1, 70_000, 1, 10, (4, 7)),
+    # 4519-slot blocks; a third of the slots have levels (at seed 10 no
+    # two colliding slots meet across a boundary of these blocks)
+    (4, 1, 70_000, 1, 11, (4, 7)),
     # 131076 draws a slot exceed a block's 2^17: one slot per block
     (3, 21846, 8, 1, 3, (7,)),
 ], ids=["partial-block", "two-workers", "sfd-boundary", "level-boundary", "one-slot-blocks"])
@@ -383,13 +507,14 @@ def test_streamed_statistics_match_whole_stream(
     assert _same_bits(df, _slot_major.df_stats(sr, rd))
     # level and colliding slots (indices 4 and 7) on both sides of a block
     # boundary
-    assert all(_straddles(want[k], simulate._block_slots(cfg)) for k in straddle)
+    block = simulate._block_slots(cfg, [simulate._select_stats])
+    assert all(_straddles(want[k], block) for k in straddle)
 
 
 @pytest.fixture(scope="module")
 def long_stream():
     """Every builder's statistics, adb's at every M value, on a 70000-slot
-    stream of 16384-slot blocks where a third of the slots have levels and
+    stream of 4519-slot blocks where a third of the slots have levels and
     a quarter collide."""
     cfg = ChannelConfig(L=4, M=1, N_R=1)
     requests = [("adb", replace(cfg, M=m)) for m in range(1, cfg.L)]
@@ -414,7 +539,7 @@ def test_prefix_views_match_a_shorter_stream(long_stream, cut):
     elif cut == "after-a-collision":
         n = int(collide[len(collide) // 2]) + 1
     else:
-        n = 2 * simulate._block_slots(cfg)
+        n = 2 * simulate._block_slots(cfg, [build for build, _ in stats])
     head = prefix(stats, n)
     want = prepare(requests, replace(sim, slots=n))
     assert head.keys() == want.keys() == stats.keys()
