@@ -38,7 +38,7 @@ from .simulate import (
     TERMS,
     SimConfig,
     ThroughputEstimate,
-    _statistic,
+    _statistics,
     estimate,
     prefix,
     prepare,
@@ -526,7 +526,8 @@ def _run_stream(spec: ExperimentSpec, points: list, group: list, rows: list):
     their (row, sidecar entry of its split search or None) pairs; for Monte
     Carlo, one sampling pass first builds the statistics of every label and
     M value of the stream, and each is freed after the last point that
-    reads it, so all are gone before the next stream's are built. Gives
+    reads it (the group minima that adb and df share after df's), so all
+    are gone before the next stream's are built. Gives
     the stream's diagnostics, or None without Monte Carlo."""
     stats = diagnostics = None
     if "monte-carlo" in spec.methods:
@@ -534,7 +535,7 @@ def _run_stream(spec: ExperimentSpec, points: list, group: list, rows: list):
         cfg = points[group[0]][1]
         nbytes = sum(a.nbytes for out in stats.values() for a in out)
         diagnostics = {"L": cfg.L, "N_R": cfg.N_R, "stats_bytes": nbytes}
-        last = {_statistic(*points[i][:2]): i for i in group}
+        last = {key: i for i in group for key in _statistics(*points[i][:2])}
     for i in group:
         label, cfg, snr_db, split = points[i]
         for evaluate, value, head_value in _evaluators(spec, label, cfg, stats):
@@ -544,10 +545,27 @@ def _run_stream(spec: ExperimentSpec, points: list, group: list, rows: list):
                 point, search = _search(budget, spec.tolerance, value, head_value)
             est = evaluate(point.ps, point.pr)
             rows[i].append((_row(label, cfg, snr_db, point, est, search), search))
-        key = _statistic(label, cfg)
-        if stats is not None and last[key] == i:
-            del stats[key]
+        if stats is not None:
+            for key in _statistics(label, cfg):
+                if last[key] == i:
+                    del stats[key]
     return diagnostics
+
+
+def _peak_rss_mb() -> float:
+    """This process's own peak RSS in MiB: VmHWM, where /proc/self/status
+    has it, for Linux carries the peak of the process that spawned this one
+    over fork and exec into ru_maxrss, the fallback elsewhere (KiB on
+    Linux, bytes on macOS)."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1024.0)
 
 
 def run_experiment(spec: ExperimentSpec) -> SweepResult:
@@ -577,8 +595,7 @@ def run_experiment(spec: ExperimentSpec) -> SweepResult:
             {"row": i, "protocol": row.protocol, "method": row.method, **search}
             for i, (row, search) in enumerate(pairs) if search
         ],
-        # ru_maxrss is in KiB on Linux
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     return SweepResult(
         spec, rows, summarize(spec, rows) if summarize else {}, diagnostics

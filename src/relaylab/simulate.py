@@ -9,6 +9,8 @@ with shape (L, block slots), and reduced at once to every requested
 protocol's power-independent per-slot statistics, all that is kept of a
 stream: prepare() returns them to its caller and estimate() reads them, or
 prefix()'s views of their first slots, which a shorter stream would give.
+Each statistic is built once however many labels read it: adb's group
+minima serve df too, whose weakest relay is the weaker group's.
 Reductions over relays sweep contiguous rows, and sums over relays keep
 numpy's pairwise order, so the statistics match a slot-major reduction of
 the whole stream bit for bit. Every statistic is per slot, so the block
@@ -124,27 +126,38 @@ def stream_key(cfg: ChannelConfig, sim: SimConfig) -> tuple:
     return (cfg.L, cfg.N_R, cfg.sigma_g2, cfg.sigma_h2, sim.slots, sim.seed)
 
 
-def _statistic(label, cfg: ChannelConfig):
-    """The (build, args) statistic that estimate(label, cfg, ...) reads."""
-    build, fields = _TABLE[label][:2]
-    return build, tuple(getattr(cfg, f) for f in fields)
+def _statistics(label, cfg: ChannelConfig) -> tuple:
+    """The (build, args) statistics that estimate(label, cfg, ...) reads, in
+    the order it reads their arrays."""
+    return tuple(
+        (build, tuple(getattr(cfg, f) for f in fields)) for build, fields in _TABLE[label][0]
+    )
+
+
+def _rows(stats: dict, label, cfg: ChannelConfig) -> tuple:
+    """The arrays of stats that label's parts read at cfg: those of each of
+    its statistics, in order."""
+    return tuple(a for key in _statistics(label, cfg) for a in stats[key])
 
 
 def stream_bytes(requests, sim: SimConfig) -> int:
     """Upper estimate, in bytes, of what one fading stream needs at its peak
     while the statistics of the (label, cfg) pairs of requests, all on that
-    stream, are built and probed. In slot-long float64 rows, the
-    statistics: adb and its terms 4 per M value, df 2, crs and sfd-mmrs
-    together 4, plus each sparse part's arrays at the entries _stream
-    allocates for them (_SPARSE_PARTS). In _CHUNK-long rows, a probe's: 5,
-    plus 4 per level for crs (7.9 measured at 48 relays). Per thread, 2.5
-    sampling blocks of _slot_doubles a slot: the block and its builds'
-    temporaries (2.07 measured for adb at one antenna a relay, 1.3 to 1.9
-    with crs)."""
+    stream, are built and probed; a statistic several labels read is
+    charged once. In slot-long float64 rows, the statistics: the group
+    minima 2 per M value, the group beams 2 per M value, the all-relay beam
+    1, crs and sfd-mmrs's together 4, plus each sparse part's arrays at the
+    entries _stream allocates for them (_SPARSE_PARTS); so adb and its
+    terms hold 4 per M value, df 1 beside adb at its M and 3 alone (no
+    sweep runs df without adb). In
+    _CHUNK-long rows, a probe's: 5, plus 4 per level for crs (7.9 measured
+    at 48 relays). Per thread, 2.5 sampling blocks of _slot_doubles a slot:
+    the block and its builds' temporaries (2.07 measured for adb at one
+    antenna a relay, 1.3 to 1.9 with crs)."""
     requests = list(requests)
     cfg = requests[0][1]
-    builds = [build for build, _ in {_statistic(*r) for r in requests}]
-    rows = {_adb_stats: 4, _df_stats: 2, _select_stats: 4}
+    builds = [build for build, _ in {key for r in requests for key in _statistics(*r)}]
+    rows = {_group_mins: 2, _group_beams: 2, _beam_all: 1, _select_stats: 4}
     dense = sim.slots * sum(rows[b] for b in builds)
     sparse = sum(
         size * _entries(rate(cfg.L), sim.slots)
@@ -234,11 +247,12 @@ def prepare(requests, sim: SimConfig) -> dict:
     requests, which must share one fading stream, built in one sampling
     pass and returned read-only, keyed (build, args): several M values of a
     stream are built together, and labels that read one statistic share
-    it."""
+    it, as df shares adb's group minima at its M."""
     requests = list(requests)
     if len({stream_key(cfg, sim) for _, cfg in requests}) != 1:
         raise ValueError("prepare needs requests on exactly one fading stream")
-    stats = _stream(requests[0][1], sim, dict.fromkeys(_statistic(*r) for r in requests))
+    keys = dict.fromkeys(key for r in requests for key in _statistics(*r))
+    stats = _stream(requests[0][1], sim, keys)
     for out in stats.values():
         for a in out:
             a.setflags(write=False)
@@ -267,17 +281,19 @@ def _top2(rows):
     return first, second, best
 
 
-def _adb_stats(sr, rd, m):
-    return (
-        sr[:m].min(axis=0),
-        _pairwise_sum(rd[:m]) ** 2,
-        sr[m:].min(axis=0),
-        _pairwise_sum(rd[m:]) ** 2,
-    ), ()
+def _group_mins(sr, rd, m):
+    """Each relay group's weakest source-side gain: min sr[:m], min sr[m:]."""
+    return (sr[:m].min(axis=0), sr[m:].min(axis=0)), ()
 
 
-def _df_stats(sr, rd):
-    return (sr.min(axis=0), _pairwise_sum(rd) ** 2), ()
+def _group_beams(sr, rd, m):
+    """Each relay group's beamforming gain: (sum rd[:m])^2, (sum rd[m:])^2."""
+    return (_pairwise_sum(rd[:m]) ** 2, _pairwise_sum(rd[m:]) ** 2), ()
+
+
+def _beam_all(sr, rd):
+    """The beamforming gain of all relays, (sum rd)^2."""
+    return (_pairwise_sum(rd) ** 2,), ()
 
 
 def _select_stats(sr, rd):
@@ -374,10 +390,11 @@ def _means(snr, k, stats, a, b, se, means=None):
 
 
 def _adb_snr(stats, a, b, s, *rows, parts=range(4)):
-    """Write into rows the SNRs of _adb_stats' parts on slots s:s + row.size,
-    by index c11, c22, c21, c12: broadcasts (even) at power a, beams at b."""
+    """Write into rows the SNRs of adb's parts on slots s:s + row.size, by
+    index c11, c22, c21, c12, from the group minima and then the group
+    beams: broadcasts (even) at power a, beams at b, group one's first."""
     for i, row in zip(parts, rows):
-        np.multiply(b if i % 2 else a, stats[i][s:s + row.size], out=row)
+        np.multiply(b if i % 2 else a, stats[2 * (i % 2) + i // 2][s:s + row.size], out=row)
 
 
 def _crs_snr(stats, a, b, s, best):
@@ -398,10 +415,13 @@ def _crs_snr(stats, a, b, s, best):
 
 def _df_snr(stats, a, b, s, link):
     """Write into link the SNRs of all-relay decode-and-forward on slots
-    s:s + link.size: the weakest relay must decode, all relays beamform."""
-    min_all, beam_all = stats
+    s:s + link.size: the weakest relay must decode, all relays beamform.
+    The weakest relay is the weaker group minimum; min is exact, so this
+    is a times the minimum over all relays bit for bit."""
+    min1, min2, beam_all = stats
     e = s + link.size
-    np.multiply(a, min_all[s:e], out=link)
+    np.minimum(min1[s:e], min2[s:e], out=link)
+    np.multiply(a, link, out=link)
     np.minimum(link, b * beam_all[s:e], out=link)
 
 
@@ -432,25 +452,32 @@ def _sfd_links(stats, a, b, s, recv, trans):
     trans[at] = np.where(demote_recv, g_rd1, g_rd2)
 
 
-# label -> (stats, ChannelConfig fields stats reads beyond the gains,
-# parts, prelog). stats(sr_gain, rd_norm, *fields) gives the
+# label -> (statistics, parts, prelog). statistics lists the (build,
+# ChannelConfig fields build reads beyond the gains) that the label reads,
+# and no other: build(sr_gain, rd_norm, *fields) gives the
 # power-independent per-slot arrays and sparse parts of one relay-major
 # block, as _stream describes; gathered over the stream they are what
-# prepare returns. parts(stats, a, b, se, means=None), _means over the
-# label's SNR writer, gives its component rates as (mean, se) pairs at
-# a = ps/noise_r, b = pr/noise_d;
+# prepare returns, each build once however many labels list it. adb and
+# its terms read the group minima and the group beams at M; df the same
+# minima and the all-relay beam; crs and sfd-mmrs one shared statistic.
+# parts(rows, a, b, se, means=None), _means over the label's SNR writer,
+# gives its component rates as (mean, se) pairs at a = ps/noise_r,
+# b = pr/noise_d from its statistics' arrays in order (_rows);
 # the throughput is prelog times the sum of the min of each consecutive pair
 # (a lone part is its own min), a pair's source-side rate first: adb
 # 0.5*min(c11, c22) + 0.5*min(c21, c12), sfd-mmrs min(receive, transmit),
 # crs and df half their one rate. The four protocols come first, in row
-# order; crs and sfd-mmrs share one statistic, and adb's four parts follow.
+# order, and adb's four parts follow.
+_MINS = (_group_mins, ("M",))
+_ADB = (_MINS, (_group_beams, ("M",)))
+_SELECT = ((_select_stats, ()),)
 _TABLE = {
-    "adb": (_adb_stats, ("M",), partial(_means, _adb_snr, 4), 0.5),
-    "crs": (_select_stats, (), partial(_means, _crs_snr, 1), 0.5),
-    "df": (_df_stats, (), partial(_means, _df_snr, 1), 0.5),
-    "sfd-mmrs": (_select_stats, (), partial(_means, _sfd_links, 2), 1.0),
+    "adb": (_ADB, partial(_means, _adb_snr, 4), 0.5),
+    "crs": (_SELECT, partial(_means, _crs_snr, 1), 0.5),
+    "df": ((_MINS, (_beam_all, ())), partial(_means, _df_snr, 1), 0.5),
+    "sfd-mmrs": (_SELECT, partial(_means, _sfd_links, 2), 1.0),
 } | {
-    term: (_adb_stats, ("M",), partial(_means, partial(_adb_snr, parts=(i,)), 1), 1.0)
+    term: (_ADB, partial(_means, partial(_adb_snr, parts=(i,)), 1), 1.0)
     for i, term in enumerate(("c11", "c22", "c21", "c12"))
 }
 PROTOCOLS = tuple(_TABLE)[:4]
@@ -506,8 +533,9 @@ def estimate(
     """Monte Carlo throughput of one protocol, or rate of one adb component
     term ("c11", "c22", "c21", "c12"), at source power ps and relay power
     pr, as a ThroughputEstimate, from stats, which prepare() built with
-    (label, cfg) among its requests; nothing is sampled here. Every label
-    is combined from its parts by one rule, as _TABLE describes. With
+    (label, cfg) among its requests; nothing is sampled here, and only the
+    statistics _TABLE lists for label are read, in order. Every label is
+    combined from its parts by one rule, as _TABLE describes. With
     std_error false only the value is computed, for searches (the standard
     error takes a second pass over the slots), and returned as (value,
     gaps): each pair's source-side mean minus its relay-side one. A value
@@ -517,12 +545,12 @@ def estimate(
     a split already probed walks the slots only for its errors."""
     if not ps > 0 or not pr > 0:
         raise ValueError(f"powers must be > 0, got ps={ps!r}, pr={pr!r}")
-    _, _, parts, prelog = _TABLE[label]
+    _, parts, prelog = _TABLE[label]
     known = None if memo is None else memo.get((ps, pr))
     # an overflowing rate shows as a non-finite value, raised below
     with np.errstate(over="ignore", invalid="ignore"):
         means = parts(
-            stats[_statistic(label, cfg)], ps / cfg.noise_r, pr / cfg.noise_d, std_error, known
+            _rows(stats, label, cfg), ps / cfg.noise_r, pr / cfg.noise_d, std_error, known
         )
     if memo is not None:
         memo[ps, pr] = [m for m, _ in means]

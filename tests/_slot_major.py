@@ -75,17 +75,16 @@ def _estimate(mean_se_pair):
     return ThroughputEstimate(mean, se, "monte-carlo"), ()
 
 
-def adb_stats(sr, rd, m):
-    return (
-        sr[:, :m].min(axis=1),
-        rd[:, :m].sum(axis=1) ** 2,
-        sr[:, m:].min(axis=1),
-        rd[:, m:].sum(axis=1) ** 2,
-    )
+def group_mins(sr, rd, m):
+    return sr[:, :m].min(axis=1), sr[:, m:].min(axis=1)
 
 
-def df_stats(sr, rd):
-    return sr.min(axis=1), rd.sum(axis=1) ** 2
+def group_beams(sr, rd, m):
+    return rd[:, :m].sum(axis=1) ** 2, rd[:, m:].sum(axis=1) ** 2
+
+
+def beam_all(sr, rd):
+    return (rd.sum(axis=1) ** 2,)
 
 
 def sfd_stats(sr, rd):
@@ -137,6 +136,16 @@ def select_stats(sr, rd):
     )
 
 
+# the package's builds -> their oracles, which give the same arrays from
+# the slot-major gains
+STATS = {
+    simulate._group_mins: group_mins,
+    simulate._group_beams: group_beams,
+    simulate._beam_all: beam_all,
+    simulate._select_stats: select_stats,
+}
+
+
 def crs_snr(sr, rd, a, b):
     """Per slot, the SNR of the strongest end-to-end min link over every
     relay."""
@@ -144,7 +153,8 @@ def crs_snr(sr, rd, a, b):
 
 
 def sim_adb(cfg, sim, ps, pr):
-    min1, beam1, min2, beam2 = adb_stats(*_gains(cfg, sim), cfg.M)
+    sr, rd = _gains(cfg, sim)
+    (min1, min2), (beam1, beam2) = group_mins(sr, rd, cfg.M), group_beams(sr, rd, cfg.M)
     a = ps / cfg.noise_r
     b = pr / cfg.noise_d
     e11 = _mean_se(_rate(a * min1))
@@ -167,8 +177,10 @@ def sim_crs(cfg, sim, ps, pr):
 
 
 def sim_df(cfg, sim, ps, pr):
-    min_all, beam_all = df_stats(*_gains(cfg, sim))
-    gain = np.minimum((ps / cfg.noise_r) * min_all, (pr / cfg.noise_d) * beam_all)
+    # the minimum over all relays, not over the group minima the package reads
+    sr, rd = _gains(cfg, sim)
+    a, b = ps / cfg.noise_r, pr / cfg.noise_d
+    gain = np.minimum(a * sr.min(axis=1), b * rd.sum(axis=1) ** 2)
     return _estimate(_mean_se(0.5 * _rate(gain)))
 
 

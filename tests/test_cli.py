@@ -1,9 +1,13 @@
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import relaylab
 from relaylab.cli import main
 
 
@@ -264,3 +268,35 @@ def test_verbose_logs_each_row_and_keeps_csv_bytes(tmp_path, caplog):
     assert all(re.search(r" after [1-9][0-9]* probes$", line) for line in lines)
     assert sorted(lines) == sorted(set(lines))
     assert loud.read_bytes() == quiet.read_bytes()
+
+
+def test_sidecar_peak_rss_is_the_sweeps_own(tmp_path):
+    # Linux carries the spawning process's peak RSS over fork and exec into
+    # ru_maxrss: a small sweep run from a process that first touches 200
+    # MiB must still report its own peak, far below that
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs Linux's /proc/self/status")
+    cfg = _write(tmp_path / "cfg.json", {
+        "experiment": "ratio-sweep",
+        "grid": [1.0],
+        "sim": {"slots": 5_000},
+        "methods": ["monte-carlo"],
+        "output_path": str(tmp_path / "run.csv"),
+    })
+    sweep = "import sys; from relaylab.cli import main; sys.exit(main(sys.argv[1:]))"
+    code = (
+        "import re, subprocess, sys\n"
+        "ballast = bytearray(b'\\x01') * (200 << 20)\n"
+        f"subprocess.run([sys.executable, '-c', {sweep!r}, 'ratio-sweep', '--config', sys.argv[1]],"
+        " check=True)\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(int(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read())[1]) / 1024)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(relaylab.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code, cfg], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout
+    spawner = float(out.split()[-1])
+    peak = json.loads((tmp_path / "run.summary.json").read_text())["diagnostics"]["peak_rss_mb"]
+    assert spawner >= 200 and 0 < peak < 100, (spawner, peak)

@@ -637,9 +637,11 @@ def test_each_stream_is_freed_before_the_next_is_built(monkeypatch):
 
 def test_each_statistic_is_freed_after_its_last_point(monkeypatch):
     # an antenna-sweep stream runs adb, crs, df and sfd-mmrs in that order;
-    # adb's statistic is read by its own point alone, so it is dead before
-    # sfd-mmrs's first probe, while the statistic crs and sfd-mmrs share
-    # lives until then; the diagnostics still count every statistic
+    # adb's group beams are read by its own point alone, and the group
+    # minima it shares with df live through df's probes; all of adb's and
+    # df's statistics are dead before sfd-mmrs's first probe, while the
+    # statistic crs and sfd-mmrs share lives until then; the diagnostics
+    # still count every statistic
     _check_statistics_freed(monkeypatch)
 
 
@@ -651,32 +653,52 @@ def test_prefix_views_are_freed_with_their_statistic(monkeypatch):
 
 
 def _check_statistics_freed(monkeypatch):
-    adb, shared, seen, sizes = [], [], [], []
-    prepare, sfd = experiments.prepare, experiments._SIMULATORS["sfd-mmrs"]
+    # per stream, weak references to an array of each of adb's and df's
+    # statistics by key, and to the one crs and sfd-mmrs share
+    refs, seen, sizes = [], [], []
+    prepare = experiments.prepare
+    df, sfd = experiments._SIMULATORS["df"], experiments._SIMULATORS["sfd-mmrs"]
 
     def tracking(requests, sim):
         stats = prepare(requests, sim)
         sizes.append(sum(a.nbytes for out in stats.values() for a in out))
         cfg = requests[0][1]
-        adb.append(weakref.ref(stats[simulate._statistic("adb", cfg)][0]))
-        shared.append(weakref.ref(stats[simulate._statistic("crs", cfg)][0]))
+        read = simulate._statistics("adb", cfg) + simulate._statistics("df", cfg)
+        shared = simulate._statistics("crs", cfg)[0]
+        refs.append((
+            {key: weakref.ref(stats[key][0]) for key in read}, weakref.ref(stats[shared][0]),
+        ))
         return stats
 
-    def probing(*args, **kwargs):
-        seen.append((adb[-1]() is None, shared[-1]() is None))
-        return sfd(*args, **kwargs)
+    def dead(cfg):
+        # adb's (minima, beams), df's (minima, all-relay beam), the shared one
+        read, shared = refs[-1]
+        keys = simulate._statistics("adb", cfg) + simulate._statistics("df", cfg)
+        return tuple(read[key]() is None for key in keys) + (shared() is None,)
+
+    def probing_df(cfg, *args, **kwargs):
+        seen.append(("df", *dead(cfg)))
+        return df(cfg, *args, **kwargs)
+
+    def probing_sfd(cfg, *args, **kwargs):
+        seen.append(("sfd-mmrs", *dead(cfg)))
+        return sfd(cfg, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "prepare", tracking)
-    monkeypatch.setitem(experiments._SIMULATORS, "sfd-mmrs", probing)
+    monkeypatch.setitem(experiments._SIMULATORS, "df", probing_df)
+    monkeypatch.setitem(experiments._SIMULATORS, "sfd-mmrs", probing_sfd)
     result = run_experiment(resolve_spec({
         "experiment": "antenna-sweep",
         "grid": [1, 2],
         "sim": {"slots": 5_000},
         "methods": ["monte-carlo"],
     }))
-    assert len(adb) == 2 and seen
-    assert set(seen) == {(True, False)}
-    assert all(ref() is None for ref in adb + shared)
+    assert len(refs) == 2
+    assert set(seen) == {
+        ("df", False, True, False, False, False),
+        ("sfd-mmrs", True, True, True, True, False),
+    }
+    assert all(ref() is None for read, shared in refs for ref in [*read.values(), shared])
     assert [s["stats_bytes"] for s in result.diagnostics["streams"]] == sizes
 
 

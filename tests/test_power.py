@@ -470,7 +470,7 @@ def test_every_polish_ends(protocol, kinked, peak, start, rise, fall, tolerance)
 def _sfd_means(cfg, stats, budget, u):
     """sfd-mmrs's mean receive and mean transmit rates at ln(ps/pr) = u."""
     point = ratio_point(budget, math.exp(u))
-    parts = simulate._TABLE["sfd-mmrs"][2]
+    parts = simulate._TABLE["sfd-mmrs"][1]
     (recv, _), (trans, _) = parts(
         stats, point.ps / cfg.noise_r, point.pr / cfg.noise_d, False
     )
@@ -487,7 +487,7 @@ def test_sfd_search_lands_on_the_crossing_of_its_means(L, N_R, snr_db):
     stats = prepare([("sfd-mmrs", cfg)], SimConfig(slots=50_000, seed=42))
     budget = PowerBudget("sfd-mmrs", 10.0 ** (snr_db / 10.0), L)
     point, _ = _search(budget, _mc("sfd-mmrs", cfg, stats), tolerance=1e-3)
-    sfd = stats[simulate._statistic("sfd-mmrs", cfg)]
+    sfd = simulate._rows(stats, "sfd-mmrs", cfg)
 
     def flip(lo, hi, n):
         us = np.linspace(lo, hi, n)
@@ -514,7 +514,7 @@ def test_sfd_search_holds_where_its_gap_is_not_monotone(L, N_R, slots, seed):
     stats = prepare([("sfd-mmrs", cfg)], SimConfig(slots=slots, seed=seed))
     budget = PowerBudget("sfd-mmrs", 1.0, L)
     point, found = _search(budget, _mc("sfd-mmrs", cfg, stats))
-    sfd = stats[simulate._statistic("sfd-mmrs", cfg)]
+    sfd = simulate._rows(stats, "sfd-mmrs", cfg)
     us = np.linspace(*(math.log(r) for r in power._RATIO_BOUNDS), 8001)
     means = np.array([_sfd_means(cfg, sfd, budget, float(u)) for u in us])
     assert (np.diff(means[:, 0] - means[:, 1]) < 0).any()

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -21,10 +22,9 @@ from relaylab.simulate import (
     SimConfig,
     ThroughputEstimate,
     _min_of_means,
-    _adb_stats,
     _crs_snr,
-    _df_stats,
     _rate,
+    _rows,
     _select_stats,
     _sfd_links,
     estimate,
@@ -95,10 +95,11 @@ def _slot_rate(protocol, sr_gain, rd_norm, ps, pr, m=None):
     ps, pr (unit noise). estimate reads only the noise powers and the
     table's fields of cfg, so a single relay needs no ChannelConfig."""
     cfg = SimpleNamespace(M=m, noise_r=1.0, noise_d=1.0)
-    key = simulate._statistic(protocol, cfg)
     sr = np.asarray(sr_gain, dtype=np.float64).reshape(-1, 1)
     rd = np.asarray(rd_norm, dtype=np.float64).reshape(-1, 1)
-    stats = {key: _whole(key[0], sr, rd, *key[1])}
+    stats = {
+        key: _whole(key[0], sr, rd, *key[1]) for key in simulate._statistics(protocol, cfg)
+    }
     return estimate(protocol, cfg, stats, ps, pr).value
 
 
@@ -122,12 +123,13 @@ def test_crs_single_relay_reduction():
 
 
 def test_df_hand_state():
-    val = _slot_rate("df", [4.0, 9.0], [1.0, 2.0], 1.0, 1.0)
+    val = _slot_rate("df", [4.0, 9.0], [1.0, 2.0], 1.0, 1.0, m=1)
     assert val == pytest.approx(0.5 * math.log2(5), rel=1e-12)
     assert round(val, 4) == 1.1610
 
 
 def test_df_single_relay_equals_crs():
+    # with m None both group minima are the one relay's gain
     sr, rd = [2.7], [1.4]
     assert _slot_rate("df", sr, rd, 2.0, 3.0) == _slot_rate("crs", sr, rd, 2.0, 3.0)
 
@@ -409,7 +411,7 @@ def test_sparse_parts_in_place_match_joined_blocks(monkeypatch, L, slots, worker
 
     monkeypatch.setattr(simulate, "sample_gains", sampling)
     stats = prepare([("crs", cfg)], sim)
-    assert _same_bits(stats[simulate._statistic("crs", cfg)][4:], want)
+    assert _same_bits(_rows(stats, "crs", cfg)[4:], want)
     if L == 2:
         assert want[0].size == 0 < want[3].size
     if workers > 1:
@@ -448,12 +450,13 @@ def test_relay_major_statistics_match_slot_major():
     n = 5_000
     sr, rd = sample_gains(ChannelConfig(L=20, M=10, N_R=2), 21, 0, n)
     rows_sr, rows_rd = np.ascontiguousarray(sr.T), np.ascontiguousarray(rd.T)
-    for m in range(1, 20):
-        assert _same_bits(
-            _whole(_adb_stats, rows_sr, rows_rd, m), _slot_major.adb_stats(sr, rd, m)
-        )
+    for build in (simulate._group_mins, simulate._group_beams):
+        for m in range(1, 20):
+            assert _same_bits(
+                _whole(build, rows_sr, rows_rd, m), _slot_major.STATS[build](sr, rd, m)
+            )
     assert _same_bits(
-        _whole(_df_stats, rows_sr, rows_rd), _slot_major.df_stats(sr, rd)
+        _whole(simulate._beam_all, rows_sr, rows_rd), _slot_major.beam_all(sr, rd)
     )
     # crs and sfd-mmrs keep the two best relays' gains per slot, the other
     # Pareto-front relays at their slots (none below three relays), and the
@@ -481,8 +484,9 @@ def test_streamed_statistics_match_whole_stream(
     monkeypatch, L, N_R, slots, workers, seed, straddle
 ):
     # one sampling pass builds every builder's statistics, adb's at every M
-    # value, block by block; each must equal the slot-major reduction of the
-    # stream drawn in one sample_gains call
+    # value, block by block, each once: df reads adb's group minima at its
+    # M. Each must equal the slot-major reduction of the stream drawn in
+    # one sample_gains call
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = ChannelConfig(L=L, M=1, N_R=N_R)
     sim = SimConfig(slots=slots, seed=seed, workers=workers)
@@ -496,15 +500,14 @@ def test_streamed_statistics_match_whole_stream(
     stats = prepare(requests, sim)
     assert len(passes) == 1
     assert not any(a.flags.writeable for out in stats.values() for a in out)
-    got = [stats[simulate._statistic(*r)] for r in requests]
+    # group minima and beams at each M, the all-relay beam and the one
+    # statistic crs and sfd-mmrs share
+    assert len(stats) == 2 * (L - 1) + 2
+    assert simulate._statistics("crs", cfg) == simulate._statistics("sfd-mmrs", cfg)
     sr, rd = sample_gains(cfg, seed, 0, slots)
-    for m, stats in zip(range(1, L), got):
-        assert _same_bits(stats, _slot_major.adb_stats(sr, rd, m))
-    crs, df, sfd = got[L - 1:]
-    assert crs is sfd
+    for (build, args), got in stats.items():
+        assert _same_bits(got, _slot_major.STATS[build](sr, rd, *args))
     want = _slot_major.select_stats(sr, rd)
-    assert _same_bits(crs, want)
-    assert _same_bits(df, _slot_major.df_stats(sr, rd))
     # level and colliding slots (indices 4 and 7) on both sides of a block
     # boundary
     block = simulate._block_slots(cfg, [simulate._select_stats])
@@ -529,8 +532,8 @@ def test_prefix_views_match_a_shorter_stream(long_stream, cut):
     # slots are those of a stream of n slots, bit for bit; prefix() gives
     # them as read-only views of the whole stream's, copying nothing
     cfg, requests, sim, stats = long_stream
-    key = simulate._statistic("crs", cfg)
-    level, collide = stats[key][4], stats[key][7]
+    rows = _rows(stats, "crs", cfg)
+    level, collide = rows[4], rows[7]
     if cut == "between-levels":
         # one past a level slot, with the next level slot further on
         k = np.flatnonzero(np.diff(level) > 2)[len(level) // 3]
@@ -549,7 +552,7 @@ def test_prefix_views_match_a_shorter_stream(long_stream, cut):
             assert not view.flags.writeable and not view.flags.owndata
             assert view.size == 0 or np.shares_memory(view, whole)
     # each sparse part is cut at its first slot index past the prefix
-    got = head[simulate._statistic("crs", cfg)]
+    got = _rows(head, "crs", cfg)
     assert got[4].size == np.searchsorted(level, n) and got[7].size == np.searchsorted(collide, n)
     if cut == "after-a-collision":
         assert got[7][-1] == n - 1
@@ -620,7 +623,7 @@ def test_crs_over_the_front_matches_every_relay_at_48_relays():
     sr, rd = sample_gains(cfg, sim.seed, 0, sim.slots)
     for ps, pr in ((2.0, 1.5), (30.0, 0.2)):
         assert estimate("crs", cfg, stats, ps, pr) == _slot_major.sim_crs(cfg, sim, ps, pr)[0]
-        best = _crs_snrs(stats[simulate._statistic("crs", cfg)], ps, pr, 7)
+        best = _crs_snrs(_rows(stats, "crs", cfg), ps, pr, 7)
         assert best.tobytes() == _slot_major.crs_snr(sr, rd, ps, pr).tobytes()
 
 
@@ -648,11 +651,11 @@ def test_standard_error_in_place_matches_numpy_std(n):
 
 
 def test_statistics_rows_at_four_relays(stats):
-    # all four protocols' statistics at L=4 in slot-long rows: adb 4, df 2,
-    # crs and sfd-mmrs together 4 dense and about 1.75 of levels and
-    # collisions
+    # all four protocols' statistics at L=4 in slot-long rows: adb 4, df
+    # the all-relay beam beside adb's group minima, crs and sfd-mmrs
+    # together 4 dense and about 1.75 of levels and collisions
     rows = sum(a.nbytes for out in stats.values() for a in out) / (8 * SIM.slots)
-    assert rows <= 12.5
+    assert rows <= 11.5
 
 
 def test_estimators_match_manual_reduction():
@@ -749,12 +752,100 @@ def test_component_terms_rebuild_adb_estimate():
     cfg = ChannelConfig(L=5, M=2, N_R=2, noise_r=2.0)
     labels = ("c11", "c22", "c21", "c12")
     stats = prepare([(t, cfg) for t in labels], SimConfig(slots=20_000, seed=3))
-    assert list(stats) == [simulate._statistic("adb", cfg)]
+    assert list(stats) == list(simulate._statistics("adb", cfg))
     terms = {t: estimate(t, cfg, stats, 3.0, 2.0) for t in labels}
     pair = {t: (e.value, e.std_error) for t, e in terms.items()}
     v1, _, _ = _min_of_means(pair["c11"], pair["c22"])
     v2, _, _ = _min_of_means(pair["c21"], pair["c12"])
     assert estimate("adb", cfg, stats, 3.0, 2.0).value == 0.5 * (v1 + v2)
+
+
+@pytest.mark.parametrize("n", [40_000, 12_345], ids=["whole", "prefix"])
+def test_df_reads_adbs_group_minima_bit_for_bit(n):
+    # df's weakest relay is the weaker of adb's group minima: its estimate
+    # and gaps from a df-only prepare, from a four-protocol one and from
+    # the slot-major oracle, which takes the minimum over all relays, are
+    # identical, on the whole stream and on prefix() views of its first n
+    # slots, which a stream of n slots draws alike
+    cfg = ChannelConfig(L=5, M=2, N_R=2)
+    sim = SimConfig(slots=40_000, seed=7)
+    oracle = _slot_major.simulators(replace(sim, slots=n))["df"]
+    alone = prefix(prepare([("df", cfg)], sim), n)
+    shared = prefix(prepare([(p, cfg) for p in PROTOCOLS], sim), n)
+    for ps, pr in ((2.0, 1.5), (0.3, 7.0), (40.0, 0.05)):
+        for std_error in (True, False):
+            want = oracle(cfg, None, ps, pr, std_error=std_error)
+            for stats in (alone, shared):
+                assert estimate("df", cfg, stats, ps, pr, std_error=std_error) == want
+
+
+def test_df_at_another_m_reads_its_own_minima():
+    # df requested at another M than adb's gets its own group minima, and
+    # the same estimate: the weaker group minimum is the weakest relay at
+    # any split
+    cfg = ChannelConfig(L=5, M=1, N_R=1)
+    other = replace(cfg, M=3)
+    sim = SimConfig(slots=20_000, seed=3)
+    stats = prepare([("adb", cfg), ("df", other)], sim)
+    assert list(stats) == [
+        (simulate._group_mins, (1,)), (simulate._group_beams, (1,)),
+        (simulate._group_mins, (3,)), (simulate._beam_all, ()),
+    ]
+    at_m = prepare([("df", cfg)], sim)
+    assert estimate("df", other, stats, 2.0, 1.5) == estimate("df", cfg, at_m, 2.0, 1.5)
+
+
+@pytest.mark.parametrize("labels, rows", [
+    (PROTOCOLS, 9),
+    (("adb",) + TERMS, 4),
+    (("df",), 3),
+    (("crs", "sfd-mmrs"), 4),
+], ids=["four-protocols", "adb-and-terms", "df-alone", "crs-and-sfd"])
+def test_dense_rows_held_a_stream(labels, rows):
+    # each statistic is held once, and no label holds a row it never
+    # reads: at L=4, M=2 the four protocols hold 9 slot-long rows (group
+    # minima 2, group beams 2, all-relay beam 1, crs and sfd-mmrs's 4)
+    cfg = ChannelConfig(L=4, M=2, N_R=1)
+    sim = SimConfig(slots=10_000, seed=1)
+    stats = prepare([(label, cfg) for label in labels], sim)
+    dense = sum(
+        a.nbytes for (build, _), out in stats.items()
+        for a in out[:len(out) - sum(size for size, _ in simulate._SPARSE_PARTS.get(build, ()))]
+    )
+    assert dense == rows * 8 * sim.slots
+
+
+def test_each_build_runs_once_per_block(monkeypatch):
+    # prepare over all eight labels on one cfg calls each distinct build
+    # once per sampling block: df's minima are adb's, not built again
+    calls, blocks, wrapped = Counter(), [], {}
+
+    def counting(build):
+        def counted(sr, rd, *args):
+            calls[build, args] += 1
+            return build(sr, rd, *args)
+        return wrapped.setdefault(build, counted)
+
+    builds = (simulate._group_mins, simulate._group_beams, simulate._beam_all, _select_stats)
+    for build in builds:
+        monkeypatch.setattr(simulate, build.__name__, counting(build))
+    monkeypatch.setattr(simulate, "_TABLE", {
+        label: (tuple((wrapped[b], f) for b, f in statistics), *rest)
+        for label, (statistics, *rest) in simulate._TABLE.items()
+    })
+    monkeypatch.setattr(simulate, "_SPARSE_PARTS", {
+        wrapped[b]: parts for b, parts in simulate._SPARSE_PARTS.items()
+    })
+    sample = simulate.sample_gains
+    monkeypatch.setattr(
+        simulate, "sample_gains", lambda *args: blocks.append(args) or sample(*args)
+    )
+    sim = SimConfig(slots=20_000, seed=3)
+    stats = prepare([(label, CFG) for label in simulate._TABLE], sim)
+    assert len(blocks) == -(-sim.slots // simulate._block_slots(CFG, [wrapped[_select_stats]])) > 1
+    keys = zip(builds, ((CFG.M,), (CFG.M,), (), ()))
+    assert calls == dict.fromkeys(keys, len(blocks))
+    assert len(stats) == 4
 
 
 @pytest.mark.parametrize("ps, pr", [(3.0, 2.0), (0.2, 5.0), (40.0, 0.5)])
@@ -767,8 +858,8 @@ def test_estimate_is_the_prelog_times_the_sum_of_pair_mins(stats, ps, pr):
     shapes = {"adb": (4, 0.5), "crs": (1, 0.5), "df": (1, 0.5), "sfd-mmrs": (2, 1.0)}
     shapes |= dict.fromkeys(TERMS, (1, 1.0))
     assert list(simulate._TABLE) == list(shapes)
-    for label, (_, _, parts, prelog) in simulate._TABLE.items():
-        means = parts(stats[simulate._statistic(label, CFG)], ps, pr, True)
+    for label, (_, parts, prelog) in simulate._TABLE.items():
+        means = parts(_rows(stats, label, CFG), ps, pr, True)
         assert (len(means), prelog) == shapes[label]
         if len(means) == 1:
             mins = [(*means[0], False)]
@@ -785,7 +876,7 @@ def test_estimate_is_the_prelog_times_the_sum_of_pair_mins(stats, ps, pr):
         assert only.hex() == value.hex()
         want = [a[0] - b[0] for a, b in zip(means[::2], means[1::2])]
         assert [g.hex() for g in gaps] == [g.hex() for g in want]
-    adb = simulate._TABLE["adb"][2](stats[simulate._statistic("adb", CFG)], ps, pr, True)
+    adb = simulate._TABLE["adb"][1](_rows(stats, "adb", CFG), ps, pr, True)
     terms = [estimate(t, CFG, stats, ps, pr) for t in TERMS]
     assert [(m.hex(), e.hex()) for m, e in adb] == [
         (t.value.hex(), t.std_error.hex()) for t in terms
