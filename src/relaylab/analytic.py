@@ -22,6 +22,7 @@ z, and the coefficients of that power come from exact integer counts N_p
 positive and correctly rounded.
 """
 
+import itertools
 import math
 
 from .channel import ChannelConfig, _check_group_args
@@ -47,11 +48,11 @@ def _box_counts(group_size: int, shape: int) -> list:
     number of ways to put p labelled balls into group_size boxes with fewer
     than shape balls in each. Built one box at a time in exact integers:
     r of the p + r balls go into the new box."""
-    # C(p + r, r) for every p a round reads; each is used once per round
-    binom = [
-        [math.comb(p + r, r) for r in range(shape)]
-        for p in range((group_size - 1) * (shape - 1) + 1)
-    ]
+    # C(p + r, r) for every p a round reads, each row the running sums of
+    # the row before (math.comb's cost grows with r); each is used once a round
+    binom = [[1] * shape]
+    for _ in range((group_size - 1) * (shape - 1)):
+        binom.append(list(itertools.accumulate(binom[-1])))
     counts = [1]
     for _ in range(group_size):
         nxt = [0] * (len(counts) + shape - 1)

@@ -40,7 +40,6 @@ from .simulate import (
     ThroughputEstimate,
     _statistics,
     estimate,
-    prefix,
     prepare,
     stream_bytes,
     stream_key,
@@ -168,19 +167,29 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+# Caps on a closed form's larger group, g relays of N_R antennas: about
+# g(g(N_R - 1) + 1)N_R multiply-adds in _box_counts, and g N_R terms in c22
+# (c11 sums fewer). At the caps one c11 call took up to 0.08 s, one c22
+# call up to 0.11 s (2-core host); c11 at g = N_R = 50 took 2.9 s.
+_MAX_BOX_WORK = 1 << 19
+_MAX_TERMS = 1 << 15
+
+
 def _check_memory(sim: SimConfig, methods: tuple, entries: int, requests):
     """Raise ConfigError when a sweep of grid entries that estimates the
     (label, cfg) pairs of requests would need more than physical memory: 8
     KiB per entry (four points of two rows; a point with its row measured
     about 700 bytes) plus, for Monte Carlo, the largest fading stream with
     the statistics of all its requests, and for closed forms, the largest
-    exact-count table a c11 term of a request's larger group builds."""
+    exact-count table a c11 term of a request's larger group builds; or
+    when such a group passes the caps above, which would let a closed form
+    run for minutes (a searched adb row calls it 41 times)."""
     need = entries * 8192
-    if "analytic" in methods:
-        need += max((
-            _box_bytes(max(cfg.M, cfg.L - cfg.M), cfg.N_R)
-            for label, cfg in requests if label in _CLOSED_FORMS
-        ), default=0)
+    groups = {
+        (max(cfg.M, cfg.L - cfg.M), cfg.N_R)
+        for label, cfg in requests if "analytic" in methods and label in _CLOSED_FORMS
+    }
+    need += max((_box_bytes(g, s) for g, s in groups), default=0)
     if "monte-carlo" in methods:
         streams = {}
         for label, cfg in requests:
@@ -191,6 +200,8 @@ def _check_memory(sim: SimConfig, methods: tuple, entries: int, requests):
         # str() refuses integers of over 4300 digits
         about = f"about {need >> 20} MiB" if need < 1 << 80 else f"over 2^{need.bit_length() - 1} bytes"
         raise ConfigError(f"sweep needs {about}; physical memory is {limit >> 20} MiB")
+    if any(g * (g * (s - 1) + 1) * s > _MAX_BOX_WORK or g * s > _MAX_TERMS for g, s in groups):
+        raise ConfigError("closed forms at this group size and N_R would take too long; use --mc-only")
 
 
 def _is_int(v) -> bool:
@@ -346,8 +357,9 @@ def resolve_spec(raw: dict) -> ExperimentSpec:
 
     Unknown keys anywhere are rejected; omitted sections fall back to the
     defaults (L=4, M=2, N_R=3 channel; 10^6 slots, seed 42; per-experiment
-    grid). A sweep estimated to need more than physical memory is rejected
-    before any of it is built."""
+    grid). A sweep estimated to need more than physical memory, or whose
+    closed forms would take too long, is rejected before any of it is
+    built."""
     _reject_unknown(raw, ExperimentSpec, "config")
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
@@ -467,9 +479,10 @@ def _evaluators(spec, label, cfg, stats):
     _CLOSED_FORMS has one, and Monte Carlo from stats, the statistics of the
     point's stream. value gives evaluate's value and pair gaps (see
     estimate) for the split search: no standard error, and no gaps for a
-    closed form. head_value is the Monte Carlo one on the stream prefix's
-    views, or None where the split search reads the whole stream: closed
-    forms, and streams whose prefix would be shorter than _MIN_PREFIX_SLOTS."""
+    closed form. head_value is the Monte Carlo one on the stream's first
+    1/_PREFIX_SHARE of slots, or None where the split search reads the
+    whole stream: closed forms, and streams whose prefix would be shorter
+    than _MIN_PREFIX_SLOTS."""
     out = []
     if "analytic" in spec.methods and label in _CLOSED_FORMS:
         closed = partial(_CLOSED_FORMS[label], cfg)
@@ -481,7 +494,7 @@ def _evaluators(spec, label, cfg, stats):
         head_value = None
         slots = spec.sim.slots // _PREFIX_SHARE
         if slots >= _MIN_PREFIX_SLOTS:
-            head_value = partial(_SIMULATORS[label], cfg, prefix(stats, slots), std_error=False)
+            head_value = partial(_SIMULATORS[label], cfg, stats, std_error=False, slots=slots)
         out.append((mc, partial(mc, std_error=False), head_value))
     return out
 

@@ -7,8 +7,8 @@ blocks of about 2^17 doubles, of draws or of a build's temporaries, so that
 a block stays near cache, addressed by absolute slot index; each block is turned relay-major,
 with shape (L, block slots), and reduced at once to every requested
 protocol's power-independent per-slot statistics, all that is kept of a
-stream: prepare() returns them to its caller and estimate() reads them, or
-prefix()'s views of their first slots, which a shorter stream would give.
+stream: prepare() returns them to its caller and estimate() reads them,
+over all their slots or their first n, which a stream of n slots gives.
 Each statistic is built once however many labels read it: adb's group
 minima serve df too, whose weakest relay is the weaker group's.
 Reductions over relays sweep contiguous rows, and sums over relays keep
@@ -37,7 +37,6 @@ __all__ = [
     "SimConfig",
     "ThroughputEstimate",
     "estimate",
-    "prefix",
     "prepare",
     "stream_bytes",
     "stream_key",
@@ -109,9 +108,9 @@ class ThroughputEstimate:
 
 def _slot_doubles(cfg: ChannelConfig, builds) -> int:
     """Doubles a sampling block holds a slot while builds reduce it: its 2
-    L N_R draws, or _select_stats' 4L + 13 temporaries where it is built
-    and they are more (20.4 measured at 2x1)."""
-    return max(2 * cfg.L * cfg.N_R, 4 * cfg.L + 13 if _select_stats in builds else 0)
+    L N_R draws, or the most temporaries a build takes (_LAYOUT) where they
+    are more."""
+    return max(2 * cfg.L * cfg.N_R, 0, *(c * cfg.L + d for c, d in (_LAYOUT[b][2] for b in builds)))
 
 
 def _block_slots(cfg: ChannelConfig, builds) -> int:
@@ -144,12 +143,11 @@ def stream_bytes(requests, sim: SimConfig) -> int:
     """Upper estimate, in bytes, of what one fading stream needs at its peak
     while the statistics of the (label, cfg) pairs of requests, all on that
     stream, are built and probed; a statistic several labels read is
-    charged once. In slot-long float64 rows, the statistics: the group
-    minima 2 per M value, the group beams 2 per M value, the all-relay beam
-    1, crs and sfd-mmrs's together 4, plus each sparse part's arrays at the
-    entries _stream allocates for them (_SPARSE_PARTS); so adb and its
-    terms hold 4 per M value, df 1 beside adb at its M and 3 alone (no
-    sweep runs df without adb). In
+    charged once. In slot-long rows, the statistics: each build's rows and
+    its sparse parts' arrays at the entries _stream allocates for them, as
+    _LAYOUT gives them; so adb and its terms hold 4 per M value, df 1
+    beside adb at its M and 3 alone (no sweep runs df without adb), crs and
+    sfd-mmrs together 4 and their sparse parts. In
     _CHUNK-long rows, a probe's: 5, plus 4 per level for crs (7.9 measured
     at 48 relays). Per thread, 2.5 sampling blocks of _slot_doubles a slot:
     the block and its builds' temporaries (2.07 measured for adb at one
@@ -157,11 +155,10 @@ def stream_bytes(requests, sim: SimConfig) -> int:
     requests = list(requests)
     cfg = requests[0][1]
     builds = [build for build, _ in {key for r in requests for key in _statistics(*r)}]
-    rows = {_group_mins: 2, _group_beams: 2, _beam_all: 1, _select_stats: 4}
-    dense = sim.slots * sum(rows[b] for b in builds)
+    dense = sim.slots * sum(_LAYOUT[b][0] for b in builds)
     sparse = sum(
         size * _entries(rate(cfg.L), sim.slots)
-        for b in builds for size, rate in _SPARSE_PARTS.get(b, ())
+        for b in builds for size, rate in _LAYOUT[b][1]
     )
     probe = math.ceil((5 + 4 * _levels(cfg.L)) * _CHUNK)
     block = min(_block_slots(cfg, builds), sim.slots) * _slot_doubles(cfg, builds)
@@ -191,18 +188,23 @@ def _stream(cfg: ChannelConfig, sim: SimConfig, statistics):
     sim) in one sampling pass: each block is sampled, turned relay-major
     while it is still in cache and reduced by every build. The gains are
     never held beyond one block per thread. build(sr_gain, rd_norm, *args)
-    takes a relay-major block and gives (per_slot, sparse): arrays whose
-    last axis is the block's slots, which each thread writes straight into
-    their slot-long arrays, and a tuple of sparse parts, each (slot indices
-    in the block, values at those slots...), which follow the per-slot
-    arrays in the result. Each sparse part is appended in slot order, block
-    by block, to arrays allocated once for its expected entries
-    (_SPARSE_PARTS) and grown only where the stream overflows them; the
-    result holds views of its entries."""
+    takes a relay-major block and gives (per_slot, sparse): its rows over
+    the block's slots, which each thread writes straight into slot-long
+    rows, and a tuple of sparse parts, each (slot indices in the block,
+    values at those slots...), which follow the rows in the result. Every
+    output is allocated from _LAYOUT before sampling; each sparse part is
+    appended in slot order, block by block, grown only where the stream
+    overflows its expected entries. The result holds views of them."""
     slots = sim.slots
     block = _block_slots(cfg, {build for build, _ in statistics})
     dense = {}
     sparse = {}  # key -> per sparse part, (its arrays, their entries so far)
+    for key in statistics:
+        rows, parts, _ = _LAYOUT[key[0]]
+        dense[key] = tuple(np.empty(slots) for _ in range(rows))
+        sparse[key] = [([
+            np.empty(_entries(rate(cfg.L), slots), np.float64 if i else np.intp) for i in range(size)
+        ], 0) for size, rate in parts]
 
     def fill(start):
         n = min(block, slots - start)
@@ -212,30 +214,17 @@ def _stream(cfg: ChannelConfig, sim: SimConfig, statistics):
         for key in statistics:
             build, args = key
             per_slot, parts[key] = build(sr, rd, *args)
-            if key not in dense:  # the first block, which runs alone
-                dense[key] = tuple(
-                    np.empty(a.shape[:-1] + (slots,), a.dtype) for a in per_slot
-                )
-                sparse[key] = [
-                    ([np.empty(_entries(rate(cfg.L), slots), a.dtype) for a in part], 0)
-                    for part, (_, rate) in zip(parts[key], _SPARSE_PARTS.get(build, ()))
-                ]
-            for out, a in zip(dense[key], per_slot):
-                out[..., start:start + n] = a
+            for out, a in zip(dense[key], per_slot, strict=True):
+                out[start:start + n] = a
         return start, parts
 
-    def append(start, parts):
-        for key, blocks in parts.items():
-            sparse[key] = [_append(store, part, start) for store, part in zip(sparse[key], blocks)]
-
-    # the first block alone allocates the outputs; the rest may run in
-    # threads, whose results map gives back in block order
-    starts = range(0, slots, block)
-    append(*fill(0))
+    # blocks may run in threads, whose results map gives back in block order
     workers = min(sim.workers, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for done in (pool.map if pool else map)(fill, starts[1:]):
-            append(*done)
+        for start, parts in (pool.map if pool else map)(fill, range(0, slots, block)):
+            for key, blocks in parts.items():
+                stores = zip(sparse[key], blocks, strict=True)
+                sparse[key] = [_append(store, part, start) for store, part in stores]
     return {
         key: dense[key] + tuple(a[:count] for arrays, count in sparse[key] for a in arrays)
         for key in statistics
@@ -367,12 +356,16 @@ def _std_errors(rates, n, means):
     return np.sqrt(_walk(partial(rates, means=means), 0, n) / max(n - 1, 1)) / math.sqrt(n)
 
 
-def _means(snr, k, stats, a, b, se, means=None):
-    """The (mean, se) of each of k per-slot rates, errors NaN unless se;
-    means, if given, are theirs already, and only the errors walk the slots.
-    snr(stats, a, b, s, *rows) writes the SNRs of slots s:s + rows[0].size
-    into the k rows of a chunk buffer, which become rates while in cache."""
-    n = stats[0].shape[0]
+def _means(snr, k, stats, a, b, se, means=None, slots=None):
+    """The (mean, se) of each of k per-slot rates over slots 0:slots of
+    stats (all of them if None), errors NaN unless se; means, if given, are
+    theirs already, and only the errors walk the slots. snr(stats, a, b, s,
+    *rows) writes the SNRs of slots s:s + rows[0].size into the k rows of a
+    chunk buffer, which become rates while in cache."""
+    length = stats[0].shape[0]
+    n = length if slots is None else slots
+    if not (isinstance(n, (int, np.integer)) and 1 <= n <= length):
+        raise ValueError(f"slots must be an integer in [1, {length}], got {slots!r}")
     buf = np.empty((k, min(n, _CHUNK)))
 
     def rates(s, e, means=None):
@@ -460,9 +453,10 @@ def _sfd_links(stats, a, b, s, recv, trans):
 # prepare returns, each build once however many labels list it. adb and
 # its terms read the group minima and the group beams at M; df the same
 # minima and the all-relay beam; crs and sfd-mmrs one shared statistic.
-# parts(rows, a, b, se, means=None), _means over the label's SNR writer,
-# gives its component rates as (mean, se) pairs at a = ps/noise_r,
-# b = pr/noise_d from its statistics' arrays in order (_rows);
+# parts(rows, a, b, se, means=None, slots=None), _means over the label's
+# SNR writer, gives its component rates as (mean, se) pairs at a =
+# ps/noise_r, b = pr/noise_d from its statistics' arrays in order (_rows),
+# over their first slots slots (the writers find sparse entries by slot);
 # the throughput is prelog times the sum of the min of each consecutive pair
 # (a lone part is its own min), a pair's source-side rate first: adb
 # 0.5*min(c11, c22) + 0.5*min(c21, c12), sfd-mmrs min(receive, transmit),
@@ -493,10 +487,17 @@ def _levels(L):
     return harmonic - 2 + 1 / L
 
 
-# build -> its sparse parts, which follow its per-slot arrays: each one's
-# array count and its entries expected a slot at L relays, for which
-# _stream allocates and stream_bytes charges; a build not listed has none
-_SPARSE_PARTS = {_select_stats: ((3, _levels), (3, lambda L: 1 / L))}
+# build -> (rows, parts, temporaries), from which _stream allocates its
+# outputs and stream_bytes charges them: its per-slot float64 rows; its
+# sparse parts, which follow them, each (array count, entries expected a
+# slot at L relays), slot indices (intp) first; and the c L + d doubles
+# (c, d) a slot it holds while it builds (20.4 measured for crs at 2x1).
+_LAYOUT = {
+    _group_mins: (2, (), (0, 0)),
+    _group_beams: (2, (), (0, 0)),
+    _beam_all: (1, (), (0, 0)),
+    _select_stats: (4, ((3, _levels), (3, lambda L: 1 / L)), (4, 13)),
+}
 
 
 def _entries(rate, slots):
@@ -507,28 +508,9 @@ def _entries(rate, slots):
     return slots * num // den + 4096
 
 
-def prefix(stats: dict, slots: int) -> dict:
-    """The statistics of the first slots slots of the stream that prepare()
-    built stats on, as views of them: per-slot arrays sliced, each sparse
-    part cut at its first slot index past the prefix. Equal bit for bit to
-    prepare() on a stream of slots slots with the same seed, which draws
-    its slots at the same counters."""
-    out = {}
-    for key, arrays in stats.items():
-        parts = _SPARSE_PARTS.get(key[0], ())
-        start = len(arrays) - sum(size for size, _ in parts)
-        view = [a[..., :slots] for a in arrays[:start]]
-        for size, _ in parts:
-            end = np.searchsorted(arrays[start], slots)
-            view += [a[:end] for a in arrays[start:start + size]]
-            start += size
-        out[key] = tuple(view)
-    return out
-
-
 def estimate(
     label: str, cfg: ChannelConfig, stats: dict, ps, pr, std_error: bool = True,
-    memo: dict = None,
+    memo: dict = None, slots: int = None,
 ) -> Union[ThroughputEstimate, tuple]:
     """Monte Carlo throughput of one protocol, or rate of one adb component
     term ("c11", "c22", "c21", "c12"), at source power ps and relay power
@@ -540,9 +522,11 @@ def estimate(
     error takes a second pass over the slots), and returned as (value,
     gaps): each pair's source-side mean minus its relay-side one. A value
     that is not finite (a rate overflowed) raises ArithmeticError in either
-    mode. memo, a dict its caller keeps for one label, cfg and stats,
-    records the means at each split estimated with it, so an estimate at
-    a split already probed walks the slots only for its errors."""
+    mode. slots, from 1 to the stream's length, limits the estimate to its
+    first slots slots, bit for bit that of a stream so long. memo, a dict
+    its caller keeps for one label, cfg, stats and slots, records the means
+    at each split estimated with it, so an estimate at a split already
+    probed walks the slots only for its errors."""
     if not ps > 0 or not pr > 0:
         raise ValueError(f"powers must be > 0, got ps={ps!r}, pr={pr!r}")
     _, parts, prelog = _TABLE[label]
@@ -550,7 +534,7 @@ def estimate(
     # an overflowing rate shows as a non-finite value, raised below
     with np.errstate(over="ignore", invalid="ignore"):
         means = parts(
-            _rows(stats, label, cfg), ps / cfg.noise_r, pr / cfg.noise_d, std_error, known
+            _rows(stats, label, cfg), ps / cfg.noise_r, pr / cfg.noise_d, std_error, known, slots
         )
     if memo is not None:
         memo[ps, pr] = [m for m, _ in means]

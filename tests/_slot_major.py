@@ -14,6 +14,7 @@ relay-side one.
 
 import math
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 from numpy.random import Philox
@@ -50,16 +51,19 @@ def _gains(cfg, sim):
 
 
 def _whole_gains(sr, rd):
-    """A statistic that keeps a relay-major block's gains as they are."""
-    return (sr, rd), ()
+    """A statistic that keeps a relay-major block's gains as they are, a
+    row per relay and side."""
+    return (*sr, *rd), ()
 
 
 def streamed_gains(cfg, sim):
     """The (L, slots) gains as the package's block streaming assembles
     statistics, through a statistic that keeps every block whole (the
-    package builds none that does)."""
+    package builds none that does), laid out in _LAYOUT while it runs."""
     key = (_whole_gains, ())
-    return simulate._stream(cfg, sim, [key])[key]
+    with mock.patch.dict(simulate._LAYOUT, {_whole_gains: (2 * cfg.L, (), (0, 0))}):
+        rows = simulate._stream(cfg, sim, [key])[key]
+    return np.stack(rows[:cfg.L]), np.stack(rows[cfg.L:])
 
 
 def _mean_se(x):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -236,6 +237,26 @@ def test_malformed_config_exits_1_with_one_line(tmp_path, capsys, payload):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("relaylab: config error:")
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("channel", [
+    # one c11 call at a 50 x 50 group took 2.9 s
+    {"L": 100, "M": 50, "N_R": 50},
+    # 10^5 c22 terms took 0.12 s a call, and a searched row makes 41
+    {"L": 200_000, "M": 100_000, "N_R": 1},
+], ids=["c11-50x50", "c22-1e5-terms"])
+def test_slow_closed_forms_exit_1_naming_mc_only(tmp_path, capsys, channel):
+    cfg = _write(tmp_path / "cfg.json", {
+        "experiment": "ratio-sweep", "channel": channel, "grid": [1.0],
+    })
+    out = tmp_path / "x.csv"
+    start = time.perf_counter()
+    assert main(["ratio-sweep", "--config", cfg, "--output", str(out), "--analytic-only"]) == 1
+    assert time.perf_counter() - start < 1.0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("relaylab: config error:")
+    assert "--mc-only" in lines[0]
+    assert not out.exists()
 
 
 def test_large_closed_form_argument_exits_0(tmp_path):

@@ -59,6 +59,31 @@ def test_default_grids_per_experiment():
     assert len(resolve_spec({"experiment": "validate"}).grid) == 27
 
 
+@pytest.mark.parametrize("channel, ok", [
+    # the larger group at the cap of _box_counts' multiply-adds, 27 x 27
+    # (512487), and one past it, 28 x 28 (593488)
+    ({"L": 54, "M": 27, "N_R": 27}, True),
+    ({"L": 56, "M": 28, "N_R": 28}, False),
+    # the larger group at the cap of c22's terms, and one relay past it
+    ({"L": 32769, "M": 1, "N_R": 1}, True),
+    ({"L": 32770, "M": 1, "N_R": 1}, False),
+    # the bench's grouping-analytic channel at its largest group
+    ({"L": 10, "M": 1, "N_R": 6}, True),
+], ids=["box-work-at-cap", "box-work-past-cap", "terms-at-cap", "terms-past-cap",
+        "grouping-analytic"])
+def test_closed_form_work_is_capped(channel, ok):
+    # a closed form whose table fits in memory can still take minutes: its
+    # larger group is capped by two measures, checked before any work;
+    # Monte Carlo rows of the same channel still resolve
+    raw = {"experiment": "ratio-sweep", "channel": channel, "grid": [1.0]}
+    if ok:
+        resolve_spec({**raw, "methods": ["analytic"]})
+    else:
+        with pytest.raises(ConfigError, match="would take too long; use --mc-only"):
+            resolve_spec({**raw, "methods": ["analytic"]})
+    resolve_spec({**raw, "methods": ["monte-carlo"], "sim": {"slots": 1000}})
+
+
 def test_unknown_keys_rejected_everywhere():
     with pytest.raises(ConfigError):
         resolve_spec({"experiment": "ratio-sweep", "extra": 1})
@@ -646,8 +671,9 @@ def test_each_statistic_is_freed_after_its_last_point(monkeypatch):
 
 
 def test_prefix_views_are_freed_with_their_statistic(monkeypatch):
-    # with the cut-off lowered, 5000 slots have a 312-slot prefix whose
-    # views hold their statistic's arrays: they go with it
+    # with the cut-off lowered, 5000 slots get a 312-slot prefix search,
+    # whose evaluators read the stream's statistics: each still goes after
+    # the last point that reads it
     monkeypatch.setattr(experiments, "_MIN_PREFIX_SLOTS", 64)
     _check_statistics_freed(monkeypatch)
 

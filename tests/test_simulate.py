@@ -28,7 +28,6 @@ from relaylab.simulate import (
     _select_stats,
     _sfd_links,
     estimate,
-    prefix,
     prepare,
     stream_bytes,
 )
@@ -418,13 +417,6 @@ def test_sparse_parts_in_place_match_joined_blocks(monkeypatch, L, slots, worker
         assert len(finished) == 4 and finished != sorted(finished)
     if tied:
         assert want[3].size > simulate._entries(1 / L, slots)
-        # a prefix of the grown parts is a shorter stream's, as views
-        n = int(want[3][want[3].size // 2]) + 1
-        head = prefix(stats, n)
-        short = prepare([("crs", cfg)], replace(sim, slots=n))
-        for key in stats:
-            assert _same_bits(head[key], short[key])
-            assert all(np.shares_memory(v, w) for v, w in zip(head[key], stats[key]) if v.size)
 
 
 @pytest.mark.parametrize("n", [*range(1, 21), 64, 129, 300])
@@ -526,12 +518,27 @@ def long_stream():
     return cfg, requests, sim, prepare(requests, sim)
 
 
-@pytest.mark.parametrize("cut", ["between-levels", "after-a-collision", "block-boundary"])
-def test_prefix_views_match_a_shorter_stream(long_stream, cut):
-    # the stream is counter-addressed, so the statistics of its first n
-    # slots are those of a stream of n slots, bit for bit; prefix() gives
-    # them as read-only views of the whole stream's, copying nothing
+def _bits(result):
+    """An estimate, or a value-only (value, gaps) pair, as its floats' bits."""
+    if isinstance(result, ThroughputEstimate):
+        return result.value.hex(), result.std_error.hex(), result.boundary_ambiguous
+    value, gaps = result
+    return value.hex(), [g.hex() for g in gaps]
+
+
+@pytest.mark.parametrize(
+    "cut", ["between-levels", "after-a-collision", "block-boundary", "after-tied-growth"]
+)
+def test_slot_count_matches_a_shorter_stream(monkeypatch, long_stream, cut):
+    # the stream is counter-addressed, so its first n slots are a stream of
+    # n slots: estimate(..., slots=n) of every label, with and without its
+    # standard error, equals estimate on that stream, bit for bit
     cfg, requests, sim, stats = long_stream
+    if cut == "after-tied-growth":
+        # three-value gains collide on 31% of the slots: their arrays grew
+        monkeypatch.setattr(simulate, "sample_gains", _tied_sampler)
+        sim = SimConfig(slots=150_000, seed=5)
+        stats = prepare(requests, sim)
     rows = _rows(stats, "crs", cfg)
     level, collide = rows[4], rows[7]
     if cut == "between-levels":
@@ -541,21 +548,51 @@ def test_prefix_views_match_a_shorter_stream(long_stream, cut):
         assert level[k] < n < level[k + 1] - 1
     elif cut == "after-a-collision":
         n = int(collide[len(collide) // 2]) + 1
-    else:
+    elif cut == "block-boundary":
         n = 2 * simulate._block_slots(cfg, [build for build, _ in stats])
-    head = prefix(stats, n)
-    want = prepare(requests, replace(sim, slots=n))
-    assert head.keys() == want.keys() == stats.keys()
-    for key in stats:
-        assert _same_bits(head[key], want[key])
-        for view, whole in zip(head[key], stats[key]):
-            assert not view.flags.writeable and not view.flags.owndata
-            assert view.size == 0 or np.shares_memory(view, whole)
-    # each sparse part is cut at its first slot index past the prefix
-    got = _rows(head, "crs", cfg)
-    assert got[4].size == np.searchsorted(level, n) and got[7].size == np.searchsorted(collide, n)
-    if cut == "after-a-collision":
-        assert got[7][-1] == n - 1
+    else:
+        # one past the first collision beyond the entries first allocated
+        first = simulate._entries(1 / cfg.L, sim.slots)
+        assert collide.size > first
+        n = int(collide[first]) + 1
+    short = prepare(requests, replace(sim, slots=n))
+    for label, at in requests + [(term, cfg) for term in TERMS]:
+        for ps, pr in ((3.0, 2.0), (0.2, 5.0)):
+            for std_error in (True, False):
+                got = estimate(label, at, stats, ps, pr, std_error, slots=n)
+                assert _bits(got) == _bits(estimate(label, at, short, ps, pr, std_error))
+
+
+@pytest.mark.parametrize("label", list(simulate._TABLE))
+def test_slot_count_must_lie_in_the_stream(stats, label):
+    # a slot count from 1 to the stream's length is estimated; the whole
+    # length is the default
+    whole = estimate(label, CFG, stats, 3.0, 2.0)
+    assert estimate(label, CFG, stats, 3.0, 2.0, slots=SIM.slots) == whole
+    assert estimate(label, CFG, stats, 3.0, 2.0, slots=np.int64(1)).std_error == 0.0
+    for slots in (0, -5, SIM.slots + 1, 2**70, 100.0, 0.5, math.nan):
+        with pytest.raises(ValueError, match=rf"slots must be an integer in \[1, {SIM.slots}\]"):
+            estimate(label, CFG, stats, 3.0, 2.0, std_error=False, slots=slots)
+
+
+@pytest.mark.parametrize("L", [2, 4, 48])
+def test_each_build_gives_what_its_layout_declares(L):
+    # _stream allocates every output from _LAYOUT before sampling: one
+    # block of each build must give the per-slot float64 rows and sparse
+    # parts it declares, each part's slot indices intp and values float64
+    cfg = ChannelConfig(L=L, M=L // 2, N_R=1)
+    n = 3_000
+    sr, rd = (np.ascontiguousarray(x.T) for x in sample_gains(cfg, 8, 0, n))
+    builds = dict(key for label in simulate._TABLE for key in simulate._statistics(label, cfg))
+    assert builds.keys() == simulate._LAYOUT.keys()
+    for build, args in builds.items():
+        rows, parts, _ = simulate._LAYOUT[build]
+        per_slot, sparse = build(sr, rd, *args)
+        assert [(a.dtype, a.shape) for a in per_slot] == [(np.float64, (n,))] * rows
+        assert [len(part) for part in sparse] == [size for size, _ in parts]
+        for slot, *values in sparse:
+            assert slot.dtype == np.intp and slot.ndim == 1
+            assert all(v.dtype == np.float64 and v.shape == slot.shape for v in values)
 
 
 def _tied_gains(L, n):
@@ -765,18 +802,18 @@ def test_df_reads_adbs_group_minima_bit_for_bit(n):
     # df's weakest relay is the weaker of adb's group minima: its estimate
     # and gaps from a df-only prepare, from a four-protocol one and from
     # the slot-major oracle, which takes the minimum over all relays, are
-    # identical, on the whole stream and on prefix() views of its first n
-    # slots, which a stream of n slots draws alike
+    # identical, on the whole stream and over its first n slots, which a
+    # stream of n slots draws alike
     cfg = ChannelConfig(L=5, M=2, N_R=2)
     sim = SimConfig(slots=40_000, seed=7)
     oracle = _slot_major.simulators(replace(sim, slots=n))["df"]
-    alone = prefix(prepare([("df", cfg)], sim), n)
-    shared = prefix(prepare([(p, cfg) for p in PROTOCOLS], sim), n)
+    alone = prepare([("df", cfg)], sim)
+    shared = prepare([(p, cfg) for p in PROTOCOLS], sim)
     for ps, pr in ((2.0, 1.5), (0.3, 7.0), (40.0, 0.05)):
         for std_error in (True, False):
             want = oracle(cfg, None, ps, pr, std_error=std_error)
             for stats in (alone, shared):
-                assert estimate("df", cfg, stats, ps, pr, std_error=std_error) == want
+                assert estimate("df", cfg, stats, ps, pr, std_error=std_error, slots=n) == want
 
 
 def test_df_at_another_m_reads_its_own_minima():
@@ -810,7 +847,7 @@ def test_dense_rows_held_a_stream(labels, rows):
     stats = prepare([(label, cfg) for label in labels], sim)
     dense = sum(
         a.nbytes for (build, _), out in stats.items()
-        for a in out[:len(out) - sum(size for size, _ in simulate._SPARSE_PARTS.get(build, ()))]
+        for a in out[:simulate._LAYOUT[build][0]]
     )
     assert dense == rows * 8 * sim.slots
 
@@ -833,8 +870,8 @@ def test_each_build_runs_once_per_block(monkeypatch):
         label: (tuple((wrapped[b], f) for b, f in statistics), *rest)
         for label, (statistics, *rest) in simulate._TABLE.items()
     })
-    monkeypatch.setattr(simulate, "_SPARSE_PARTS", {
-        wrapped[b]: parts for b, parts in simulate._SPARSE_PARTS.items()
+    monkeypatch.setattr(simulate, "_LAYOUT", {
+        wrapped[b]: layout for b, layout in simulate._LAYOUT.items()
     })
     sample = simulate.sample_gains
     monkeypatch.setattr(
