@@ -31,6 +31,7 @@ from .specfun import exp_scaled_en
 __all__ = [
     "c11_closed",
     "c22_closed",
+    "adb_weights",
     "adb_closed",
 ]
 
@@ -79,28 +80,29 @@ def _box_bytes(group_size: int, shape: int) -> int:
     return rows * (64 + shape * binom) + 2 * counts * size(counts * group_size.bit_length())
 
 
-def c11_closed(ps: float, group_size: int, shape: int, sigma_g2: float) -> float:
-    """Exact E[log2(1 + ps * min of group_size i.i.d. Erlang(shape) gains)],
-    gains scaled so each has mean 2*shape*sigma_g2.
+def _c11_weights(group_size: int, shape: int) -> list:
+    """c11's power-independent weights N_p / group_size^p, N_p from
+    _box_counts: N_p <= group_size^p, and each quotient is correctly rounded."""
+    return [n / group_size**p for p, n in enumerate(_box_counts(group_size, shape))]
 
-    The min-of-Erlang survival raised to group_size has polynomial part
-    sum_p N_p z^p / p! with N_p from _box_counts, so
 
-        c11 = sum_p N_p / group_size^p * e^x E_{p+1}(x) / ln 2,
-
-    all with the common argument x = group_size / (2 * ps * sigma_g2).
-    N_p <= group_size^p, and the integer quotient is correctly rounded.
-    """
-    _check_term_args(ps, group_size, shape, sigma_g2)
-    group_size, shape = int(group_size), int(shape)
+def _c11(ps, group_size, sigma_g2, weights):
     scale = 2.0 * ps * sigma_g2
     x = group_size / scale if scale else math.inf
     if not 0 < x < math.inf:  # ps so large or small that x over/underflows
         raise ArithmeticError(f"c11 argument x={x!r} out of range at ps={ps!r}")
-    return math.fsum(
-        n / group_size**p * exp_scaled_en(p + 1, x)
-        for p, n in enumerate(_box_counts(group_size, shape))
-    ) / _LN2
+    return math.fsum(w * exp_scaled_en(p + 1, x) for p, w in enumerate(weights)) / _LN2
+
+
+def c11_closed(ps: float, group_size: int, shape: int, sigma_g2: float) -> float:
+    """Exact E[log2(1 + ps * min of group_size i.i.d. Erlang(shape) gains)],
+    gains scaled so each has mean 2*shape*sigma_g2: by the module's reduction,
+    sum_p N_p / group_size^p * e^x E_{p+1}(x) / ln 2, all at the common
+    argument x = group_size / (2 * ps * sigma_g2), with N_p from _box_counts.
+    """
+    _check_term_args(ps, group_size, shape, sigma_g2)
+    group_size = int(group_size)
+    return _c11(ps, group_size, sigma_g2, _c11_weights(group_size, int(shape)))
 
 
 def c22_closed(pr: float, group_size: int, shape: int, sigma_h2: float) -> float:
@@ -121,28 +123,24 @@ def c22_closed(pr: float, group_size: int, shape: int, sigma_h2: float) -> float
     x = 1.0 / scale if scale else math.inf
     if not 0 < x < math.inf:
         raise ArithmeticError(f"c22 argument x={x!r} out of range at pr={pr!r}")
-    return math.fsum(
-        exp_scaled_en(k + 1, x) for k in range(shape * group_size)
-    ) / _LN2
+    return math.fsum(exp_scaled_en(k + 1, x) for k in range(shape * group_size)) / _LN2
 
 
-def adb_closed(ps: float, pr: float, cfg: ChannelConfig) -> float:
-    """Closed-form throughput of the alternating scheme for cfg,
-    0.5*min(c11, c22) + 0.5*min(c21, c12): an upper bound on its mean-level
-    throughput 0.5*min(E r11, E r22) + 0.5*min(E r21, E r12), since c11 and
-    c21 are exact, c22 and c12 bound the beam rates and min is monotone.
+def adb_weights(cfg: ChannelConfig) -> dict:
+    """adb's table for cfg, built once for every split: c11's weights by group size."""
+    return {g: _c11_weights(int(g), int(cfg.N_R)) for g in {cfg.M, cfg.L - cfg.M}}
 
-    Source-side terms see ps/noise_r, destination-side terms pr/noise_d.
-    Group one (size M) contributes c11/c22, group two (size L-M) c21/c12;
-    equal groups (L = 2M) share their terms.
-    """
-    a = ps / cfg.noise_r
-    b = pr / cfg.noise_d
-    c11 = c11_closed(a, cfg.M, cfg.N_R, cfg.sigma_g2)
+
+def adb_closed(a: float, b: float, cfg: ChannelConfig, weights: dict) -> tuple:
+    """The alternating scheme's parts (c11, c22, c21, c12) for cfg at a =
+    ps/noise_r and b = pr/noise_d, from weights = adb_weights(cfg): group
+    one's M relays, then group two's L-M; equal groups share their terms.
+    Combined (0.5*min(c11, c22) + 0.5*min(c21, c12)), an upper bound on the
+    mean-level throughput 0.5*min(E r11, E r22) + 0.5*min(E r21, E r12):
+    c11 and c21 are exact, c22 and c12 bound the beam rates, min is monotone."""
+    c11 = _c11(a, cfg.M, cfg.sigma_g2, weights[cfg.M])
     c22 = c22_closed(b, cfg.M, cfg.N_R, cfg.sigma_h2)
     if cfg.L == 2 * cfg.M:
-        c21, c12 = c11, c22
-    else:
-        c21 = c11_closed(a, cfg.L - cfg.M, cfg.N_R, cfg.sigma_g2)
-        c12 = c22_closed(b, cfg.L - cfg.M, cfg.N_R, cfg.sigma_h2)
-    return 0.5 * min(c11, c22) + 0.5 * min(c21, c12)
+        return c11, c22, c11, c22
+    g = cfg.L - cfg.M
+    return c11, c22, _c11(a, g, cfg.sigma_g2, weights[g]), c22_closed(b, g, cfg.N_R, cfg.sigma_h2)

@@ -68,11 +68,6 @@ class ChannelConfig:
                 raise ValueError(f"{name} must be a finite double > 0, got {v!r}")
 
 
-def _draws_per_slot(cfg: ChannelConfig) -> int:
-    need = 2 * cfg.L * cfg.N_R
-    return -(-need // _WORDS_PER_TICK) * _WORDS_PER_TICK
-
-
 def _pairwise_sum(rows):
     """Sum over axis 0 in the order numpy's pairwise summation adds the same
     values along a contiguous axis, so it equals ``.sum(axis=-1)`` of the
@@ -119,8 +114,8 @@ def sample_gains(cfg: ChannelConfig, seed: int, start_slot: int, count: int):
         raise ValueError(f"seed must be a 64-bit integer, got {seed!r}")
     if start_slot < 0 or count < 1:
         raise ValueError("need start_slot >= 0 and count >= 1")
-    per_slot = _draws_per_slot(cfg)
     need = 2 * cfg.L * cfg.N_R
+    per_slot = -(-need // _WORDS_PER_TICK) * _WORDS_PER_TICK
     bits = Philox(
         key=seed,
         counter=[start_slot * (per_slot // _WORDS_PER_TICK), 0, 0, 0],

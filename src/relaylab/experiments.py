@@ -24,7 +24,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .analytic import _box_bytes, adb_closed, c11_closed, c22_closed
+from .analytic import _box_bytes, adb_closed, adb_weights, c11_closed, c22_closed
 from .channel import ChannelConfig
 from .power import (
     PowerBudget,
@@ -37,7 +37,7 @@ from .simulate import (
     PROTOCOLS,
     TERMS,
     SimConfig,
-    ThroughputEstimate,
+    _combine,
     _statistics,
     estimate,
     prepare,
@@ -81,16 +81,22 @@ _MIN_PREFIX_SLOTS = 8192
 # with stats what prepare returned for the point's stream, looked up as
 # each sweep point builds its evaluators.
 _SIMULATORS = {label: partial(estimate, label) for label in PROTOCOLS + TERMS}
-# label -> closed form callable(cfg, ps, pr) of each label that has one,
-# calling this module's adb_closed, c11_closed or c22_closed, looked up at
-# call time. Group two's rates are group one's with the groups swapped.
+
+
+def _term_closed(i, cfg, table, a, b):
+    """adb's part i alone, c11, c22, c21, c12 by index, as in simulate's _TABLE."""
+    g = cfg.L - cfg.M if i > 1 else cfg.M
+    form, power, sigma2 = (c22_closed, b, cfg.sigma_h2) if i % 2 else (c11_closed, a, cfg.sigma_g2)
+    return (form(power, g, cfg.N_R, sigma2),)
+
+
+# label -> (build(cfg), parts(cfg, table, a, b)), split as prepare and
+# estimate split Monte Carlo: build gives the table once a point (none for
+# a term, called once a point), parts the values at a = ps/noise_r and b =
+# pr/noise_d by this module's closed forms, looked up at call time.
 _CLOSED_FORMS = {
-    "adb": lambda cfg, ps, pr: adb_closed(ps, pr, cfg),
-    "c11": lambda cfg, ps, pr: c11_closed(ps / cfg.noise_r, cfg.M, cfg.N_R, cfg.sigma_g2),
-    "c22": lambda cfg, ps, pr: c22_closed(pr / cfg.noise_d, cfg.M, cfg.N_R, cfg.sigma_h2),
-    "c21": lambda cfg, ps, pr: _CLOSED_FORMS["c11"](replace(cfg, M=cfg.L - cfg.M), ps, pr),
-    "c12": lambda cfg, ps, pr: _CLOSED_FORMS["c22"](replace(cfg, M=cfg.L - cfg.M), ps, pr),
-}
+    "adb": (adb_weights, lambda cfg, weights, a, b: adb_closed(a, b, cfg, weights)),
+} | {term: (lambda cfg: None, partial(_term_closed, i)) for i, term in enumerate(TERMS)}
 
 
 class ConfigError(ValueError):
@@ -168,9 +174,9 @@ def _physical_memory() -> int:
 
 
 # Caps on a closed form's larger group, g relays of N_R antennas: about
-# g(g(N_R - 1) + 1)N_R multiply-adds in _box_counts, and g N_R terms in c22
-# (c11 sums fewer). At the caps one c11 call took up to 0.08 s, one c22
-# call up to 0.11 s (2-core host); c11 at g = N_R = 50 took 2.9 s.
+# g(g(N_R - 1) + 1)N_R multiply-adds in _box_counts, built once a point,
+# and g N_R terms in c22, summed each probe. At the caps a build took up to
+# 0.08 s, a c22 sum 0.11 s (2-core host); the build at g = N_R = 50 took 2.9 s.
 _MAX_BOX_WORK = 1 << 19
 _MAX_TERMS = 1 << 15
 
@@ -183,7 +189,7 @@ def _check_memory(sim: SimConfig, methods: tuple, entries: int, requests):
     the statistics of all its requests, and for closed forms, the largest
     exact-count table a c11 term of a request's larger group builds; or
     when such a group passes the caps above, which would let a closed form
-    run for minutes (a searched adb row calls it 41 times)."""
+    run for minutes (a searched adb row sums c22 at 41 probes)."""
     need = entries * 8192
     groups = {
         (max(cfg.M, cfg.L - cfg.M), cfg.N_R)
@@ -476,18 +482,20 @@ def _row(label, cfg, snr_db, point, est, search) -> SweepRow:
 def _evaluators(spec, label, cfg, stats):
     """(evaluate, value, head_value) for one label in method order, for the
     methods the spec asks for that the label has: its closed form, if
-    _CLOSED_FORMS has one, and Monte Carlo from stats, the statistics of the
-    point's stream. value gives evaluate's value and pair gaps (see
-    estimate) for the split search: no standard error, and no gaps for a
-    closed form. head_value is the Monte Carlo one on the stream's first
-    1/_PREFIX_SHARE of slots, or None where the split search reads the
-    whole stream: closed forms, and streams whose prefix would be shorter
-    than _MIN_PREFIX_SLOTS."""
+    _CLOSED_FORMS has one, its table built here, and Monte Carlo from stats,
+    the statistics of the point's stream. value gives evaluate's value and
+    pair gaps for the split search; head_value the Monte Carlo one on the
+    stream's first 1/_PREFIX_SHARE of slots, or None for a whole-stream one."""
     out = []
     if "analytic" in spec.methods and label in _CLOSED_FORMS:
-        closed = partial(_CLOSED_FORMS[label], cfg)
-        out.append((lambda ps, pr: ThroughputEstimate(closed(ps, pr), 0.0, "analytic"),
-                    lambda ps, pr: (closed(ps, pr), ()), None))
+        build, parts = _CLOSED_FORMS[label]
+        parts = partial(parts, cfg, build(cfg))
+
+        def closed(ps, pr, std_error):
+            means = [(v, 0.0) for v in parts(ps / cfg.noise_r, pr / cfg.noise_d)]
+            return _combine(label, "analytic", ps, pr, means, std_error)
+
+        out.append((partial(closed, std_error=True), partial(closed, std_error=False), None))
     if "monte-carlo" in spec.methods:
         # the final estimate reuses the means its search probed at its split
         mc = partial(_SIMULATORS[label], cfg, stats, memo={})
@@ -540,8 +548,8 @@ def _run_stream(spec: ExperimentSpec, points: list, group: list, rows: list):
     Carlo, one sampling pass first builds the statistics of every label and
     M value of the stream, and each is freed after the last point that
     reads it (the group minima that adb and df share after df's), so all
-    are gone before the next stream's are built. Gives
-    the stream's diagnostics, or None without Monte Carlo."""
+    are gone before the next stream's are built. Gives the stream's
+    diagnostics, or None without Monte Carlo."""
     stats = diagnostics = None
     if "monte-carlo" in spec.methods:
         stats = prepare([points[i][:2] for i in group], spec.sim)

@@ -42,8 +42,8 @@ _POLISH_HALF_WIDTH = 0.15
 
 
 class OptimizationError(RuntimeError):
-    """A split search's objective gave a non-finite value (simulate.estimate
-    raises its own ArithmeticError first), or a power split underflowed to
+    """A split search's objective gave a non-finite value (the sweep's own
+    objectives raise ArithmeticError first), or a power split underflowed to
     zero power."""
 
 
@@ -200,8 +200,8 @@ def _prober(budget, value):
     """(probe, values, gaps): probe(u) is value's value at ln(ratio) = u,
     each u computed once; values maps every probed u to its value, in probe
     order, and gaps to its pair gaps. A value that is not finite raises
-    OptimizationError: simulate.estimate raises first, so this catches the
-    other objectives, closed forms and callers' own."""
+    OptimizationError: the sweep's Monte Carlo and closed-form objectives
+    raise their own first, so this catches callers' own."""
     values, gaps = {}, {}
 
     def probe(u):

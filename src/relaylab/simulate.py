@@ -83,14 +83,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class ThroughputEstimate:
-    """A throughput value (bps/Hz) with its standard error and provenance.
-
-    value is the label's prelog times the sum of the min of each pair of
-    its component means, and std_error the prelog times the root sum of
-    squares of the errors of those mins. boundary_ambiguous marks results
-    where some pair's two means were closer than one combined standard
-    error; that pair's error is then the larger of its two.
-    """
+    """A throughput value (bps/Hz) with its standard error and provenance,
+    as _combine makes them of a label's component means. boundary_ambiguous
+    marks results where some pair's two means were closer than one combined
+    standard error; that pair's error is then the larger of its two."""
 
     value: float
     std_error: float
@@ -147,11 +143,11 @@ def stream_bytes(requests, sim: SimConfig) -> int:
     its sparse parts' arrays at the entries _stream allocates for them, as
     _LAYOUT gives them; so adb and its terms hold 4 per M value, df 1
     beside adb at its M and 3 alone (no sweep runs df without adb), crs and
-    sfd-mmrs together 4 and their sparse parts. In
-    _CHUNK-long rows, a probe's: 5, plus 4 per level for crs (7.9 measured
-    at 48 relays). Per thread, 2.5 sampling blocks of _slot_doubles a slot:
-    the block and its builds' temporaries (2.07 measured for adb at one
-    antenna a relay, 1.3 to 1.9 with crs)."""
+    sfd-mmrs together 4 and their sparse parts. In _CHUNK-long rows, a
+    probe's: 5, plus 4 per level for crs (7.9 measured at 48 relays). Per
+    thread, 2.5 sampling blocks of _slot_doubles a slot: the block and its
+    builds' temporaries (2.07 measured for adb at one antenna a relay, 1.3
+    to 1.9 with crs)."""
     requests = list(requests)
     cfg = requests[0][1]
     builds = [build for build, _ in {key for r in requests for key in _statistics(*r)}]
@@ -333,7 +329,7 @@ def _min_of_means(a, b=None):
     is its own min, never ambiguous."""
     if b is None:
         return (*a, False)
-    ambiguous = abs(a[0] - b[0]) <= math.hypot(a[1], b[1])
+    ambiguous = abs(a[0] - b[0]) < math.hypot(a[1], b[1])
     value, se = a if a[0] <= b[0] else b
     if ambiguous:
         se = max(a[1], b[1])
@@ -456,12 +452,10 @@ def _sfd_links(stats, a, b, s, recv, trans):
 # parts(rows, a, b, se, means=None, slots=None), _means over the label's
 # SNR writer, gives its component rates as (mean, se) pairs at a =
 # ps/noise_r, b = pr/noise_d from its statistics' arrays in order (_rows),
-# over their first slots slots (the writers find sparse entries by slot);
-# the throughput is prelog times the sum of the min of each consecutive pair
-# (a lone part is its own min), a pair's source-side rate first: adb
-# 0.5*min(c11, c22) + 0.5*min(c21, c12), sfd-mmrs min(receive, transmit),
-# crs and df half their one rate. The four protocols come first, in row
-# order, and adb's four parts follow.
+# over their first slots slots (the writers find sparse entries by slot), a
+# pair's source-side rate first, which _combine makes the label's value
+# with its prelog. The four protocols come first, in row order, and adb's
+# four parts follow.
 _MINS = (_group_mins, ("M",))
 _ADB = (_MINS, (_group_beams, ("M",)))
 _SELECT = ((_select_stats, ()),)
@@ -514,37 +508,42 @@ def estimate(
 ) -> Union[ThroughputEstimate, tuple]:
     """Monte Carlo throughput of one protocol, or rate of one adb component
     term ("c11", "c22", "c21", "c12"), at source power ps and relay power
-    pr, as a ThroughputEstimate, from stats, which prepare() built with
-    (label, cfg) among its requests; nothing is sampled here, and only the
-    statistics _TABLE lists for label are read, in order. Every label is
-    combined from its parts by one rule, as _TABLE describes. With
-    std_error false only the value is computed, for searches (the standard
-    error takes a second pass over the slots), and returned as (value,
-    gaps): each pair's source-side mean minus its relay-side one. A value
-    that is not finite (a rate overflowed) raises ArithmeticError in either
-    mode. slots, from 1 to the stream's length, limits the estimate to its
-    first slots slots, bit for bit that of a stream so long. memo, a dict
-    its caller keeps for one label, cfg, stats and slots, records the means
-    at each split estimated with it, so an estimate at a split already
-    probed walks the slots only for its errors."""
+    pr, from stats, which prepare() built with (label, cfg) among its
+    requests; nothing is sampled here, and only the statistics _TABLE lists
+    for label are read, in order. _combine makes the parts a
+    ThroughputEstimate, or without std_error (value, gaps) for searches,
+    skipping the errors' second pass over the slots. slots, from 1 to the
+    stream's length, limits the estimate to its first slots slots, bit for
+    bit that of a stream so long. memo, a dict its caller keeps for one
+    label, cfg, stats and slots, records the means at each split it
+    estimates, so one already probed walks the slots only for its errors."""
     if not ps > 0 or not pr > 0:
         raise ValueError(f"powers must be > 0, got ps={ps!r}, pr={pr!r}")
-    _, parts, prelog = _TABLE[label]
+    rows = _rows(stats, label, cfg)
     known = None if memo is None else memo.get((ps, pr))
-    # an overflowing rate shows as a non-finite value, raised below
+    # an overflowing rate shows as a non-finite value, raised by _combine
     with np.errstate(over="ignore", invalid="ignore"):
-        means = parts(
-            _rows(stats, label, cfg), ps / cfg.noise_r, pr / cfg.noise_d, std_error, known, slots
-        )
+        means = _TABLE[label][1](rows, ps / cfg.noise_r, pr / cfg.noise_d, std_error, known, slots)
     if memo is not None:
         memo[ps, pr] = [m for m, _ in means]
-    # a power-of-two prelog scales exactly, so prelog * mean has the bits
-    # of the mean of prelog-scaled rates
+    return _combine(label, "monte-carlo", ps, pr, means, std_error)
+
+
+def _combine(label, method, ps, pr, means, std_error):
+    """label's estimate by method at (ps, pr) from its parts' (mean, se)
+    pairs, by one rule for every label and both methods: prelog times the
+    sum of the min of each consecutive pair (a lone part is its own min),
+    its error prelog times the root sum of squares of the mins' errors. A
+    ThroughputEstimate, or without std_error (value, gaps), each pair's
+    source-side mean minus its relay-side one; ArithmeticError if not finite."""
+    prelog = _TABLE[label][2]
     pairs = [_min_of_means(*means[i:i + 2]) for i in range(0, len(means), 2)]
-    value = prelog * sum(v for v, _, _ in pairs)
+    # prelog * mean has the bits of the mean of prelog-scaled rates (a power
+    # of two scales exactly); each min is scaled first, so no sum overflows
+    value = sum(prelog * v for v, _, _ in pairs)
     if not math.isfinite(value):
         raise ArithmeticError(f"objective returned {value!r} at ps={ps}, pr={pr}")
     if not std_error:
         return value, tuple(s[0] - r[0] for s, r in zip(means[::2], means[1::2]))
     se = prelog * math.hypot(*(s for _, s, _ in pairs))
-    return ThroughputEstimate(value, se, "monte-carlo", any(f for _, _, f in pairs))
+    return ThroughputEstimate(value, se, method, any(f for _, _, f in pairs))

@@ -1,21 +1,24 @@
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from relaylab.analytic import (
     _box_bytes,
     _box_counts,
     adb_closed,
+    adb_weights,
     c11_closed,
     c22_closed,
 )
 from relaylab.channel import ChannelConfig, min_erlang_cdf, nakagami_sum_cdf, sample_gains
-from relaylab.simulate import SimConfig, estimate, prepare
+from relaylab.simulate import SimConfig, _combine, estimate, prepare
 
 from _oracles import capacity_mean_se, min_erlang_samples, norm_sum_samples
 
@@ -239,40 +242,72 @@ def _terms(ps, pr, cfg):
     )
 
 
+def _adb(ps, pr, cfg):
+    """adb's closed-form parts c11, c22, c21, c12 at (ps, pr), and the
+    throughput the shared combine rule makes of them."""
+    parts = adb_closed(ps / cfg.noise_r, pr / cfg.noise_d, cfg, adb_weights(cfg))
+    est = _combine("adb", "analytic", ps, pr, [(v, 0.0) for v in parts], True)
+    assert est.std_error == 0.0 and not est.boundary_ambiguous
+    return parts, est.value
+
+
 def test_adb_closed_symmetric_config():
     cfg = ChannelConfig(L=4, M=2, N_R=3)
-    c11, c22, c21, c12 = _terms(5.0, 2.0, cfg)
+    # equal groups share one table of c11 weights
+    assert list(adb_weights(cfg)) == [2]
+    parts, value = _adb(5.0, 2.0, cfg)
+    c11, c22, c21, c12 = parts
+    assert parts == _terms(5.0, 2.0, cfg)
     assert c11 == c21
     assert c22 == c12
-    assert adb_closed(5.0, 2.0, cfg) == pytest.approx(min(c11, c22), rel=1e-15)
+    assert value == pytest.approx(min(c11, c22), rel=1e-15)
 
 
 def test_adb_closed_branch_consistency():
     cfg = ChannelConfig(L=5, M=2, N_R=2)
+    assert sorted(adb_weights(cfg)) == [2, 3]
     for ps, pr in ((0.1, 10.0), (10.0, 0.1), (3.0, 3.0), (100.0, 0.01)):
-        c11, c22, c21, c12 = _terms(ps, pr, cfg)
-        assert adb_closed(ps, pr, cfg) == 0.5 * min(c11, c22) + 0.5 * min(c21, c12)
-        assert min(c11, c12, c21, c22) >= 0.0
+        parts, value = _adb(ps, pr, cfg)
+        # the parts are the term functions' bit for bit
+        assert parts == _terms(ps, pr, cfg)
+        c11, c22, c21, c12 = parts
+        assert value == 0.5 * min(c11, c22) + 0.5 * min(c21, c12)
+        assert min(parts) >= 0.0
+
+
+_POSITIVE_NORMAL = st.floats(min_value=sys.float_info.min, max_value=sys.float_info.max)
+
+
+@given(st.tuples(*[_POSITIVE_NORMAL] * 4))
+def test_shared_combine_is_half_min_plus_half_min(parts):
+    # the combine rule that Monte Carlo and closed forms share gives, at
+    # adb's prelog 0.5, the bits of the closed form's own former combine,
+    # 0.5*min(c11, c22) + 0.5*min(c21, c12), and the two pair gaps
+    c11, c22, c21, c12 = parts
+    means = [(v, 0.0) for v in parts]
+    value, gaps = _combine("adb", "analytic", 1.0, 1.0, means, False)
+    assert value.hex() == (0.5 * min(c11, c22) + 0.5 * min(c21, c12)).hex()
+    assert gaps == (c11 - c22, c21 - c12)
+    est = _combine("adb", "analytic", 1.0, 1.0, means, True)
+    assert (est.value, est.std_error, est.boundary_ambiguous) == (value, 0.0, False)
 
 
 def test_adb_closed_relay_limited_regime():
     cfg = ChannelConfig(L=4, M=2, N_R=2)
     c11, c22, c21, c12 = _terms(1e4, 1e-3, cfg)
     assert c22 < c11 and c12 < c21
-    assert adb_closed(1e4, 1e-3, cfg) == pytest.approx(0.5 * (c22 + c12), rel=1e-12)
+    assert _adb(1e4, 1e-3, cfg)[1] == pytest.approx(0.5 * (c22 + c12), rel=1e-12)
 
 
 def test_adb_closed_noise_scaling():
     quiet = ChannelConfig(L=4, M=2, N_R=2)
     loud = ChannelConfig(L=4, M=2, N_R=2, noise_r=2.0, noise_d=4.0)
-    assert adb_closed(3.0, 2.0, loud) == pytest.approx(
-        adb_closed(1.5, 0.5, quiet), rel=1e-12
-    )
+    assert _adb(3.0, 2.0, loud)[1] == pytest.approx(_adb(1.5, 0.5, quiet)[1], rel=1e-12)
 
 
 def test_adb_closed_tracks_simulation():
     cfg = ChannelConfig(L=4, M=2, N_R=3)
     stats = prepare([("adb", cfg)], SimConfig(slots=200_000, seed=42))
     est = estimate("adb", cfg, stats, 6.0, 2.0)
-    closed = adb_closed(6.0, 2.0, cfg)
+    closed = _adb(6.0, 2.0, cfg)[1]
     assert abs(closed - est.value) / est.value <= 0.05

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import _slot_major
 import relaylab
-from relaylab import experiments, simulate
+from relaylab import analytic, experiments, simulate
 from relaylab.channel import ChannelConfig
 from relaylab.experiments import (
     CSV_COLUMNS,
@@ -296,6 +296,48 @@ def test_validate_analytic_only_samples_nothing(monkeypatch):
     assert len(result.rows) == 4 * 27
     assert calls == []
     assert result.summary["gaps"] == []
+
+
+@pytest.mark.parametrize("raw, calls", [
+    # the bench's grouping-analytic spec: M = 1..9 of L = 10, two group
+    # sizes a point but at M = 5
+    ({"experiment": "grouping-sweep", "channel": {"L": 10, "M": 5, "N_R": 6}}, 17),
+    # equal groups at every point
+    ({"experiment": "relay-sweep"}, 5),
+], ids=["grouping-analytic", "relay-sweep"])
+def test_closed_form_tables_are_built_once_a_point(monkeypatch, raw, calls):
+    # a searched analytic adb row probes its closed form 41 times, but
+    # builds c11's exact-count table once for each distinct group size
+    counted = []
+    box_counts = analytic._box_counts
+
+    def counting(*args):
+        counted.append(args)
+        return box_counts(*args)
+
+    monkeypatch.setattr(analytic, "_box_counts", counting)
+    run_experiment(resolve_spec({**raw, "methods": ["analytic"]}))
+    assert len(counted) == calls
+
+
+@pytest.mark.parametrize("L, M", [(4, 2), (5, 2)], ids=["equal-groups", "unequal-groups"])
+def test_analytic_values_give_their_pair_gaps(L, M):
+    # an analytic adb point's value callable gives its pair gaps, as Monte
+    # Carlo's does, bit for bit from the term functions; each term has none
+    cfg = ChannelConfig(L=L, M=M, N_R=2, noise_r=2.0, noise_d=0.5)
+    spec = resolve_spec({"experiment": "grouping-sweep", "methods": ["analytic"]})
+    ps, pr = 3.0, 0.7
+    a, b = ps / cfg.noise_r, pr / cfg.noise_d
+    c11, c21 = (analytic.c11_closed(a, g, 2, 1.0) for g in (M, L - M))
+    c22, c12 = (analytic.c22_closed(b, g, 2, 1.0) for g in (M, L - M))
+    [(evaluate, value, head_value)] = experiments._evaluators(spec, "adb", cfg, None)
+    assert head_value is None
+    assert value(ps, pr) == (0.5 * min(c11, c22) + 0.5 * min(c21, c12), (c11 - c22, c21 - c12))
+    assert evaluate(ps, pr).value == value(ps, pr)[0]
+    for term, want in zip(simulate.TERMS, (c11, c22, c21, c12)):
+        [(evaluate, value, _)] = experiments._evaluators(spec, term, cfg, None)
+        assert value(ps, pr) == (want, ())
+        assert (evaluate(ps, pr).value, evaluate(ps, pr).method) == (want, "analytic")
 
 
 def test_ratio_peaks_are_grid_values():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from relaylab import power, simulate
-from relaylab.analytic import adb_closed
+from relaylab.analytic import adb_closed, adb_weights
 from relaylab.channel import ChannelConfig
 from relaylab.power import (
     PROTOCOLS,
@@ -19,7 +19,7 @@ from relaylab.power import (
     maximize_throughput,
     ratio_point,
 )
-from relaylab.simulate import SimConfig, ThroughputEstimate, estimate, prepare
+from relaylab.simulate import SimConfig, ThroughputEstimate, _combine, estimate, prepare
 
 
 def _analytic(value, gaps=()):
@@ -32,6 +32,19 @@ def _analytic(value, gaps=()):
 def _kinked(rising, falling):
     """The min of a rising and a falling curve's values at one split."""
     return _analytic(min(rising, falling), (rising - falling,))
+
+
+def _adb_closed(cfg):
+    """adb's closed-form objective at cfg, as an analytic sweep point's
+    search reads it: c11's weights built once, each probe's four parts
+    combined by the rule estimate uses into its value and pair gaps."""
+    weights = adb_weights(cfg)
+
+    def value(ps, pr):
+        parts = adb_closed(ps / cfg.noise_r, pr / cfg.noise_d, cfg, weights)
+        return _combine("adb", "analytic", ps, pr, [(v, 0.0) for v in parts], False)
+
+    return value
 
 
 def _mc(protocol, cfg, stats):
@@ -127,9 +140,7 @@ def test_maximize_interior_peak_beats_extremes():
     cfg = ChannelConfig(L=4, M=2, N_R=3)
     budget = PowerBudget("adb", 10.0, cfg.L)
 
-    def evaluator(ps, pr):
-        return _analytic(adb_closed(ps, pr, cfg))
-
+    evaluator = _adb_closed(cfg)
     point, est = _search(budget, evaluator, tolerance=1e-3)
     for extreme in (1e-2, 1e2):
         pt = ratio_point(budget, extreme)
@@ -141,7 +152,7 @@ def test_maximize_matches_dense_grid():
     cfg = ChannelConfig(L=4, M=2, N_R=3)
     stats = prepare([("crs", cfg)], SimConfig(slots=50_000, seed=42))
     for protocol, evaluator in (
-        ("adb", lambda ps, pr: _analytic(adb_closed(ps, pr, cfg))),
+        ("adb", _adb_closed(cfg)),
         ("crs", _mc("crs", cfg, stats)),
     ):
         budget = PowerBudget(protocol, 10.0, cfg.L)
@@ -158,7 +169,7 @@ def test_mc_and_analytic_optima_agree():
     budget = PowerBudget("adb", 10.0, cfg.L)
     stats = prepare([("adb", cfg)], SimConfig(slots=200_000, seed=42))
     pt_mc, _ = _search(budget, _mc("adb", cfg, stats))
-    pt_an, _ = _search(budget, lambda ps, pr: _analytic(adb_closed(ps, pr, cfg)))
+    pt_an, _ = _search(budget, _adb_closed(cfg))
     assert abs(math.log(pt_mc.ps / pt_mc.pr) - math.log(pt_an.ps / pt_an.pr)) <= math.log(1.10)
 
 
@@ -166,7 +177,7 @@ def test_cmax_nondecreasing_in_budget():
     cfg = ChannelConfig(L=4, M=2, N_R=2)
     stats = prepare([("crs", cfg)], SimConfig(slots=50_000, seed=42))
     for protocol, evaluator in (
-        ("adb", lambda ps, pr: _analytic(adb_closed(ps, pr, cfg))),
+        ("adb", _adb_closed(cfg)),
         ("crs", _mc("crs", cfg, stats)),
     ):
         values = []
@@ -600,7 +611,7 @@ def test_value_only_probes_give_the_same_optimum(monkeypatch, case):
         value = _mc(case, cfg, stats)
         full = lambda ps, pr: (estimate(case, cfg, stats, ps, pr).value, value(ps, pr)[1])
     elif case == "adb-analytic":
-        full = value = lambda ps, pr: _analytic(adb_closed(ps, pr, cfg))
+        full = value = _adb_closed(cfg)
     else:
         full = value = _two_peaks
     budget = PowerBudget(protocol, 10.0, cfg.L)
