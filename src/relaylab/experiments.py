@@ -38,7 +38,6 @@ from .simulate import (
     TERMS,
     SimConfig,
     _combine,
-    _statistics,
     estimate,
     prepare,
     stream_bytes,
@@ -546,17 +545,17 @@ def _run_stream(spec: ExperimentSpec, points: list, group: list, rows: list):
     """Run the points of one fading stream (indices group of points) into
     their (row, sidecar entry of its split search or None) pairs; for Monte
     Carlo, one sampling pass first builds the statistics of every label and
-    M value of the stream, and each is freed after the last point that
-    reads it (the group minima that adb and df share after df's), so all
-    are gone before the next stream's are built. Gives the stream's
-    diagnostics, or None without Monte Carlo."""
+    M value of the stream. They live as long as this call (nothing built
+    from them, evaluator or memo, goes into rows or searches), so one
+    stream's are freed before the next stream's are built. Gives the stream's
+    diagnostics, with the bytes its statistics hold (a sparse part's whole
+    allocation, not just its entries), or None without Monte Carlo."""
     stats = diagnostics = None
     if "monte-carlo" in spec.methods:
         stats = prepare([points[i][:2] for i in group], spec.sim)
         cfg = points[group[0]][1]
-        nbytes = sum(a.nbytes for out in stats.values() for a in out)
-        diagnostics = {"L": cfg.L, "N_R": cfg.N_R, "stats_bytes": nbytes}
-        last = {key: i for i in group for key in _statistics(*points[i][:2])}
+        held = [a if a.base is None else a.base for out in stats.values() for a in out]
+        diagnostics = {"L": cfg.L, "N_R": cfg.N_R, "stats_bytes": sum(a.nbytes for a in held)}
     for i in group:
         label, cfg, snr_db, split = points[i]
         for evaluate, value, head_value in _evaluators(spec, label, cfg, stats):
@@ -566,10 +565,6 @@ def _run_stream(spec: ExperimentSpec, points: list, group: list, rows: list):
                 point, search = _search(budget, spec.tolerance, value, head_value)
             est = evaluate(point.ps, point.pr)
             rows[i].append((_row(label, cfg, snr_db, point, est, search), search))
-        if stats is not None:
-            for key in _statistics(label, cfg):
-                if last[key] == i:
-                    del stats[key]
     return diagnostics
 
 

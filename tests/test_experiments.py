@@ -679,95 +679,34 @@ def test_relay_major_sweep_matches_slot_major_oracle(tmp_path, monkeypatch, raw)
     assert _mc_csv_bytes(tmp_path, "slot-major.csv", raw) == fast
 
 
-def test_each_stream_is_freed_before_the_next_is_built(monkeypatch):
+@pytest.mark.parametrize("raw", [
+    {"experiment": "relay-sweep", "grid": [2, 4, 6]},
+    # four protocols a stream, and the statistic crs and sfd-mmrs share
+    {"experiment": "antenna-sweep", "grid": [1, 2], "methods": ["monte-carlo"]},
+], ids=["relay", "antenna"])
+def test_each_stream_is_freed_before_the_next_is_built(monkeypatch, raw):
     # one stream's statistics are held at a time: when the next stream's
-    # prepare starts, a weak reference to an array of every earlier one
-    # is dead, without waiting for the garbage collector
-    held = []
+    # prepare starts, a weak reference to every allocation of each earlier
+    # one is dead, without waiting for the garbage collector; the sidecar
+    # counts the bytes each stream holds, a sparse part's whole allocation
+    held, sizes = [], []
     prepare = experiments.prepare
 
     def tracking(requests, sim):
-        assert all(ref() is None for ref in held)
+        assert all(ref() is None for refs in held for ref in refs)
         stats = prepare(requests, sim)
-        held.append(weakref.ref(next(iter(stats.values()))[0]))
+        owners = [a if a.base is None else a.base for out in stats.values() for a in out]
+        held.append([weakref.ref(a) for a in owners])
+        sizes.append(sum(a.nbytes for a in owners))
         return stats
 
     monkeypatch.setattr(experiments, "prepare", tracking)
-    run_experiment(resolve_spec({
-        "experiment": "relay-sweep",
-        "grid": [2, 4, 6],
-        "sim": {"slots": 5_000},
-    }))
-    assert len(held) == 3
-    assert all(ref() is None for ref in held)
-
-
-def test_each_statistic_is_freed_after_its_last_point(monkeypatch):
-    # an antenna-sweep stream runs adb, crs, df and sfd-mmrs in that order;
-    # adb's group beams are read by its own point alone, and the group
-    # minima it shares with df live through df's probes; all of adb's and
-    # df's statistics are dead before sfd-mmrs's first probe, while the
-    # statistic crs and sfd-mmrs share lives until then; the diagnostics
-    # still count every statistic
-    _check_statistics_freed(monkeypatch)
-
-
-def test_prefix_views_are_freed_with_their_statistic(monkeypatch):
-    # with the cut-off lowered, 5000 slots get a 312-slot prefix search,
-    # whose evaluators read the stream's statistics: each still goes after
-    # the last point that reads it
-    monkeypatch.setattr(experiments, "_MIN_PREFIX_SLOTS", 64)
-    _check_statistics_freed(monkeypatch)
-
-
-def _check_statistics_freed(monkeypatch):
-    # per stream, weak references to an array of each of adb's and df's
-    # statistics by key, and to the one crs and sfd-mmrs share
-    refs, seen, sizes = [], [], []
-    prepare = experiments.prepare
-    df, sfd = experiments._SIMULATORS["df"], experiments._SIMULATORS["sfd-mmrs"]
-
-    def tracking(requests, sim):
-        stats = prepare(requests, sim)
-        sizes.append(sum(a.nbytes for out in stats.values() for a in out))
-        cfg = requests[0][1]
-        read = simulate._statistics("adb", cfg) + simulate._statistics("df", cfg)
-        shared = simulate._statistics("crs", cfg)[0]
-        refs.append((
-            {key: weakref.ref(stats[key][0]) for key in read}, weakref.ref(stats[shared][0]),
-        ))
-        return stats
-
-    def dead(cfg):
-        # adb's (minima, beams), df's (minima, all-relay beam), the shared one
-        read, shared = refs[-1]
-        keys = simulate._statistics("adb", cfg) + simulate._statistics("df", cfg)
-        return tuple(read[key]() is None for key in keys) + (shared() is None,)
-
-    def probing_df(cfg, *args, **kwargs):
-        seen.append(("df", *dead(cfg)))
-        return df(cfg, *args, **kwargs)
-
-    def probing_sfd(cfg, *args, **kwargs):
-        seen.append(("sfd-mmrs", *dead(cfg)))
-        return sfd(cfg, *args, **kwargs)
-
-    monkeypatch.setattr(experiments, "prepare", tracking)
-    monkeypatch.setitem(experiments._SIMULATORS, "df", probing_df)
-    monkeypatch.setitem(experiments._SIMULATORS, "sfd-mmrs", probing_sfd)
-    result = run_experiment(resolve_spec({
-        "experiment": "antenna-sweep",
-        "grid": [1, 2],
-        "sim": {"slots": 5_000},
-        "methods": ["monte-carlo"],
-    }))
-    assert len(refs) == 2
-    assert set(seen) == {
-        ("df", False, True, False, False, False),
-        ("sfd-mmrs", True, True, True, True, False),
-    }
-    assert all(ref() is None for read, shared in refs for ref in [*read.values(), shared])
-    assert [s["stats_bytes"] for s in result.diagnostics["streams"]] == sizes
+    result = run_experiment(resolve_spec({**raw, "sim": {"slots": 5_000}}))
+    assert len(held) == len(raw["grid"])  # one stream a grid entry
+    assert all(ref() is None for refs in held for ref in refs)
+    diagnostics = result.diagnostics
+    assert [s["stats_bytes"] for s in diagnostics["streams"]] == sizes
+    assert diagnostics["max_stats_bytes"] == max(sizes)
 
 
 def test_worker_counts_are_compared_in_one_process(tmp_path, monkeypatch):
