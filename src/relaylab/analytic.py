@@ -65,33 +65,29 @@ def _box_counts(group_size: int, shape: int) -> list:
     return counts
 
 
-def _box_bytes(group_size: int, shape: int) -> int:
-    """Upper estimate, in bytes, of what _box_counts(group_size, shape)
-    holds at its peak, for tables past a few KiB (1.0 to 2.8 times the
-    traced peak, measured): its (group_size - 1)(shape - 1) + 1 rows of shape binomials C(n, r), each
-    below 2^n and n^r, and two lists of group_size(shape - 1) + 1 counts
-    N_p <= group_size^p. A list slot and its CPython int take at most 48
-    bytes, and 4 more per 30 bits."""
-    rows = (group_size - 1) * (shape - 1) + 1
-    counts = group_size * (shape - 1) + 1
-    n = rows + shape
-    size = lambda bits: 48 + 4 * (bits // 30)
-    binom = size(min(n, (shape - 1) * n.bit_length()))
-    return rows * (64 + shape * binom) + 2 * counts * size(counts * group_size.bit_length())
-
-
 def _c11_weights(group_size: int, shape: int) -> list:
     """c11's power-independent weights N_p / group_size^p, N_p from
     _box_counts: N_p <= group_size^p, and each quotient is correctly rounded."""
     return [n / group_size**p for p, n in enumerate(_box_counts(group_size, shape))]
 
 
-def _c11(ps, group_size, sigma_g2, weights):
-    scale = 2.0 * ps * sigma_g2
-    x = group_size / scale if scale else math.inf
-    if not 0 < x < math.inf:  # ps so large or small that x over/underflows
-        raise ArithmeticError(f"c11 argument x={x!r} out of range at ps={ps!r}")
+def _en_sum(num, scale, weights, term, name, power):
+    """sum_p weights[p] e^x E_{p+1}(x) / ln 2 at x = num / scale, c11's and
+    c22's one sum; ArithmeticError, naming term and its power name=power,
+    where x leaves (0, inf), as at scale 0."""
+    x = num / scale if scale else math.inf
+    if not 0 < x < math.inf:  # a power so large or small that x over/underflows
+        raise ArithmeticError(f"{term} argument x={x!r} out of range at {name}={power!r}")
     return math.fsum(w * exp_scaled_en(p + 1, x) for p, w in enumerate(weights)) / _LN2
+
+
+def _c11(ps, group_size, sigma_g2, weights):
+    return _en_sum(group_size, 2.0 * ps * sigma_g2, weights, "c11", "ps", ps)
+
+
+def _c22(pr, group_size, shape, sigma_h2):
+    ones = itertools.repeat(1.0, group_size * shape)  # 1.0 * v == v: every bit kept
+    return _en_sum(1.0, 2.0 * pr * group_size * sigma_h2, ones, "c22", "pr", pr)
 
 
 def c11_closed(ps: float, group_size: int, shape: int, sigma_g2: float) -> float:
@@ -118,12 +114,7 @@ def c22_closed(pr: float, group_size: int, shape: int, sigma_h2: float) -> float
     shape=1, group_size=2.
     """
     _check_term_args(pr, group_size, shape, sigma_h2)
-    group_size, shape = int(group_size), int(shape)
-    scale = 2.0 * pr * group_size * sigma_h2
-    x = 1.0 / scale if scale else math.inf
-    if not 0 < x < math.inf:
-        raise ArithmeticError(f"c22 argument x={x!r} out of range at pr={pr!r}")
-    return math.fsum(exp_scaled_en(k + 1, x) for k in range(shape * group_size)) / _LN2
+    return _c22(pr, int(group_size), int(shape), sigma_h2)
 
 
 def adb_weights(cfg: ChannelConfig) -> dict:
@@ -138,9 +129,8 @@ def adb_closed(a: float, b: float, cfg: ChannelConfig, weights: dict) -> tuple:
     Combined (0.5*min(c11, c22) + 0.5*min(c21, c12)), an upper bound on the
     mean-level throughput 0.5*min(E r11, E r22) + 0.5*min(E r21, E r12):
     c11 and c21 are exact, c22 and c12 bound the beam rates, min is monotone."""
-    c11 = _c11(a, cfg.M, cfg.sigma_g2, weights[cfg.M])
-    c22 = c22_closed(b, cfg.M, cfg.N_R, cfg.sigma_h2)
-    if cfg.L == 2 * cfg.M:
-        return c11, c22, c11, c22
-    g = cfg.L - cfg.M
-    return c11, c22, _c11(a, g, cfg.sigma_g2, weights[g]), c22_closed(b, g, cfg.N_R, cfg.sigma_h2)
+    def group(g):  # its broadcast and beamforming parts
+        return _c11(a, g, cfg.sigma_g2, weights[g]), _c22(b, g, cfg.N_R, cfg.sigma_h2)
+
+    one = group(cfg.M)
+    return one * 2 if cfg.L == 2 * cfg.M else one + group(cfg.L - cfg.M)

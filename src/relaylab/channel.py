@@ -31,6 +31,11 @@ _U64_MAX = 2**64 - 1
 _WORDS_PER_TICK = 4
 
 
+def _is_count(v) -> bool:
+    """A config's relay or antenna count, or a group argument: no bool, no float."""
+    return not isinstance(v, (bool, float)) and int(v) == v
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """Relay-network layout and fading/noise parameters.
@@ -51,7 +56,7 @@ class ChannelConfig:
     def __post_init__(self):
         for name in ("L", "M", "N_R"):
             v = getattr(self, name)
-            if isinstance(v, (bool, float)) or int(v) != v:
+            if not _is_count(v):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.L < 2:
             raise ValueError(f"need at least two relays, got L={self.L}")
@@ -145,7 +150,7 @@ def sample_gains(cfg: ChannelConfig, seed: int, start_slot: int, count: int):
 # the group arguments of the gain distributions and of the closed forms
 def _check_group_args(group_size, shape, sigma2):
     for name, v in (("group_size", group_size), ("shape", shape)):
-        if int(v) != v or v < 1:
+        if not _is_count(v) or v < 1:
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
     if not sigma2 > 0:
         raise ValueError(f"sigma2 must be > 0, got {sigma2!r}")
@@ -153,14 +158,14 @@ def _check_group_args(group_size, shape, sigma2):
 
 def _check_cdf_args(z, group_size, shape, sigma2):
     _check_group_args(group_size, shape, sigma2)
-    if z < 0:
+    if not z >= 0:  # NaN too
         raise ValueError(f"z must be >= 0, got {z!r}")
 
 
 def _poisson_tail(x: float, n: int) -> float:
     """e^-x * sum_{r<n} x^r / r!, evaluated term-by-term in log space."""
-    if x == 0.0:
-        return 1.0
+    if x == 0.0 or x == math.inf:  # at inf, each term's -x + r ln x is inf - inf
+        return 1.0 if x == 0.0 else 0.0
     lx = math.log(x)
     return math.fsum(
         math.exp(-x + r * lx - math.lgamma(r + 1)) for r in range(n)

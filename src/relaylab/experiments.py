@@ -24,7 +24,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .analytic import _box_bytes, adb_closed, adb_weights, c11_closed, c22_closed
+from .analytic import adb_closed, adb_weights, c11_closed, c22_closed
 from .channel import ChannelConfig
 from .power import (
     PowerBudget,
@@ -178,23 +178,24 @@ def _physical_memory() -> int:
 # 0.08 s, a c22 sum 0.11 s (2-core host); the build at g = N_R = 50 took 2.9 s.
 _MAX_BOX_WORK = 1 << 19
 _MAX_TERMS = 1 << 15
+# The most an exact-count table within the caps may hold, with margin: along
+# their edge, _box_counts' traced peak is largest at (g, N_R) = (2, 362), 9.9 MiB
+_MAX_BOX_BYTES = 19 << 20
 
 
 def _check_memory(sim: SimConfig, methods: tuple, entries: int, requests):
     """Raise ConfigError when a sweep of grid entries that estimates the
     (label, cfg) pairs of requests would need more than physical memory: 8
     KiB per entry (four points of two rows; a point with its row measured
-    about 700 bytes) plus, for Monte Carlo, the largest fading stream with
-    the statistics of all its requests, and for closed forms, the largest
-    exact-count table a c11 term of a request's larger group builds; or
-    when such a group passes the caps above, which would let a closed form
-    run for minutes (a searched adb row sums c22 at 41 probes)."""
-    need = entries * 8192
+    about 700 bytes), plus the largest fading stream with the statistics of
+    all its requests for Monte Carlo, and _MAX_BOX_BYTES for closed forms;
+    or when a request's larger group passes the caps above, which would let
+    a closed form run for minutes (a searched adb row sums c22 at 41 probes)."""
     groups = {
         (max(cfg.M, cfg.L - cfg.M), cfg.N_R)
         for label, cfg in requests if "analytic" in methods and label in _CLOSED_FORMS
     }
-    need += max((_box_bytes(g, s) for g, s in groups), default=0)
+    need = entries * 8192 + (_MAX_BOX_BYTES if groups else 0)
     if "monte-carlo" in methods:
         streams = {}
         for label, cfg in requests:
@@ -491,7 +492,10 @@ def _evaluators(spec, label, cfg, stats):
         parts = partial(parts, cfg, build(cfg))
 
         def closed(ps, pr, std_error):
-            means = [(v, 0.0) for v in parts(ps / cfg.noise_r, pr / cfg.noise_d)]
+            a, b = ps / cfg.noise_r, pr / cfg.noise_d
+            if not (a > 0 and b > 0):  # a power over a huge noise rounds to 0
+                raise ArithmeticError(f"link powers {a!r}, {b!r} underflow at ps={ps}, pr={pr}")
+            means = [(v, 0.0) for v in parts(a, b)]
             return _combine(label, "analytic", ps, pr, means, std_error)
 
         out.append((partial(closed, std_error=True), partial(closed, std_error=False), None))

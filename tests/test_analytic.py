@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from relaylab import experiments
 from relaylab.analytic import (
-    _box_bytes,
     _box_counts,
     adb_closed,
     adb_weights,
@@ -118,6 +118,13 @@ def test_out_of_range_argument_is_arithmetic_error():
         for power, sigma2 in ((1e308, 1.0), (1e-310, 1e-10), (5e-324, 1e-10)):
             with pytest.raises(ArithmeticError, match=f"{name} argument .* out of range"):
                 fn(power, 1, 1, sigma2)
+    # adb's parts treat a non-positive or NaN link power alike on either side
+    cfg = ChannelConfig(L=3, M=1, N_R=2)
+    for a, b, name in (
+        (0.0, 1.0, "c11"), (1.0, 0.0, "c22"), (math.nan, 1.0, "c11"), (1.0, -1.0, "c22"),
+    ):
+        with pytest.raises(ArithmeticError, match=f"{name} argument .* out of range"):
+            adb_closed(a, b, cfg, adb_weights(cfg))
 
 
 def test_box_counts_match_brute_force():
@@ -131,17 +138,23 @@ def test_box_counts_match_brute_force():
             assert _box_counts(g, s) == expect, (g, s)
 
 
-@pytest.mark.parametrize("g, s", [(16, 16), (2, 200), (200, 2), (6, 4)])
-def test_box_bytes_bounds_traced_peak(g, s):
-    # the exact-count table's estimate bounds what tracemalloc sees it hold,
-    # and overcharges it at most threefold
+def test_box_tables_within_caps_fit_memory_charge():
+    # the largest exact-count table the work caps admit is at g = 2, whose
+    # edge is N_R = 362; it holds no more than the memory check charges
+    def check(n_r):
+        request = ("adb", ChannelConfig(L=4, M=2, N_R=n_r))
+        experiments._check_memory(SimConfig(), ("analytic",), 1, [request])
+
+    check(362)
+    with pytest.raises(experiments.ConfigError, match="too long"):
+        check(363)
     tracemalloc.start()
     try:
-        _box_counts(g, s)
+        _box_counts(2, 362)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _box_bytes(g, s) <= 3 * peak
+    assert peak <= experiments._MAX_BOX_BYTES
 
 
 def _c11_weights(g, s):
@@ -223,6 +236,11 @@ def test_group_arguments_checked_alike(fn, scalar, bad, message):
     for args, want in (
         ((scalar, 0, 2, 1.0), "group_size must be a positive integer"),
         ((scalar, 2, 1.5, 1.0), "shape must be a positive integer"),
+        # ChannelConfig's rule for its counts: no bool, no float
+        ((scalar, True, 2, 1.0), "group_size must be a positive integer"),
+        ((scalar, 2.0, 2, 1.0), "group_size must be a positive integer"),
+        ((scalar, 2, True, 1.0), "shape must be a positive integer"),
+        ((scalar, 2, 2.0, 1.0), "shape must be a positive integer"),
         ((scalar, 2, 2, 0.0), "sigma2 must be > 0"),
         ((bad, 2, 2, 1.0), message),
     ):

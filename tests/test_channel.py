@@ -250,6 +250,14 @@ def test_nakagami_sum_second_moment_gap():
     assert (model - emp) / emp == pytest.approx(0.1202, abs=0.01)
 
 
+def test_cdfs_at_infinity_and_nan():
+    # the Poisson tail is 0 at x = inf, not 0 * inf; NaN is no z >= 0
+    for cdf in (min_erlang_cdf, nakagami_sum_cdf):
+        assert cdf(math.inf, 2, 2, 1.0) == 1.0
+        with pytest.raises(ValueError, match="z must be >= 0"):
+            cdf(math.nan, 2, 2, 1.0)
+
+
 def test_nakagami_sum_cdf_values_and_pdf_consistency():
     assert nakagami_sum_cdf(0.0, 2, 1, 1.0) == 0.0
     assert nakagami_sum_cdf(math.sqrt(2.0), 1, 1, 1.0) == pytest.approx(

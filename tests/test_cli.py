@@ -146,9 +146,16 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     ("ratio-sweep", {"snr_db": 3080}, ["--mc-only"], "objective returned"),
     # 2*ps*sigma_g2 itself underflows to 0: named, not a bare division error
     ("validate", {"grid": [[1, 1, 5e-324]], "channel": {"sigma_g2": 1e-10}}, [], "c11 argument"),
+    # a power over a noise near the double range's top rounds to 0 as a
+    # closed form's link power, on adb's relay side and on either term side
+    ("ratio-sweep", {"snr_db": -3000, "channel": {"noise_d": 1e300}, "grid": [1.0]},
+     ["--analytic-only"], "link powers"),
+    ("validate", {"grid": [[1, 1, 1e-300]], "channel": {"noise_d": 1e300}}, [], "link powers"),
+    ("validate", {"grid": [[1, 1, 1e-300]], "channel": {"noise_r": 1e300}}, [], "link powers"),
 ], ids=[
     "snr-grid-3080", "snr-grid-minus-3230", "ratio-snr_db-minus-3230",
     "ratio-snr_db-3080-mc", "validate-c11-scale-underflow",
+    "ratio-adb-relay-power-underflow", "validate-noise_d-underflow", "validate-noise_r-underflow",
 ])
 def test_extreme_snr_exits_2_with_one_line(
     tmp_path, capsys, recwarn, experiment, payload, flags, names
