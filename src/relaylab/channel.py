@@ -12,6 +12,7 @@ workers, and still reproduce the sequential stream bit for bit.
 """
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -32,8 +33,13 @@ _WORDS_PER_TICK = 4
 
 
 def _is_count(v) -> bool:
-    """A config's relay or antenna count, or a group argument: no bool, no float."""
-    return not isinstance(v, (bool, float)) and int(v) == v
+    """A count of a config, a grid or a group argument: an integer that
+    operator.index takes (numpy's too), but no bool and no float."""
+    try:
+        operator.index(v)
+    except TypeError:
+        return False
+    return not isinstance(v, bool)
 
 
 @dataclass(frozen=True)

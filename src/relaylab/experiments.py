@@ -25,14 +25,8 @@ import numpy as np
 
 from . import __version__
 from .analytic import adb_closed, adb_weights, c11_closed, c22_closed
-from .channel import ChannelConfig
-from .power import (
-    PowerBudget,
-    PowerPoint,
-    at_ratio_bound,
-    maximize_throughput,
-    ratio_point,
-)
+from .channel import ChannelConfig, _is_count
+from .power import PowerBudget, PowerPoint, maximize_throughput, ratio_point
 from .simulate import (
     PROTOCOLS,
     TERMS,
@@ -210,10 +204,6 @@ def _check_memory(sim: SimConfig, methods: tuple, entries: int, requests):
         raise ConfigError("closed forms at this group size and N_R would take too long; use --mc-only")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -315,7 +305,7 @@ _SWEEPS = {
     "grouping-sweep": _Sweep(
         ("adb",),
         grid=lambda channel: range(1, channel.L),
-        valid=lambda spec, m: _is_int(m) and 1 <= m <= spec.channel.L - 1,
+        valid=lambda spec, m: _is_count(m) and 1 <= m <= spec.channel.L - 1,
         error="grouping grid entries must be integers in [1, L - 1] for "
         "L={spec.channel.L}, got {entry!r}",
         channel=lambda spec, m: replace(spec.channel, M=m),
@@ -323,7 +313,7 @@ _SWEEPS = {
     "antenna-sweep": _Sweep(
         PROTOCOLS,
         grid=lambda channel: range(1, 7),
-        valid=lambda spec, n: _is_int(n) and n >= 1,
+        valid=lambda spec, n: _is_count(n) and n >= 1,
         error="antenna grid entries must be positive integers, got {entry!r}",
         channel=lambda spec, n: replace(spec.channel, N_R=n),
     ),
@@ -331,7 +321,7 @@ _SWEEPS = {
     "relay-sweep": _Sweep(
         ("adb",),
         grid=lambda channel: (2, 4, 6, 8, 12),
-        valid=lambda spec, L: _is_int(L) and L >= 2 and L % 2 == 0
+        valid=lambda spec, L: _is_count(L) and L >= 2 and L % 2 == 0
         and spec.total_antennas % L == 0,
         error="relay grid entries must be even integers >= 2 that divide "
         "total_antennas={spec.total_antennas}, got {entry!r}",
@@ -345,7 +335,7 @@ _SWEEPS = {
         tuple(sorted(TERMS)),
         grid=lambda channel: itertools.product((1, 2, 3), (1, 2, 3), (0.1, 1.0, 10.0)),
         valid=lambda spec, e: isinstance(e, (list, tuple)) and len(e) == 3
-        and _is_int(e[0]) and _is_int(e[1]) and min(e[:2]) >= 1 and _is_positive(e[2]),
+        and _is_count(e[0]) and _is_count(e[1]) and min(e[:2]) >= 1 and _is_positive(e[2]),
         error="validate grid entries must be [group_size, shape, power], two "
         "positive integers and a positive finite power, got {entry!r}",
         store=lambda e: (e[0], e[1], float(e[2])),
@@ -392,7 +382,7 @@ def resolve_spec(raw: dict) -> ExperimentSpec:
             f"snr_db must be a dB number with 10^(dB/10) a positive finite double, got {snr_db!r}"
         )
     total_antennas = raw.get("total_antennas", 48)
-    if not _is_int(total_antennas) or total_antennas < 2:
+    if not _is_count(total_antennas) or total_antennas < 2:
         raise ConfigError(f"total_antennas must be an integer >= 2, got {total_antennas!r}")
     tolerance = raw.get("tolerance", 1e-3)
     if not isinstance(tolerance, (int, float)) or not 0 < tolerance < 1:
@@ -512,9 +502,8 @@ def _evaluators(spec, label, cfg, stats):
 
 def _search(budget, tolerance, value, head_value) -> Tuple[PowerPoint, dict]:
     """The best split of budget, and the search's sidecar entry: its value
-    probes on the stream prefix and on the whole stream, and whether the
-    optimum sits on a ratio bound. With head_value, the search runs on the
-    prefix and polishes its optimum on the whole stream."""
+    probes on the stream prefix and on the whole stream. With head_value,
+    the search runs on the prefix and polishes its optimum on the stream."""
     entry = {"prefix_probes": 0, "probes": 0}
 
     def counted(fn, key):  # a new callable each search: the search caches
@@ -523,12 +512,10 @@ def _search(budget, tolerance, value, head_value) -> Tuple[PowerPoint, dict]:
             return fn(ps, pr)
         return probe
 
-    point = maximize_throughput(
+    return maximize_throughput(
         budget, counted(value, "probes"), tolerance,
         head_value and counted(head_value, "prefix_probes"),
-    )
-    entry["at_bound"] = at_ratio_bound(point, tolerance)
-    return point, entry
+    ), entry
 
 
 def _points(spec: ExperimentSpec) -> list:
@@ -610,7 +597,7 @@ def run_experiment(spec: ExperimentSpec) -> SweepResult:
         "max_stats_bytes": max((s["stats_bytes"] for s in streams), default=0),
         # one per optimised row: its value probes on the stream prefix and
         # on the whole stream (over 200 in one stage: the dense-grid
-        # fallback), and whether its optimum sits on a ratio bound
+        # fallback)
         "searches": [
             {"row": i, "protocol": row.protocol, "method": row.method, **search}
             for i, (row, search) in enumerate(pairs) if search

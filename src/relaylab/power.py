@@ -5,18 +5,21 @@ counts transmitting relays per slot (L/2 for the alternating scheme since only
 one group beamforms at a time, L otherwise) and two-slot protocols get the
 budget counted per transmission phase (total = 2*snr_total). Throughput is
 increasing in both powers, so the optimum sits on the equality curve and the
-search is one-dimensional in the ratio ps/pr; it reads the objective's
-values and pair gaps only, never a standard error or an estimate, and steps
-on the signs of the gaps. A Monte Carlo search may run in two stages, in
-one maximize_throughput call: on a prefix of the fading stream, where each
-probe is cheap, then a polish on the whole stream, from the prefix's
-optimum.
+search is one-dimensional in the ratio ps/pr. It reads the objective's
+values and pair gaps only, never a standard error or an estimate, steps on
+the signs of the gaps, and follows a rising value past its coarse grid's
+span to any ratio a double holds. A Monte Carlo search may run in two
+stages, in one maximize_throughput call: on a prefix of the fading stream,
+where each probe is cheap, then a polish on the whole stream, from the
+prefix's optimum.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
+from .channel import _is_count
 from .simulate import PROTOCOLS
 
 __all__ = [
@@ -24,12 +27,12 @@ __all__ = [
     "PowerPoint",
     "ratio_point",
     "maximize_throughput",
-    "at_ratio_bound",
     "OptimizationError",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# The ps/pr range the search covers, and the points of its coarse log grid.
+# The ps/pr span of the search's coarse log grid, and its points. A best
+# edge of the grid steps outward while the value rises.
 _RATIO_BOUNDS = (1e-2, 1e2)
 _COARSE_POINTS = 25
 # The coarse grid of every protocol but adb, which Brent's loop refines
@@ -39,12 +42,14 @@ _BRENT_POINTS = 9
 # optimum on a stream prefix: 6x the largest prefix-to-stream shift
 # measured, 0.023.
 _POLISH_HALF_WIDTH = 0.15
+# The ln(ratio) range whose ratios a double holds, finite and above zero.
+_U_RANGE = (math.log(math.ulp(0.0)), math.log(sys.float_info.max))
 
 
 class OptimizationError(RuntimeError):
     """A split search's objective gave a non-finite value (the sweep's own
-    objectives raise ArithmeticError first), or a power split underflowed to
-    zero power."""
+    objectives raise ArithmeticError first), a power split underflowed to
+    zero power, or the value still rose where ps/pr leaves the doubles."""
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,7 @@ class PowerBudget:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if not self.snr_total > 0:
             raise ValueError(f"snr_total must be > 0, got {self.snr_total!r}")
-        if self.L < 2 or int(self.L) != self.L:
+        if not _is_count(self.L) or self.L < 2:
             raise ValueError(f"L must be an integer >= 2, got {self.L!r}")
 
     @property
@@ -201,11 +206,14 @@ def _prober(budget, value):
     each u computed once; values maps every probed u to its value, in probe
     order, and gaps to its pair gaps. A value that is not finite raises
     OptimizationError: the sweep's Monte Carlo and closed-form objectives
-    raise their own first, so this catches callers' own."""
+    raise their own first, so this catches callers' own. So does a u past
+    the ratios a double holds, which only a value rising toward it reaches."""
     values, gaps = {}, {}
 
     def probe(u):
         if u not in values:
+            if not _U_RANGE[0] <= u <= _U_RANGE[1]:
+                raise OptimizationError(f"objective rises toward ps/pr = e^{u}, past any double")
             point = ratio_point(budget, math.exp(u))
             fu, gaps[u] = value(point.ps, point.pr)
             if not math.isfinite(fu):
@@ -218,13 +226,11 @@ def _prober(budget, value):
     return probe, values, gaps
 
 
-def _width_goal(tolerance: float) -> float:
-    """The ln(ratio) bracket width a search ends at: the relative ratio
-    tolerance, but at least a few ulps of the ratio bounds, or steps round
-    onto probed points."""
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
-    return max(math.log1p(tolerance), 16.0 * math.ulp(math.log(_RATIO_BOUNDS[1])))
+def _width_goal(tolerance: float, a: float, b: float) -> float:
+    """The width a search of the ln(ratio) bracket [a, b] ends at: the
+    relative ratio tolerance, but at least a few ulps of the bracket's
+    larger end, or steps round onto probed points."""
+    return max(math.log1p(tolerance), 16.0 * math.ulp(max(abs(a), abs(b))))
 
 
 def _best(budget, values) -> PowerPoint:
@@ -242,25 +248,28 @@ def maximize_throughput(
     the objective's value and its pair gaps, as simulate.estimate gives
     them without a standard error (a smooth objective has none).
 
-    Log-spaced coarse grid over the ps/pr ratio, then refinement of
-    ln(ratio) in the bracket of the best grid point down to the given
-    relative ratio tolerance. If the coarse grid has two or more interior
-    local maxima, a 200-point grid re-locates the peak first. Returns the
+    Log-spaced coarse grid over the ps/pr span _RATIO_BOUNDS, then
+    refinement of ln(ratio) in the bracket of the best grid point down to
+    the given relative ratio tolerance. If the coarse grid has two or more
+    interior local maxima, a 200-point grid re-locates the peak first. A
+    best edge steps outward, each step twice the last from the grid step,
+    while each new point is strictly higher than the last. Returns the
     first probed point of highest value. adb takes a 25-point grid, then
-    golden section, 41 value probes, the splits bench/reference/ holds its
-    analytic rows at. The others take a 9-point grid, then _brent's loop
-    from its best point, an edge one too: 15 to 20 probes for crs and df,
-    10 to 12 for sfd-mmrs.
+    golden section, 41 value probes from an interior grid point, the
+    splits bench/reference/ holds its analytic rows at. The others take a
+    9-point grid, then _brent's loop from its best point: 15 to 20 probes
+    for crs and df, 10 to 12 for sfd-mmrs.
 
     With head, a cheaper estimate of the same objective (a Monte Carlo
     stream's prefix), the search above runs on head. One _brent's loop
     then polishes its optimum on value, in a bracket of +-0.15 in
-    ln(ratio) around it, cut at the ratio bounds. Where an edge is no
-    ratio bound, no polish probe between it and the polish's optimum is
-    lower, and the optimum's gaps do not put the peak on its other side,
-    the peak may lie past the edge: the search runs again on value alone.
+    ln(ratio) around it. Where no polish probe between an edge and the
+    polish's optimum is lower, and the optimum's gaps do not put the peak
+    on the edge's other side, the peak may lie past the edge: the search
+    runs again on value alone.
     """
-    width_goal = _width_goal(tolerance)
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
     probe, values, gaps = _prober(budget, value if head is None else head)
     brent = budget.protocol != "adb"
     points = _BRENT_POINTS if brent else _COARSE_POINTS
@@ -271,33 +280,29 @@ def maximize_throughput(
         vals = [probe(u) for u in us]
         if not _several_maxima(vals):
             break
-    best = max(range(len(us)), key=vals.__getitem__)
-    a = us[max(best - 1, 0)]
-    b = us[min(best + 1, len(us) - 1)]
+    best = max(range(n), key=vals.__getitem__)
+    a, x, b = us[max(best - 1, 0)], us[best], us[min(best + 1, n - 1)]
+    if best in (0, n - 1):
+        inner, d = (b, -step) if best == 0 else (a, step)
+        while probe(x + d) > probe(x):
+            inner, x, d = x, x + d, 2.0 * d
+        a, b = sorted((inner, x + d))
 
     if brent:
-        _brent(probe, a, b, us[best], width_goal, gaps)
+        _brent(probe, a, b, x, _width_goal(tolerance, a, b), gaps)
     else:
-        _golden(probe, a, b, width_goal)
+        _golden(probe, a, b, _width_goal(tolerance, a, b))
     point = _best(budget, values)
     if head is None:
         return point
 
     probe, values, gaps = _prober(budget, value)
-    x = min(max(math.log(point.ps / point.pr), ulo), uhi)
-    a, b = max(x - _POLISH_HALF_WIDTH, ulo), min(x + _POLISH_HALF_WIDTH, uhi)
-    _brent(probe, a, b, x, width_goal, gaps)
+    x = math.log(point.ps / point.pr)
+    a, b = x - _POLISH_HALF_WIDTH, x + _POLISH_HALF_WIDTH
+    _brent(probe, a, b, x, _width_goal(tolerance, a, b), gaps)
     x = max(values, key=values.get)
     fx, side = values[x], _side(gaps[x])
-    for edge, s in ((a > ulo, -1), (b < uhi, 1)):
-        if edge and side != -s and not any(values[u] < fx for u in values if (u - x) * s > 0):
+    for s in (-1, 1):
+        if side != -s and not any(values[u] < fx for u in values if (u - x) * s > 0):
             return maximize_throughput(budget, value, tolerance)
     return _best(budget, values)
-
-
-def at_ratio_bound(point: PowerPoint, tolerance: float) -> bool:
-    """Whether point's ps/pr lies within the relative tolerance of a ratio
-    bound of the split search: the search's optimum there may be clipped,
-    the best split lying past the bound."""
-    u = math.log(point.ps / point.pr)
-    return min(abs(u - math.log(r)) for r in _RATIO_BOUNDS) <= _width_goal(tolerance)

@@ -29,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from .channel import ChannelConfig, _pairwise_sum, sample_gains
+from .channel import ChannelConfig, _is_count, _pairwise_sum, sample_gains
 
 __all__ = [
     "PROTOCOLS",
@@ -71,7 +71,7 @@ class SimConfig:
     def __post_init__(self):
         for name in ("slots", "seed", "workers"):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_count(v):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.slots < 1:
             raise ValueError(f"slots must be >= 1, got {self.slots}")

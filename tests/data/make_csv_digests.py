@@ -1,9 +1,10 @@
 """Regenerate csv_digests.json.
 
 The sha256 of every experiment's CSV at fixed small specs: the six
-experiments at their default grids and 20k slots under seeds 42 and 7, and
-an antenna sweep at 200k slots, the one case whose split searches run on a
-stream prefix. A CSV's bytes depend on numpy's Philox and log as well as
+experiments at their default grids and 20k slots under seeds 42 and 7; an
+antenna sweep and a relay sweep at 200k slots, whose split searches run on
+a stream prefix; and the analytic grouping sweep at its bench channel. A
+CSV's bytes depend on numpy's Philox and log as well as
 on this package, so the file also freezes the numpy version and the digest
 of one sample_gains block (bench/guard.py's recipe); a test that finds
 either changed cannot tell a package change from a numpy one. Regenerate
@@ -29,10 +30,17 @@ def cases() -> list:
         {"experiment": e, "sim": {"slots": 20_000, "seed": seed}}
         for seed in (42, 7) for e in EXPERIMENTS
     ]
-    # the one case past the 131072-slot cut-off of the prefix searches
+    # past the 131072-slot cut-off of the prefix searches
     out.append(
         {"experiment": "antenna-sweep", "grid": [1, 3], "sim": {"slots": 200_000, "seed": 42}}
     )
+    # the relay-200k bench rows, and grouping-analytic's channel (bench/run.py);
+    # the test ids read every case's sim
+    out.append({"experiment": "relay-sweep", "sim": {"slots": 200_000, "seed": 42}})
+    out.append({
+        "experiment": "grouping-sweep", "channel": {"L": 10, "M": 5, "N_R": 6},
+        "methods": ["analytic"], "sim": {"slots": 200_000, "seed": 42},
+    })
     return out
 
 

@@ -236,11 +236,14 @@ def test_group_arguments_checked_alike(fn, scalar, bad, message):
     for args, want in (
         ((scalar, 0, 2, 1.0), "group_size must be a positive integer"),
         ((scalar, 2, 1.5, 1.0), "shape must be a positive integer"),
-        # ChannelConfig's rule for its counts: no bool, no float
+        # ChannelConfig's rule for its counts: no bool, no float, numpy's
+        # floats included
         ((scalar, True, 2, 1.0), "group_size must be a positive integer"),
         ((scalar, 2.0, 2, 1.0), "group_size must be a positive integer"),
+        ((scalar, np.float32(2), 2, 1.0), "group_size must be a positive integer"),
         ((scalar, 2, True, 1.0), "shape must be a positive integer"),
         ((scalar, 2, 2.0, 1.0), "shape must be a positive integer"),
+        ((scalar, 2, np.float32(2), 1.0), "shape must be a positive integer"),
         ((scalar, 2, 2, 0.0), "sigma2 must be > 0"),
         ((bad, 2, 2, 1.0), message),
     ):

@@ -38,6 +38,9 @@ def test_config_rejects_degenerate_groups():
 def test_config_rejects_bad_scalars():
     with pytest.raises(ValueError):
         ChannelConfig(L=4, M=2, N_R=0)
+    for count in (3.0, np.float32(3), True):
+        with pytest.raises(ValueError):
+            ChannelConfig(L=4, M=2, N_R=count)
     with pytest.raises(ValueError):
         ChannelConfig(L=4, M=2, sigma_g2=0.0)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import os
@@ -215,7 +216,8 @@ def test_argparse_rejections():
     {"channel": {"sigma_h2": 10**400}},
     {"channel": {"noise_r": 10**400}},
     {"channel": {"noise_d": 10**400}},
-    # closed forms whose exact-count tables outgrow memory
+    # closed forms past the work caps: a group of 10^11 - 2 relays, and
+    # 10^5 antennas a relay
     {"experiment": "ratio-sweep", "channel": {"L": 10**11, "M": 2, "N_R": 2},
      "grid": [1.0], "methods": "analytic"},
     {"experiment": "antenna-sweep", "grid": [100000], "methods": "analytic"},
@@ -232,7 +234,7 @@ def test_argparse_rejections():
     "ratio-grid-int-overflow", "validate-power-int-overflow",
     "antenna-grid-int-overflow", "slots-int-overflow", "sigma_g2-int-overflow",
     "sigma_h2-int-overflow", "noise_r-int-overflow", "noise_d-int-overflow",
-    "closed-form-group-memory", "closed-form-shape-memory", "memory-need-digits",
+    "closed-form-group-work", "closed-form-shape-work", "memory-need-digits",
 ])
 def test_malformed_config_exits_1_with_one_line(tmp_path, capsys, payload):
     payload = {"experiment": "snr-sweep", **payload}
@@ -273,6 +275,22 @@ def test_large_closed_form_argument_exits_0(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["snr-sweep", "--config", cfg, "--output", str(out), "--analytic-only"]) == 0
     assert out.read_text().count("\n") == 2
+
+
+def test_split_past_the_coarse_grid_exits_0(tmp_path):
+    # 12 single-antenna relays: both methods' best ps/pr lies past the
+    # coarse grid's top, 1e2 (283 by the closed form, 231 by Monte Carlo),
+    # and the search follows it there, not only past 1e2's rounding
+    cfg = _write(tmp_path / "cfg.json", {
+        "experiment": "relay-sweep", "total_antennas": 12, "grid": [12],
+        "sim": {"slots": 200_000},
+    })
+    out = tmp_path / "x.csv"
+    assert main(["relay-sweep", "--config", cfg, "--output", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["method"] for r in rows] == ["analytic", "monte-carlo"]
+    assert all(float(r["ps"]) / float(r["pr"]) > 200.0 for r in rows)
 
 
 def test_verbose_logs_each_row_and_keeps_csv_bytes(tmp_path, caplog):

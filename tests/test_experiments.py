@@ -463,6 +463,9 @@ def test_sidecar_lists_boundary_ambiguous_rows(tmp_path):
     }
 
 
+_SEARCH_KEYS = frozenset({"row", "protocol", "method", "prefix_probes", "probes"})
+
+
 @pytest.mark.parametrize("raw, streams", [
     # three M values of one stream, built in one pass: 3 x 4 slot-long rows
     (
@@ -492,9 +495,9 @@ def test_sidecar_diagnostics(tmp_path, raw, streams):
     assert [(s["row"], s["protocol"], s["method"]) for s in searches] == [
         (i, row.protocol, row.method) for i, row in enumerate(result.rows)
     ]
-    # streams this short are searched whole, and no optimum is clipped
+    # streams this short are searched whole; an entry counts its probes
     assert all(s["probes"] >= 1 and s["prefix_probes"] == 0 for s in searches)
-    assert not any(s["at_bound"] for s in searches)
+    assert {frozenset(s) for s in searches} == {_SEARCH_KEYS}
     assert diagnostics["peak_rss_mb"] > 0
     write_csv(replace(result, diagnostics={}), str(tmp_path / "cleared.csv"))
     with open(csv_path, "rb") as a, open(tmp_path / "cleared.csv", "rb") as b:
@@ -555,7 +558,7 @@ def test_prefix_search_matches_whole_stream_search(monkeypatch, caplog):
         else:
             assert s["prefix_probes"] >= 9 and 1 <= s["probes"] <= 15
             assert line.endswith(f" after {s['prefix_probes']} prefix and {s['probes']} probes")
-    assert not any(s["at_bound"] for s in searches)
+    assert {frozenset(s) for s in searches} == {_SEARCH_KEYS}
     assert all(s["prefix_probes"] == 0 for s in whole.diagnostics["searches"])
 
 
@@ -588,23 +591,46 @@ def test_searched_row_walks_its_stream_once_for_its_estimate(monkeypatch, label)
     assert est == simulate.estimate(label, cfg, stats, point.ps, point.pr)
 
 
-def test_search_on_a_ratio_bound_is_flagged(tmp_path):
-    # 12 antennas on 12 relays: adb's best split lies past ps/pr = 100, so
-    # both methods' searches end on the bound, and the sidecar says so
-    raw = {
-        "experiment": "relay-sweep",
-        "total_antennas": 12,
-        "grid": [4, 12],
-        "sim": {"slots": 20_000},
-        "output_path": str(tmp_path / "r.csv"),
-    }
-    result = run_experiment(resolve_spec(raw))
-    emit(result)
-    searches = json.loads((tmp_path / "r.summary.json").read_text())["diagnostics"]["searches"]
-    assert [(s["method"], s["at_bound"]) for s in searches] == [
-        ("analytic", False), ("monte-carlo", False), ("analytic", True), ("monte-carlo", True)
-    ]
-    assert [r.ps / r.pr for r in result.rows[2:]] == [pytest.approx(100.0)] * 2
+def _dense_peak(budget, value):
+    """The ps/pr of the best point of a dense grid of value, and its value:
+    201 points over ln(ratio) in [ln 1e-2, ln 1e4], then points 2.5e-4
+    apart over the two cells around the best."""
+    def at(u):
+        point = experiments.ratio_point(budget, math.exp(u))
+        return value(point.ps, point.pr)[0]
+
+    us = np.linspace(math.log(1e-2), math.log(1e4), 201)
+    best = max(range(1, 200), key=lambda i: at(us[i]))
+    fine = max(np.arange(us[best - 1], us[best + 1], 2.5e-4), key=at)
+    return math.exp(fine), at(fine)
+
+
+def test_split_past_the_coarse_grid_is_the_peak():
+    # 12 antennas on 12 relays: adb's best ps/pr lies past the top of the
+    # coarse grid, 1e2. Each method's search follows it there, to within
+    # its tolerance of the best point of a dense grid of its own objective
+    # on this stream; at a tolerance far finer than the grid, the closed
+    # form's search is no lower than that point
+    spec = resolve_spec({
+        "experiment": "relay-sweep", "total_antennas": 12, "grid": [12],
+        "sim": {"slots": 200_000},
+    })
+    result = run_experiment(spec)
+    cfg = ChannelConfig(L=12, M=6, N_R=1)
+    budget = experiments.PowerBudget("adb", experiments._snr_linear(spec.snr_db), cfg.L)
+    stats = simulate.prepare([("adb", cfg)], spec.sim)
+    (_, closed, _), (_, mc, _) = experiments._evaluators(spec, "adb", cfg, stats)
+    analytic_row, mc_row = result.rows
+    ratio, value = _dense_peak(budget, closed)
+    assert ratio == pytest.approx(282.9, rel=1e-3)
+    assert analytic_row.ps / analytic_row.pr == pytest.approx(ratio, rel=1e-3)
+    fine = run_experiment(replace(spec, methods=("analytic",), tolerance=1e-9)).rows[0]
+    assert fine.throughput >= value * (1 - 1e-12)
+    ratio, _ = _dense_peak(budget, mc)
+    assert mc_row.ps / mc_row.pr == pytest.approx(ratio, rel=1e-3)
+    searches = result.diagnostics["searches"]
+    assert searches[0]["probes"] <= 50
+    assert searches[1]["prefix_probes"] > 0
 
 
 def test_load_spec_errors(tmp_path):

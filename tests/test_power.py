@@ -15,7 +15,6 @@ from relaylab.power import (
     OptimizationError,
     PowerBudget,
     PowerPoint,
-    at_ratio_bound,
     maximize_throughput,
     ratio_point,
 )
@@ -111,6 +110,10 @@ def test_budget_validation():
         PowerBudget("adb", 0.0, 4)
     with pytest.raises(ValueError):
         PowerBudget("adb", 10.0, 1)
+    # a count by ChannelConfig's rule: no float, numpy's included, no bool
+    for L in (4.0, np.float32(4), True):
+        with pytest.raises(ValueError):
+            PowerBudget("adb", 10.0, L)
     with pytest.raises(ValueError):
         PowerPoint(0.0, 1.0)
 
@@ -205,10 +208,10 @@ def test_optimizer_stays_feasible():
 def test_smooth_search_finds_reference_optimum(protocol):
     # the 9-point grid and Brent's steps land within the ratio tolerance of
     # a bounded reference optimiser's peak: a synthetic interior peak, one
-    # past the upper ratio bound (the best grid point is an edge, where the
-    # search starts), and the protocol's Monte Carlo throughput. At 1e-16,
-    # far below an ulp of the ratio bounds, the search must end and pass
-    # the same checks
+    # past the top of the coarse grid (its best point is an edge, which
+    # steps outward), and the protocol's Monte Carlo throughput. At 1e-16,
+    # far below an ulp of ln(ratio), the search must end and pass the same
+    # checks
     cfg = ChannelConfig(L=4, M=2, N_R=2)
     stats = prepare([(protocol, cfg)], SimConfig(slots=50_000, seed=42))
     budget = PowerBudget(protocol, 10.0, cfg.L)
@@ -229,7 +232,7 @@ def test_smooth_search_finds_reference_optimum(protocol):
             return -evaluator(pt.ps, pt.pr)[0]
 
         ref = minimize_scalar(
-            loss, bounds=(ulo, uhi), method="bounded", options={"xatol": 1e-7}
+            loss, bounds=(2.0 * ulo, 2.0 * uhi), method="bounded", options={"xatol": 1e-7}
         )
         assert abs(math.log(point.ps / point.pr) - ref.x) <= math.log1p(1e-3)
         assert est.value >= -ref.fun - 1e-9 * abs(ref.fun)
@@ -241,18 +244,18 @@ def _grid_u(i):
     return ulo + i * (uhi - ulo) / (power._BRENT_POINTS - 1)
 
 
-@pytest.mark.parametrize("kink, best", [
-    (_grid_u(5) + 0.37, None),
-    (_grid_u(6), None),
-    (_grid_u(8) + 0.8, _grid_u(8)),
+@pytest.mark.parametrize("kink, most", [
+    (_grid_u(5) + 0.37, 12),
+    (_grid_u(6), 12),
+    (_grid_u(8) + 0.8, 14),
 ], ids=["between-grid-points", "on-a-grid-point", "past-the-upper-bound"])
 @pytest.mark.parametrize("rise, fall", [(1.0, -1.0), (0.2, -3.0), (5.0, -0.1)])
-def test_kinked_search_finds_the_crossing(kink, best, rise, fall):
+def test_kinked_search_finds_the_crossing(kink, most, rise, fall):
     # the min of a rising and a falling curve, both bent, peaks where they
-    # cross; past the upper ratio bound the best split is the bound itself,
-    # where the search starts. Every search ends; below 1e-9 the values
-    # near the kink tie to within their rounding, so they are checked to
-    # 1e-9 only
+    # cross; past the top of the coarse grid its best point, the edge,
+    # steps outward to bracket the crossing. Every search ends; below 1e-9
+    # the values near the kink tie to within their rounding, so they are
+    # checked to 1e-9 only
     budget = PowerBudget("sfd-mmrs", 10.0, 4)
 
     def evaluator(ps, pr):
@@ -261,14 +264,11 @@ def test_kinked_search_finds_the_crossing(kink, best, rise, fall):
 
     for tolerance in (1e-3, 1e-9, 1e-16):
         point, probes = _counted(budget, evaluator, tolerance)
-        want = kink if best is None else best
-        assert abs(math.log(point.ps / point.pr) - want) <= math.log1p(max(tolerance, 1e-9))
-        if best is not None and tolerance == 1e-3:
-            assert probes <= 20
-        # each probe's gaps cut the bracket to the peak's side: past the
-        # bound the best grid point's sign ends the search on the grid
+        assert abs(math.log(point.ps / point.pr) - kink) <= math.log1p(max(tolerance, 1e-9))
+        # each probe's gaps cut the bracket to the peak's side; past the
+        # grid the walk's two steps add two probes
         if tolerance == 1e-3:
-            assert probes <= (12 if best is None else power._BRENT_POINTS)
+            assert probes <= most
 
 
 def _two_crossings(at):
@@ -320,11 +320,26 @@ def _ending(search):
     return run
 
 
+def _shape(at, kinked, rise, fall):
+    """An objective peaking at ln(ps/pr) = at, its global maximum: the min
+    of a rising and a falling bent line, whose gap rises in ln(ps/pr) as a
+    pair gap does, or a smooth lopsided parabola."""
+    def evaluator(ps, pr):
+        t = math.log(ps / pr) - at
+        if kinked:
+            return _kinked(
+                1000.0 + (rise * t - 0.05 * t * t),
+                1000.0 + (-fall * t - 0.05 * t * t - 0.02 * t * abs(t)),
+            )
+        return _analytic(1000.0 - rise * t * t * (1.0 + 0.5 * math.tanh(fall * t)))
+    return evaluator
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(
     protocol=st.sampled_from(["adb", "crs", "sfd-mmrs"]),
     kinked=st.booleans(),
-    peak=st.floats(_grid_u(0) - 1.0, _grid_u(8) + 1.0),
+    peak=st.floats(-40.0, 40.0),
     rise=st.floats(0.05, 5.0),
     fall=st.floats(0.05, 5.0),
     tolerance=st.floats(math.log(1e-16), math.log(0.5)).map(math.exp),
@@ -338,23 +353,42 @@ def _ending(search):
     fall=1.613223904162754, tolerance=1.0844185318094242e-12,
 )
 @example(protocol="adb", kinked=False, peak=0.7, rise=1.0, fall=1.0, tolerance=1e-16)
+# far past the coarse grid, where an ulp of ln(ratio) is 8 to 64 times one of
+# ln 1e2, the grid's top
+@example(protocol="crs", kinked=True, peak=40.0, rise=1.0, fall=1.0, tolerance=1e-16)
+@example(protocol="crs", kinked=True, peak=-40.0, rise=1.0, fall=1.0, tolerance=1e-16)
+@example(protocol="adb", kinked=False, peak=300.0, rise=1.0, fall=1.0, tolerance=1e-16)
 def test_every_search_ends(protocol, kinked, peak, rise, fall, tolerance):
     # golden section (adb), Brent's parabolas (crs) and its tent steps
-    # (sfd-mmrs) all end, on a peak or a kink anywhere in the ratio range or
-    # just past it, at any tolerance in (0, 1) down to far below an ulp of
-    # the ratio bounds; a search that returns has ended
+    # (sfd-mmrs) all end, on a peak or a kink in the coarse grid's span or
+    # far past it, at any tolerance in (0, 1) down to far below an ulp of
+    # ln(ratio), and land on it: within the tolerance, or where values tie
+    # within their rounding
     budget = PowerBudget(protocol, 10.0, 4)
-
-    def evaluator(ps, pr):
-        t = math.log(ps / pr) - peak
-        if kinked:
-            return _kinked(1000.0 + (rise * t - 0.05 * t * t), 1000.0 + (-fall * t - 0.03 * t * t))
-        return _analytic(1000.0 - rise * t * t - 0.01 * fall * t * t * t)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(power, "_brent", _ending(power._brent))
         patch.setattr(power, "_golden", _ending(power._golden))
-        _counted(budget, evaluator, tolerance)
+        point, _ = _counted(budget, _shape(peak, kinked, rise, fall), tolerance)
+    assert abs(_u(point) - peak) <= math.log1p(tolerance) + 1e-5
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_a_value_rising_without_end_raises(protocol, sign):
+    # a value that rises forever one way walks to where a double holds no
+    # ratio (or, for a small budget, no power) and raises there, in a
+    # search and in a polish's search of the whole objective; one that
+    # rises to a plateau ends on its ties
+    rising = lambda ps, pr: _analytic(sign * math.log(ps / pr))
+    for total in (10.0, 1e-300):
+        budget = PowerBudget(protocol, total, 4)
+        with pytest.raises(OptimizationError):
+            maximize_throughput(budget, rising)
+        with pytest.raises(OptimizationError):
+            maximize_throughput(budget, rising, head=_shape(0.0, False, 1.0, 1.0))
+    plateau = lambda ps, pr: _analytic(1.0 - math.exp(-sign * math.log(ps / pr)))
+    point = maximize_throughput(PowerBudget(protocol, 10.0, 4), plateau)
+    assert 30.0 < sign * _u(point) < 745.0
 
 
 def _bump(peak, kinked):
@@ -391,32 +425,29 @@ def test_polish_reaches_the_peak_from_a_shifted_prefix_optimum(protocol, shift):
     # the search on a prefix objective that peaks shift away from the whole
     # objective's peak, then the polish on the whole one: past its +-0.15
     # bracket the polish ends on an edge, so the whole objective is searched
-    # again. At -6.0 the prefix optimum is the upper ratio bound, 4.1 away.
-    # A polish that starts on the peak or near it stays cheap
+    # again. At -6.0 the prefix optimum lies past the top of the coarse
+    # grid. A polish that starts on the peak or near it stays cheap
     budget = PowerBudget(protocol, 10.0, 4)
     kinked = protocol in ("adb", "sfd-mmrs")
     truth = 0.5
     head = _bump(truth - shift, kinked)
     start, _ = _search(budget, head)
-    uhi = math.log(power._RATIO_BOUNDS[1])
-    assert abs(_u(start) - truth) == pytest.approx(min(abs(shift), uhi - truth), abs=1e-3)
+    assert abs(_u(start) - truth) == pytest.approx(abs(shift), abs=1e-3)
     point, probes = _polished(budget, head, _bump(truth, kinked))
     assert abs(_u(point) - truth) <= math.log1p(1e-3)
-    assert not at_ratio_bound(point, 1e-3)
     if abs(shift) <= 0.1:
         assert probes <= 12
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_polish_stops_on_a_ratio_bound(protocol):
-    # past the upper ratio bound the best split is the bound itself: the
-    # polish from a prefix optimum at 3.0 ends on its open upper edge, and
-    # the search on the whole objective ends on the bound
+def test_polish_follows_a_peak_past_the_coarse_grid(protocol):
+    # a whole objective peaking at 6.0, past the top of the coarse grid:
+    # the polish from a prefix optimum at 3.0 ends on its upper edge, and
+    # the search on the whole objective steps past the grid to the peak
     budget = PowerBudget(protocol, 10.0, 4)
     kinked = protocol in ("adb", "sfd-mmrs")
     point, probes = _polished(budget, _bump(3.0, kinked), _bump(6.0, kinked))
-    assert at_ratio_bound(point, 1e-3)
-    assert _u(point) == pytest.approx(math.log(power._RATIO_BOUNDS[1]), abs=1e-3)
+    assert abs(_u(point) - 6.0) <= math.log1p(1e-3)
     assert probes <= 80
 
 
@@ -443,8 +474,8 @@ def test_a_polish_on_an_open_edge_searches_the_whole_objective(protocol):
 @given(
     protocol=st.sampled_from(PROTOCOLS),
     kinked=st.booleans(),
-    peak=st.floats(_grid_u(0) - 1.0, _grid_u(8) + 1.0),
-    start=st.floats(_grid_u(0), _grid_u(8)),
+    peak=st.floats(-40.0, 40.0),
+    start=st.floats(-40.0, 40.0),
     rise=st.floats(0.05, 5.0),
     fall=st.floats(0.05, 5.0),
     tolerance=st.floats(math.log(1e-16), math.log(0.5)).map(math.exp),
@@ -454,28 +485,19 @@ def test_a_polish_on_an_open_edge_searches_the_whole_objective(protocol):
 @example(protocol="crs", kinked=False, peak=_grid_u(0), start=_grid_u(0),
          rise=1.0, fall=1.0, tolerance=1e-9)
 def test_every_polish_ends(protocol, kinked, peak, start, rise, fall, tolerance):
-    # the polish, from a prefix optimum anywhere in the ratio range, on a
-    # peak or a kink anywhere in it or past it, at any tolerance in (0, 1):
-    # the prefix search, the polish and a search on the whole objective
-    # after it all end, and the split returned lies within the ratio bounds
+    # the polish, from a prefix optimum in the coarse grid's span or far
+    # past it, on a peak or a kink there, at any tolerance in (0, 1): the
+    # prefix search, the polish and a search on the whole objective after
+    # it all end, and the split returned lies on the whole objective's
+    # peak, as in test_every_search_ends
     budget = PowerBudget(protocol, 10.0, 4)
-
-    def shape(at):
-        def evaluator(ps, pr):
-            t = math.log(ps / pr) - at
-            if kinked:
-                return _kinked(
-                    1000.0 + (rise * t - 0.05 * t * t), 1000.0 + (-fall * t - 0.03 * t * t)
-                )
-            return _analytic(1000.0 - rise * t * t - 0.01 * fall * t * t * t)
-        return evaluator
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(power, "_brent", _ending(power._brent))
         patch.setattr(power, "_golden", _ending(power._golden))
-        point, _ = _polished(budget, shape(start), shape(peak), tolerance)
-    ulo, uhi = (math.log(r) for r in power._RATIO_BOUNDS)
-    assert ulo - 1e-12 <= _u(point) <= uhi + 1e-12
+        point, _ = _polished(
+            budget, _shape(start, kinked, rise, fall), _shape(peak, kinked, rise, fall), tolerance
+        )
+    assert abs(_u(point) - peak) <= math.log1p(tolerance) + 1e-5
 
 
 def _sfd_means(cfg, stats, budget, u):

@@ -50,9 +50,13 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(workers=0)
     # integers only, bools rejected
-    for bad in ({"slots": 2000.5}, {"slots": True}, {"seed": 1.5}, {"workers": 2.5}):
+    for bad in ({"slots": 2000.5}, {"slots": True}, {"seed": 1.5}, {"workers": 2.5},
+                {"slots": np.float32(2000)}):
         with pytest.raises(ValueError):
             SimConfig(**bad)
+    # ChannelConfig's rule for counts, which takes numpy's integers
+    assert SimConfig(slots=np.int64(2000)) == SimConfig(slots=2000)
+    assert ChannelConfig(L=np.int64(4), M=2) == ChannelConfig(L=4, M=2)
     # one prepare call builds one fading stream
     other = replace(CFG, N_R=CFG.N_R + 1)
     with pytest.raises(ValueError):
