@@ -10,8 +10,8 @@ values and pair gaps only, never a standard error or an estimate, steps on
 the signs of the gaps, and follows a rising value past its coarse grid's
 span to any ratio a double holds. A Monte Carlo search may run in two
 stages, in one maximize_throughput call: on a prefix of the fading stream,
-where each probe is cheap, then a polish on the whole stream, from the
-prefix's optimum.
+where each probe is cheap, then a polish on the whole stream from the
+prefix's optimum, which climbs past its bracket as the grid does.
 """
 
 import math
@@ -233,6 +233,13 @@ def _width_goal(tolerance: float, a: float, b: float) -> float:
     return max(math.log1p(tolerance), 16.0 * math.ulp(max(abs(a), abs(b))))
 
 
+def _climb(probe, inner, x, d):
+    """Steps x by d, 2d, 4d, ... while each is strictly higher: the top's bracket (a, x, b)."""
+    while probe(x + d) > probe(x):
+        inner, x, d = x, x + d, 2.0 * d
+    return min(inner, x + d), x, max(inner, x + d)
+
+
 def _best(budget, values) -> PowerPoint:
     """The first probed point of highest value."""
     return ratio_point(budget, math.exp(max(values, key=values.get)))
@@ -252,21 +259,19 @@ def maximize_throughput(
     refinement of ln(ratio) in the bracket of the best grid point down to
     the given relative ratio tolerance. If the coarse grid has two or more
     interior local maxima, a 200-point grid re-locates the peak first. A
-    best edge steps outward, each step twice the last from the grid step,
-    while each new point is strictly higher than the last. Returns the
-    first probed point of highest value. adb takes a 25-point grid, then
-    golden section, 41 value probes from an interior grid point, the
-    splits bench/reference/ holds its analytic rows at. The others take a
-    9-point grid, then _brent's loop from its best point: 15 to 20 probes
-    for crs and df, 10 to 12 for sfd-mmrs.
+    best edge climbs outward (_climb), its first step the grid step.
+    Returns the first probed point of highest value. adb takes a 25-point
+    grid, then golden section, 41 value probes from an interior grid
+    point, the splits bench/reference/ holds its analytic rows at. The
+    others take a 9-point grid, then _brent's loop from its best point:
+    15 to 20 probes for crs and df, 10 to 12 for sfd-mmrs.
 
     With head, a cheaper estimate of the same objective (a Monte Carlo
     stream's prefix), the search above runs on head. One _brent's loop
     then polishes its optimum on value, in a bracket of +-0.15 in
-    ln(ratio) around it. Where no polish probe between an edge and the
-    polish's optimum is lower, and the optimum's gaps do not put the peak
-    on the edge's other side, the peak may lie past the edge: the search
-    runs again on value alone.
+    ln(ratio) around it. A side of the polish's optimum with no lower
+    probe, unless the optimum's gaps put the peak on the other, climbs
+    from a 0.15 step, and one more _brent's loop refines its bracket.
     """
     if not tolerance > 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
@@ -283,10 +288,7 @@ def maximize_throughput(
     best = max(range(n), key=vals.__getitem__)
     a, x, b = us[max(best - 1, 0)], us[best], us[min(best + 1, n - 1)]
     if best in (0, n - 1):
-        inner, d = (b, -step) if best == 0 else (a, step)
-        while probe(x + d) > probe(x):
-            inner, x, d = x, x + d, 2.0 * d
-        a, b = sorted((inner, x + d))
+        a, x, b = _climb(probe, b, x, -step) if best == 0 else _climb(probe, a, x, step)
 
     if brent:
         _brent(probe, a, b, x, _width_goal(tolerance, a, b), gaps)
@@ -300,9 +302,9 @@ def maximize_throughput(
     x = math.log(point.ps / point.pr)
     a, b = x - _POLISH_HALF_WIDTH, x + _POLISH_HALF_WIDTH
     _brent(probe, a, b, x, _width_goal(tolerance, a, b), gaps)
-    x = max(values, key=values.get)
-    fx, side = values[x], _side(gaps[x])
-    for s in (-1, 1):
-        if side != -s and not any(values[u] < fx for u in values if (u - x) * s > 0):
-            return maximize_throughput(budget, value, tolerance)
+    for d in (-_POLISH_HALF_WIDTH, _POLISH_HALF_WIDTH):
+        x = max(values, key=values.get)
+        if _side(gaps[x]) * d >= 0 and all(values[u] >= values[x] for u in values if (u - x) * d > 0):
+            a, x, b = _climb(probe, x - d, x, d)
+            _brent(probe, a, b, x, _width_goal(tolerance, a, b), gaps)
     return _best(budget, values)

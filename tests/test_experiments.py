@@ -562,6 +562,20 @@ def test_prefix_search_matches_whole_stream_search(monkeypatch, caplog):
     assert all(s["prefix_probes"] == 0 for s in whole.diagnostics["searches"])
 
 
+def test_a_coarse_polish_makes_few_whole_stream_probes():
+    # at tolerance 0.5 each polish's _brent's loop ends on its start alone,
+    # and each side's climb probes one step: at most 3 whole-stream probes
+    # a search
+    spec = resolve_spec({
+        "experiment": "antenna-sweep", "grid": [1, 3], "sim": {"slots": 1 << 17},
+        "methods": ["monte-carlo"], "tolerance": 0.5,
+    })
+    searches = run_experiment(spec).diagnostics["searches"]
+    assert len(searches) == 8
+    for s in searches:
+        assert s["prefix_probes"] > 0 and s["probes"] <= 3, s
+
+
 @pytest.mark.parametrize("label", simulate.PROTOCOLS)
 def test_searched_row_walks_its_stream_once_for_its_estimate(monkeypatch, label):
     # a searched row's final estimate sits at a split its search probed on

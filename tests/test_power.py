@@ -377,8 +377,8 @@ def test_every_search_ends(protocol, kinked, peak, rise, fall, tolerance):
 def test_a_value_rising_without_end_raises(protocol, sign):
     # a value that rises forever one way walks to where a double holds no
     # ratio (or, for a small budget, no power) and raises there, in a
-    # search and in a polish's search of the whole objective; one that
-    # rises to a plateau ends on its ties
+    # search and in a polish's climb past its bracket; one that rises to a
+    # plateau ends on its ties
     rising = lambda ps, pr: _analytic(sign * math.log(ps / pr))
     for total in (10.0, 1e-300):
         budget = PowerBudget(protocol, total, 4)
@@ -424,9 +424,9 @@ def _u(point):
 def test_polish_reaches_the_peak_from_a_shifted_prefix_optimum(protocol, shift):
     # the search on a prefix objective that peaks shift away from the whole
     # objective's peak, then the polish on the whole one: past its +-0.15
-    # bracket the polish ends on an edge, so the whole objective is searched
-    # again. At -6.0 the prefix optimum lies past the top of the coarse
-    # grid. A polish that starts on the peak or near it stays cheap
+    # bracket the polish ends on an edge and climbs past it. At -6.0 the
+    # prefix optimum lies past the top of the coarse grid. A polish that
+    # starts on the peak or near it stays cheap
     budget = PowerBudget(protocol, 10.0, 4)
     kinked = protocol in ("adb", "sfd-mmrs")
     truth = 0.5
@@ -442,32 +442,50 @@ def test_polish_reaches_the_peak_from_a_shifted_prefix_optimum(protocol, shift):
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_polish_follows_a_peak_past_the_coarse_grid(protocol):
     # a whole objective peaking at 6.0, past the top of the coarse grid:
-    # the polish from a prefix optimum at 3.0 ends on its upper edge, and
-    # the search on the whole objective steps past the grid to the peak
+    # the polish from a prefix optimum at 3.0 ends on its upper edge and
+    # climbs past it to the peak
     budget = PowerBudget(protocol, 10.0, 4)
     kinked = protocol in ("adb", "sfd-mmrs")
     point, probes = _polished(budget, _bump(3.0, kinked), _bump(6.0, kinked))
     assert abs(_u(point) - 6.0) <= math.log1p(1e-3)
-    assert probes <= 80
+    assert probes <= 28
+
+
+def _not_again(*args, **kwargs):
+    raise AssertionError("maximize_throughput called itself")
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_a_polish_on_an_open_edge_searches_the_whole_objective(protocol):
+def test_a_polish_on_an_open_edge_climbs_past_it(monkeypatch, protocol):
     # a prefix optimum 3.0 below the whole objective's peak: the polish ends
-    # on the open upper edge of its bracket, and the split returned is the
-    # one a search on the whole objective alone gives, for that search's
-    # probes and the polish's. From 1e-13 down the values near the edge tie
-    # within their rounding, and the polish's optimum need not lie within
-    # the tolerance of the edge
+    # on the open upper edge of its bracket and climbs past it on its own
+    # probes, never searching the whole objective again (the test's own
+    # reference to maximize_throughput is the search; power's name for it
+    # fails). It lands on the peak at tolerances down to 1e-16, in at most
+    # 28 whole-objective probes at 1e-3
+    monkeypatch.setattr(power, "maximize_throughput", _not_again)
     budget = PowerBudget(protocol, 10.0, 4)
     kinked = protocol in ("adb", "sfd-mmrs")
     for tolerance in (1e-3, 1e-13, 1e-16):
         point, probes = _polished(budget, _bump(-2.5, kinked), _bump(0.5, kinked), tolerance)
-        want, searched = _counted(budget, _bump(0.5, kinked), tolerance)
-        assert point == want
-        assert searched < probes
+        assert abs(_u(point) - 0.5) <= math.log1p(tolerance) + 1e-5
         if tolerance == 1e-3:
-            assert probes <= 60
+            assert probes <= 28
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("tolerance", [0.36, 0.5, 0.9])
+def test_a_coarse_polish_on_the_peak_stays_cheap(protocol, tolerance):
+    # from a tolerance of e^0.3 - 1 up, _brent's loop ends on the polish's
+    # start alone, so neither side has a lower probe: each climbs one step
+    # of 0.15, finds it lower, and the polish makes at most 3 probes
+    budget = PowerBudget(protocol, 10.0, 4)
+    kinked = protocol in ("adb", "sfd-mmrs")
+    head = _bump(0.5, kinked)
+    start = _u(maximize_throughput(budget, head, tolerance))
+    point, probes = _polished(budget, head, _bump(start, kinked), tolerance)
+    assert probes <= 3
+    assert abs(_u(point) - start) <= math.log1p(tolerance)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -484,12 +502,16 @@ def test_a_polish_on_an_open_edge_searches_the_whole_objective(protocol):
          rise=1.0, fall=1.0, tolerance=1e-16)
 @example(protocol="crs", kinked=False, peak=_grid_u(0), start=_grid_u(0),
          rise=1.0, fall=1.0, tolerance=1e-9)
+# _brent's loop ends on the polish's start alone, 1.0 above the peak: the
+# climb runs though the polish's bracket is narrower than the width goal
+@example(protocol="adb", kinked=False, peak=0.0, start=1.0, rise=1.0, fall=1.0,
+         tolerance=math.exp(-1.0))
 def test_every_polish_ends(protocol, kinked, peak, start, rise, fall, tolerance):
     # the polish, from a prefix optimum in the coarse grid's span or far
     # past it, on a peak or a kink there, at any tolerance in (0, 1): the
-    # prefix search, the polish and a search on the whole objective after
-    # it all end, and the split returned lies on the whole objective's
-    # peak, as in test_every_search_ends
+    # prefix search, the polish and its climbs all end, and the split
+    # returned lies on the whole objective's peak, as in
+    # test_every_search_ends
     budget = PowerBudget(protocol, 10.0, 4)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(power, "_brent", _ending(power._brent))
